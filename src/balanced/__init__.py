@@ -22,6 +22,7 @@ from .designs import (
 from .exact import (
     Configuration,
     GramMatrix,
+    InvariantError,
     StructuralError,
     gram_rank,
     inner_product_spectrum,
@@ -66,6 +67,7 @@ __all__ = [
     "CoordinateSet",
     "DesignVerdict",
     "GramMatrix",
+    "InvariantError",
     "LatticeGram",
     "PermutationGroup",
     "ShellDecomposition",

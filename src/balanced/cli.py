@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = pass, 1 = checked property is false, 2 = malformed input,
-3 = resource limit (use --allow-slow).  Reports go to stdout as JSON with a
-fixed key order; diagnostics go to stderr.
+3 = resource limit (use --allow-slow), 4 = an internal soundness check
+failed (a defect in this library; no verdict is given).  Reports go to
+stdout as JSON with a fixed key order; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import click
 
 from . import balance, constructors, designs, files, numerics, report, symmetry
-from .exact import Configuration, StructuralError
+from .exact import Configuration, InvariantError, StructuralError
 from .lattice import kissing_configuration
 from .numerics import AmbiguousShellError, CoordinateSet
 
@@ -37,23 +38,15 @@ def input_errors(fn):
             return fn(*args, **kwargs)
         except (files.InputError, StructuralError, AmbiguousShellError) as exc:
             _fail(str(exc), 2)
+        except InvariantError as exc:
+            _fail(f"internal invariant violated: {exc}", 4)
 
     return wrapper
 
 
 @click.group()
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Reserved; results are identical for any value.",
-)
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Construct, verify and analyze balanced spherical point configurations."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 def _write_output(c: Configuration, out) -> None:

@@ -11,7 +11,7 @@ from importlib import resources
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .exact import Configuration, StructuralError
+from .exact import Configuration, StructuralError, require
 
 
 class ConstructionError(StructuralError):
@@ -140,7 +140,7 @@ def srg_spectral_embedding(
         for j in range(n):
             p = (Fraction(adjacency[i][j]) - (Fraction(phi) if i == j else 0) - shift) / scale
             row.append(p)
-        assert row[i] == diag
+        require(row[i] == diag, "spectral embedding has a non-constant diagonal")
         rows.append([x / diag for x in row])
     config = Configuration.from_gram(
         rows,

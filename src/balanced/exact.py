@@ -1,16 +1,21 @@
-"""Exact rational core: scalars, symmetric matrix decompositions, configurations.
+"""Exact rational core: scalars, symmetric matrix elimination, configurations.
 
-Everything here is exact. Matrices are tuples of tuples of Fraction; no
-floating point enters this module.
+Everything here is exact. Matrices are tuples of tuples of Fraction at the
+interface; eliminations run on the integer matrix den * m in Python ints, so
+no floating point and no Fraction arithmetic enters their inner loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class StructuralError(ValueError):
@@ -19,6 +24,20 @@ class StructuralError(ValueError):
 
 class IndefinitePivotError(StructuralError):
     """No diagonal pivot exists; the matrix is certified not PSD."""
+
+
+class InvariantError(RuntimeError):
+    """An internal soundness check failed, so no verdict can be trusted.
+
+    Not a StructuralError: it signals a defect in this library, never
+    malformed input.  The CLI reports it with exit code 4.
+    """
+
+
+def require(condition: bool, message: str) -> None:
+    """Soundness check that, unlike `assert`, survives `python -O`."""
+    if not condition:
+        raise InvariantError(message)
 
 
 def rational(value) -> Fraction:
@@ -40,8 +59,13 @@ def rational(value) -> Fraction:
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    """Build a square rational matrix, validating shape."""
-    m = tuple(tuple(rational(x) for x in row) for row in rows)
+    """Build a square rational matrix, validating shape.
+
+    Entries that already are Fractions are kept as they are.
+    """
+    m = tuple(
+        tuple(x if type(x) is Fraction else rational(x) for x in row) for row in rows
+    )
     n = len(m)
     for i, row in enumerate(m):
         if len(row) != n:
@@ -49,7 +73,9 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def check_symmetric(m: Matrix) -> None:
+def check_symmetric(m: Sequence[Sequence]) -> None:
+    if tuple(zip(*m)) == tuple(map(tuple, m)):
+        return
     n = len(m)
     for i in range(n):
         for j in range(i + 1, n):
@@ -57,47 +83,147 @@ def check_symmetric(m: Matrix) -> None:
                 raise StructuralError(f"not symmetric at entry [{i}][{j}]")
 
 
-def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals, by fraction-free Gaussian elimination.
+def _scaled(m: Matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Least common denominator den > 0 and the integer matrix den * m."""
+    dens = {x.denominator for row in m for x in row}
+    den = math.lcm(*dens)
+    mult = {d: den // d for d in dens}
+    return den, tuple(tuple(x.numerator * mult[x.denominator] for x in row) for row in m)
 
-    Works on any symmetric rational matrix; the elimination is run on
-    integer-scaled rows so large Gram matrices of low rank stay cheap.
+
+def _bareiss(a: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Symmetric fraction-free (Bareiss) elimination, in place.
+
+    `a` holds the lower triangle of a symmetric integer matrix, row i being
+    entries 0..i.  Pivots are diagonal, in the order of the rational LDL^T:
+    at step k the first nonzero remaining diagonal entry, moved to k by a
+    transposition.  Each update divides exactly by the previous pivot, so
+    every entry stays a minor of the input and grows linearly in bit length.
+    The loop stops once the remaining diagonal vanishes; the remaining block
+    must then be zero, else IndefinitePivotError.
+
+    Returns (perm, pivots): pivots[k] is the determinant of the leading
+    (k+1)-block of the permuted matrix, and on return a[i][k] (k < i,
+    k < len(pivots)) is entry (i, k) at step k, so L[i][k] = a[i][k] / pivots[k].
+    """
+    n = len(a)
+    perm = list(range(n))
+    pivots: list[int] = []
+    prev = 1
+    for k in range(n):
+        q = next((q for q in range(k, n) if a[q][q]), None)
+        if q is None:
+            # PSD => zero diagonal forces a zero block; anything else is indefinite
+            if any(any(a[i][k:i]) for i in range(k + 1, n)):
+                raise IndefinitePivotError(
+                    "zero diagonal with nonzero off-diagonal entries; not PSD"
+                )
+            break
+        if q != k:
+            _swap(a, k, q)
+            perm[k], perm[q] = perm[q], perm[k]
+        p = a[k][k]
+        col = [row[k] for row in a[k + 1:]]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = col[i - k - 1]
+            row[k + 1:] = [(p * x - f * c) // prev for x, c in zip(row[k + 1:], col)]
+        pivots.append(p)
+        prev = p
+    return perm, pivots
+
+
+def _swap(a: list[list[int]], k: int, q: int) -> None:
+    """Symmetric transposition of indices k < q on lower-triangle storage."""
+    rk, rq = a[k], a[q]
+    rk[:k], rq[:k] = rq[:k], rk[:k]
+    rk[k], rq[q] = rq[q], rk[k]
+    for j in range(k + 1, q):
+        a[j][k], rq[j] = rq[j], a[j][k]
+    for row in a[q + 1:]:
+        row[k], row[q] = row[q], row[k]
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    """The Bareiss elimination of den * m, kept for LDL^T read-outs."""
+
+    den: int
+    perm: tuple[int, ...]
+    pivots: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]  # columns[i][k] = a[i][k] for k < rank
+
+    @classmethod
+    def of(cls, den: int, scaled: Sequence[Sequence[int]]) -> "_Elimination":
+        a = [list(row[: i + 1]) for i, row in enumerate(scaled)]
+        perm, pivots = _bareiss(a)
+        r = len(pivots)
+        return cls(den, tuple(perm), tuple(pivots), tuple(tuple(row[:r]) for row in a))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def psd(self) -> bool:
+        # D[k] = pivots[k] / (pivots[k-1] den): all D >= 0 iff all pivots > 0
+        return all(p > 0 for p in self.pivots)
+
+    def ldl(self):
+        """(L, D, perm) of the rational LDL^T, read off the Bareiss minors."""
+        n = len(self.perm)
+        lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        diag = [_ZERO] * n
+        prev = 1
+        for k, p in enumerate(self.pivots):
+            diag[k] = Fraction(p, prev * self.den)
+            for i in range(k + 1, n):
+                if self.columns[i][k]:
+                    lower[i][k] = Fraction(self.columns[i][k], p)
+            prev = p
+        return tuple(map(tuple, lower)), tuple(diag), self.perm
+
+
+def _eliminate(m) -> _Elimination:
+    m = as_matrix(m)
+    den, scaled = _scaled(m)
+    check_symmetric(scaled)
+    return _Elimination.of(den, scaled)
+
+
+def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) Gaussian elimination.
+
+    Works on any symmetric rational matrix.  Rows are scaled to integers
+    once; each row update divides exactly by the previous pivot, so entries
+    stay minors of the scaled matrix instead of doubling in size per pivot.
     """
     m = as_matrix(m)
     check_symmetric(m)
     n = len(m)
-    if n == 0:
-        return 0
-    # scale each row to integers once; row operations below stay integral
     rows = []
     for row in m:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     rank = 0
     col = 0
+    prev = 1
     while col < n and rank < n:
         piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        prow = rows[rank][col + 1:]
+        p = rows[rank][col]
         for r in range(rank + 1, n):
-            f = rows[r][col]
-            if f:
-                p = prow[col]
-                rows[r] = [p * a - f * b for a, b in zip(rows[r], prow)]
+            row = rows[r]
+            f = row[col]
+            row[col + 1:] = [(p * a - f * b) // prev for a, b in zip(row[col + 1:], prow)]
+        prev = p
         rank += 1
         col += 1
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ldl_decompose(m: Sequence[Sequence[Fraction]]):
@@ -109,74 +235,59 @@ def ldl_decompose(m: Sequence[Sequence[Fraction]]):
     IndefinitePivotError when all remaining diagonal entries vanish but the
     block does not (which already certifies the matrix is not PSD).
     """
-    m = as_matrix(m)
-    check_symmetric(m)
-    n = len(m)
-    a = [list(row) for row in m]
-    perm = list(range(n))
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-    for k in range(n):
-        piv = next((q for q in range(k, n) if a[q][q] != 0), None)
-        if piv is None:
-            # PSD => zero diagonal forces a zero block; anything else is indefinite
-            for i in range(k, n):
-                for j in range(k, n):
-                    if a[i][j] != 0:
-                        raise IndefinitePivotError(
-                            "zero diagonal with nonzero off-diagonal entries; not PSD"
-                        )
-            break
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-            for j in range(k):
-                lower[k][j], lower[piv][j] = lower[piv][j], lower[k][j]
-        d = a[k][k]
-        diag[k] = d
-        for i in range(k + 1, n):
-            lower[i][k] = a[i][k] / d
-        for i in range(k + 1, n):
-            lik = lower[i][k]
-            if lik:
-                arow = a[i]
-                krow = a[k]
-                for j in range(k + 1, i + 1):
-                    arow[j] -= lik * krow[j]
-                    a[j][i] = arow[j]
-    L = tuple(tuple(row) for row in lower)
-    return L, tuple(diag), tuple(perm)
+    return _eliminate(m).ldl()
 
 
 def is_positive_semidefinite(m: Sequence[Sequence[Fraction]]) -> bool:
     try:
-        _, diag, _ = ldl_decompose(m)
+        return _eliminate(m).psd
     except IndefinitePivotError:
         return False
-    return all(d >= 0 for d in diag)
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric unit-diagonal PSD rational matrix of pairwise inner products."""
+    """Symmetric unit-diagonal PSD rational matrix of pairwise inner products.
+
+    Validation scales the matrix to integers once (den, scaled) and runs one
+    Bareiss elimination on it, which certifies PSD and gives the rank and
+    the LDL^T factors.
+    """
 
     entries: Matrix
+    den: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _elimination: _Elimination = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.entries)
         object.__setattr__(self, "entries", m)
-        check_symmetric(m)
+        den, scaled = _scaled(m)
+        check_symmetric(scaled)
         for i in range(len(m)):
-            if m[i][i] != 1:
+            if scaled[i][i] != den:
                 raise StructuralError(f"diagonal entry [{i}][{i}] = {m[i][i]}, expected 1")
-        if not is_positive_semidefinite(m):
+        try:
+            elim = _Elimination.of(den, scaled)
+        except IndefinitePivotError:
+            elim = None
+        if elim is None or not elim.psd:
             raise StructuralError("matrix is not positive semidefinite")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "_elimination", elim)
 
     @property
     def size(self) -> int:
         return len(self.entries)
+
+    @property
+    def rank(self) -> int:
+        return self._elimination.rank
+
+    def ldl(self):
+        """(L, D, perm) exactly as ldl_decompose(self.entries), without re-eliminating."""
+        return self._elimination.ldl()
 
     def __getitem__(self, ij):
         i, j = ij
@@ -197,24 +308,25 @@ class Configuration:
     point_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        g = self.gram.entries
-        n = len(g)
+        s = self.gram.scaled
+        n = len(s)
         if n == 0:
             raise StructuralError("empty configuration")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g[i][j] == 1:
-                    raise StructuralError(f"points {i} and {j} coincide (inner product 1)")
+        den = self.gram.den
+        for i, row in enumerate(s):
+            if den in row[i + 1:]:
+                j = row.index(den, i + 1)
+                raise StructuralError(f"points {i} and {j} coincide (inner product 1)")
         if self.point_labels is not None:
             labels = tuple(str(x) for x in self.point_labels)
             if len(labels) != n:
                 raise StructuralError(f"{len(labels)} labels for {n} points")
             object.__setattr__(self, "point_labels", labels)
-        object.__setattr__(self, "ambient_dim", gram_rank(g))
+        object.__setattr__(self, "ambient_dim", self.gram.rank)
 
     @classmethod
     def from_gram(cls, rows, label=None, point_labels=None) -> "Configuration":
-        return cls(gram=GramMatrix(as_matrix(rows)), label=label, point_labels=point_labels)
+        return cls(gram=GramMatrix(rows), label=label, point_labels=point_labels)
 
     @property
     def size(self) -> int:
@@ -233,16 +345,10 @@ def inner_product_spectrum(c: Configuration) -> tuple[Fraction, ...]:
     return tuple(sorted(seen))
 
 
-def scaled_integer_gram(c: Configuration) -> tuple[int, list[list[int]]]:
+def scaled_integer_gram(c: Configuration) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Common denominator L and the integer matrix L*gram.
 
     Shared by the balance and design modules so shell sums and moment
-    histograms run in integer arithmetic.
+    histograms run in integer arithmetic.  Built once, by validation.
     """
-    g = c.gram.entries
-    den = 1
-    for row in g:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in g]
-    return den, scaled
+    return c.gram.den, c.gram.scaled

@@ -49,20 +49,8 @@ def configuration_from_dict(doc: dict, where: str = "configuration") -> Configur
     gram = doc["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise InputError(f"{where}: 'gram' must be a list of rows")
-    rows = []
-    for i, row in enumerate(gram):
-        out = []
-        for j, x in enumerate(row):
-            if isinstance(x, float):
-                raise InputError(
-                    f"{where}: gram[{i}][{j}] is a float; exact files carry "
-                    f"rationals as strings"
-                )
-            try:
-                out.append(rational(x))
-            except StructuralError as exc:
-                raise InputError(f"{where}: gram[{i}][{j}]: {exc}") from exc
-        rows.append(out)
+    parsed: dict[str, Fraction] = {}  # each distinct entry string is parsed once
+    rows = [_parse_row(row, i, parsed, where) for i, row in enumerate(gram)]
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
@@ -76,6 +64,32 @@ def configuration_from_dict(doc: dict, where: str = "configuration") -> Configur
         )
     except StructuralError as exc:
         raise InputError(f"{where}: {exc}") from exc
+
+
+def _parse_row(row: list, i: int, parsed: dict, where: str) -> list:
+    """Row i of a 'gram' field as Fractions, memoizing entry strings in `parsed`."""
+    try:
+        return [parsed[x] for x in row]
+    except (KeyError, TypeError):
+        pass
+    out = []
+    for j, x in enumerate(row):
+        if isinstance(x, str) and x in parsed:
+            out.append(parsed[x])
+            continue
+        if isinstance(x, float):
+            raise InputError(
+                f"{where}: gram[{i}][{j}] is a float; exact files carry "
+                f"rationals as strings"
+            )
+        try:
+            value = rational(x)
+        except StructuralError as exc:
+            raise InputError(f"{where}: gram[{i}][{j}]: {exc}") from exc
+        if isinstance(x, str):
+            parsed[x] = value
+        out.append(value)
+    return out
 
 
 def read_configuration(path) -> Configuration:
@@ -92,19 +106,6 @@ def write_json(doc: dict, path=None) -> str:
 
 def write_configuration(c: Configuration, path=None) -> str:
     return write_json(configuration_to_dict(c), path)
-
-
-def read_coordinates(path) -> CoordinateSet:
-    doc = _load_json(path)
-    if "coords" not in doc:
-        raise InputError(f"{path}: missing 'coords' field")
-    try:
-        pts = np.array(doc["coords"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
-    if pts.ndim != 2:
-        raise InputError(f"{path}: 'coords' must be a rectangular N x r array")
-    return CoordinateSet(points=pts, label=doc.get("label"))
 
 
 def write_coordinates(p: CoordinateSet, path=None) -> str:
@@ -127,6 +128,11 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
             raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
         if pts.ndim != 2:
             raise InputError(f"{path}: 'coords' must be a rectangular N x r array")
+        for i, point in enumerate(pts):
+            if not np.isfinite(point).all():
+                raise InputError(f"{path}: coords[{i}] is not finite")
+            if not point.any():
+                raise InputError(f"{path}: coords[{i}] is the zero vector")
         return CoordinateSet(points=pts, label=doc.get("label"))
     raise InputError(f"{path}: expected a 'gram' or 'coords' field")
 

@@ -17,7 +17,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, as_matrix, ldl_decompose, rational
+from .exact import (
+    Configuration,
+    InvariantError,
+    StructuralError,
+    as_matrix,
+    ldl_decompose,
+    rational,
+    require,
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ def enumerate_quadratic(
     if not all(p > 0 for p in diag):
         raise StructuralError("quadratic form is not positive definite")
     # positive definiteness keeps the pivot order natural
-    assert list(perm) == list(range(d))
+    require(list(perm) == list(range(d)), "positive definite form needed a pivot swap")
     # forward substitution: k = L^-1 lin, so 2 lin.z = 2 k.(L^T z)
     k = [Fraction(0)] * d
     for i in range(d):
@@ -138,8 +146,8 @@ def minimal_norm(g: LatticeGram) -> int:
     for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, bound):
         if any(vec) and (best is None or value < best):
             best = value
-    assert best is not None  # basis vector e_i attains the bound
-    assert best.denominator == 1
+    require(best is not None, "enumeration missed the basis vectors")  # e_i attains the bound
+    require(best.denominator == 1, "integer form has a non-integer minimal norm")
     return int(best)
 
 
@@ -156,7 +164,8 @@ def short_vectors(g: LatticeGram, m: int) -> ShortVectorSet:
     rows = g.entries
     for v in found:
         gv = [sum(rows[i][j] * v[j] for j in range(g.dim)) for i in range(g.dim)]
-        assert sum(v[i] * gv[i] for i in range(g.dim)) == m
+        if sum(v[i] * gv[i] for i in range(g.dim)) != m:
+            raise InvariantError(f"enumerated vector {v} does not have norm {m}")
     return ShortVectorSet(norm=m, vectors=tuple(found))
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, ldl_decompose
+from .exact import Configuration, StructuralError
 
 
 class AmbiguousShellError(ValueError):
@@ -44,8 +44,9 @@ class CoordinateSet:
 
 
 def coordinates_from_gram(c: Configuration) -> CoordinateSet:
-    """Realize the configuration in rank(gram) coordinates via exact LDL^T."""
-    lower, diag, perm = ldl_decompose(c.gram.entries)
+    """Realize the configuration in rank(gram) coordinates via exact LDL^T,
+    read off the elimination that validated the Gram matrix."""
+    lower, diag, perm = c.gram.ldl()
     if any(d < 0 for d in diag):
         raise StructuralError("Gram matrix has a negative pivot; not PSD")
     cols = [k for k, d in enumerate(diag) if d > 0]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import balance, designs, numerics, symmetry
-from .exact import Configuration, inner_product_spectrum
+from .exact import Configuration, inner_product_spectrum, require
 from .numerics import CoordinateSet
 
 DEFAULT_CAP = 12
@@ -56,8 +56,8 @@ def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:
     orbit_sizes = tuple(len(o) for o in group.orbits())
     gb = symmetry.check_group_balanced(c, group=group)
     # the two sufficient conditions must never contradict the exact check
-    assert not t1.applies or bal.balanced
-    assert not gb.group_balanced or bal.balanced
+    require(not t1.applies or bal.balanced, "theorem 1 applies to an unbalanced configuration")
+    require(not gb.group_balanced or bal.balanced, "group-balanced but not balanced")
     return AnalysisReport(
         label=c.label,
         n_points=c.size,
@@ -82,7 +82,7 @@ def build_report_float(
     spectrum = tuple(f"{u:.12g}" for u in numerics.spectrum_float(p, tol))
     bal = numerics.check_balanced_float(p, tol)
     per_point, strength, applies = numerics.theorem1_check_float(p, cap, tol)
-    assert not applies or bal.balanced
+    require(not applies or bal.balanced, "theorem 1 applies to an unbalanced configuration")
     return AnalysisReport(
         label=p.label,
         n_points=p.size,

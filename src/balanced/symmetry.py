@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Configuration, StructuralError, gram_rank
+from .exact import Configuration, StructuralError, gram_rank, require
 
 Perm = tuple[int, ...]
 
@@ -394,7 +394,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     search(_initial_cells(graph), 0, True)
     group = PermutationGroup(n, gens)
     for g in group.generators:
-        assert _preserves_colors(graph, g)
+        require(_preserves_colors(graph, g), "automorphism search returned a non-automorphism")
     return group
 
 
@@ -402,7 +402,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
 
 
 def _check_preserves_gram(c: Configuration, group: PermutationGroup) -> None:
-    g = c.gram.entries
+    g = c.gram.scaled
     n = len(g)
     for p in group.generators:
         if len(p) != n:
@@ -420,11 +420,15 @@ def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
 
     The fixed space of a permutation-induced orthogonal action on span(C) is
     spanned by the orbit sums, so its dimension is rank(B G B^T) with B the
-    orbit indicator matrix.
+    orbit indicator matrix; it is computed on the integer matrix den * G,
+    which has the same rank.
     """
     _check_preserves_gram(c, group)
-    g = c.gram.entries
+    g = c.gram.scaled
     orbs = group.orbits()
+    if len(orbs) == c.size:
+        # trivial action: B is a permutation matrix and rank(B G B^T) = rank(G)
+        return c.ambient_dim
     m = [
         [
             sum(g[i][j] for i in oa for j in ob)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from balanced.cli import main
+from balanced.designs import TheoremOneVerdict
 from balanced.files import (
     read_configuration,
     read_graph,
@@ -11,6 +16,8 @@ from balanced.files import (
     write_json,
 )
 from conftest import perturbed_square
+
+import balanced
 
 
 @pytest.fixture()
@@ -141,6 +148,45 @@ class TestExitCodes:
         f.write_text(json.dumps({"gram": [[1, 0.5], [0.5, 1]]}))
         assert invoke(runner, ["check", "balanced", str(f)]).exit_code == 2
 
+    def test_float_zero_vector_rejected(self, runner, tmp_path):
+        f = tmp_path / "zero.json"
+        f.write_text('{"coords": [[0, 0, 0], [1, 0, 0]]}')
+        for command in (["check", "balanced"], ["report"], ["energy", "-s", "1"]):
+            res = invoke(runner, [*command, str(f)])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_float_non_finite_rejected(self, runner, tmp_path, value):
+        f = tmp_path / "nonfinite.json"
+        f.write_text(f'{{"coords": [[{value}, 0, 1], [1, 0, 0], [0, 1, 0]]}}')
+        for command in (["check", "balanced"], ["report"], ["force", "-s", "1"]):
+            res = invoke(runner, [*command, str(f)])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+
+    def test_threads_flag_removed(self, runner, tmp_path):
+        f = tmp_path / "one.json"
+        write_json({"gram": [["1"]]}, f)
+        res = invoke(runner, ["--threads", "2", "report", str(f)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    def test_failed_invariant_exits_4(self, runner, tmp_path, monkeypatch):
+        # a sufficient condition claiming an unbalanced configuration balanced
+        f = tmp_path / "bad.json"
+        write_configuration(perturbed_square(), f)
+        monkeypatch.setattr(
+            "balanced.designs.theorem1_check",
+            lambda c, cap: TheoremOneVerdict(
+                per_point_k=(1,) * c.size, strength=1, applies=True
+            ),
+        )
+        res = invoke(runner, ["report", str(f)])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "internal invariant violated" in res.stderr
+
     def test_missing_file(self, runner):
         assert invoke(runner, ["check", "balanced", "/nonexistent.json"]).exit_code == 2
 
@@ -234,3 +280,30 @@ class TestAnalysisCommands:
         assert doc["theorem1_applies"] is False
         assert doc["design_strength"] == 1
         assert doc["symmetry_order"] is None
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips asserts; verdicts must not depend on them."""
+
+    @pytest.mark.parametrize(
+        "construct", [["c7prime"], ["srg-embedding", "figure1", "--eigen", "r"]]
+    )
+    def test_report_identical_under_dash_o(self, runner, tmp_path, construct):
+        f = tmp_path / "config.json"
+        assert invoke(runner, ["construct", *construct, "-o", str(f)]).exit_code == 0
+        src = str(Path(balanced.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "balanced.cli", "report", str(f)],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        assert runs[0].stdout
+        assert runs[1].stdout == runs[0].stdout
