@@ -55,7 +55,6 @@ from .symmetry import (
     colored_graph_from_adjacency,
     colored_graph_from_config,
     fixed_subspace_dim,
-    orbits,
     point_stabilizer,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "kissing_configuration",
     "ldl_decompose",
     "minimal_norm",
-    "orbits",
     "point_stabilizer",
     "rational",
     "shell_decomposition",

@@ -48,40 +48,34 @@ class BalanceReport:
 
 
 def shell_decomposition(c: Configuration, i: int) -> ShellDecomposition:
-    g = c.gram.entries
-    n = len(g)
+    n = c.size
     if not 0 <= i < n:
         raise StructuralError(f"point index {i} out of range for {n} points")
-    buckets: dict[Fraction, list[int]] = {}
-    for j in range(n):
-        if j != i:
-            buckets.setdefault(g[i][j], []).append(j)
-    shells = tuple((u, tuple(buckets[u])) for u in sorted(buckets))
-    return ShellDecomposition(base_index=i, shells=shells)
+    return ShellDecomposition(base_index=i, shells=c.gram.shells(i))
 
 
-def _exact_violation(c: Configuration, i: int, u: Fraction) -> Violation:
+def _exact_violation(c: Configuration, i: int, colour: int) -> Violation:
     g = c.gram.entries
     n = len(g)
-    members = [j for j in range(n) if j != i and g[i][j] == u]
+    members = np.flatnonzero(c.gram.colours[i] == colour).tolist()
     sums = [sum(g[j][m] for j in members) for m in range(n)]
     coeff = sums[i]
     deviation = tuple(sums[m] - coeff * g[i][m] for m in range(n))
-    return Violation(point=i, shell_value=u, deviation=deviation)
+    return Violation(point=i, shell_value=c.gram.values[colour], deviation=deviation)
 
 
 def check_balanced(c: Configuration) -> BalanceReport:
     """Exact shell-sum proportionality test on the Gram matrix."""
     den, scaled = scaled_integer_gram(c)
     n = len(scaled)
-    off_values = sorted({scaled[i][j] for i in range(n) for j in range(n) if j != i})
+    # scaled off-diagonal values, ascending: the value table without its 1
+    off_values = [u.numerator * (den // u.denominator) for u in c.gram.values[:-1]]
     if n * den * den < _INT64_BUDGET:
         bad = _scan_int64(scaled, den, off_values)
     else:
         bad = _scan_bigint(scaled, den, off_values)
-    violations = tuple(
-        _exact_violation(c, i, Fraction(v, den)) for i, v in sorted(bad)
-    )
+    colour = {v: k for k, v in enumerate(off_values)}
+    violations = tuple(_exact_violation(c, i, colour[v]) for i, v in sorted(bad))
     return BalanceReport(balanced=not violations, violations=violations)
 
 
@@ -155,13 +149,24 @@ def check_balanced_euclidean(
     return _check_finite(pts, r2)
 
 
+def _centroid_violations(i: int, x, buckets: dict) -> list[Violation]:
+    """Distance shells {d2: member points} of point i whose centroid is not x."""
+    out = []
+    for d2 in sorted(buckets):
+        members = buckets[d2]
+        deviation = tuple(
+            sum(y[m] for y in members) - len(members) * x[m] for m in range(len(x))
+        )
+        if any(deviation):
+            out.append(Violation(point=i, shell_value=d2, deviation=deviation))
+    return out
+
+
 def _check_finite(pts, r2) -> BalanceReport:
-    n = len(pts)
-    dim = len(pts[0])
     violations = []
     any_shell = False
     for i, x in enumerate(pts):
-        buckets: dict[Fraction, list[int]] = {}
+        buckets: dict[Fraction, list[tuple[Fraction, ...]]] = {}
         for j, y in enumerate(pts):
             if j == i:
                 continue
@@ -170,19 +175,10 @@ def _check_finite(pts, r2) -> BalanceReport:
                 raise StructuralError(f"points {i} and {j} coincide")
             if r2 is not None and d2 > r2:
                 continue
-            buckets.setdefault(d2, []).append(j)
+            buckets.setdefault(d2, []).append(y)
         if buckets:
             any_shell = True
-        for d2 in sorted(buckets):
-            members = buckets[d2]
-            centroid_sum = [
-                sum(pts[j][m] for j in members) for m in range(dim)
-            ]
-            deviation = tuple(
-                s - len(members) * x[m] for m, s in enumerate(centroid_sum)
-            )
-            if any(deviation):
-                violations.append(Violation(point=i, shell_value=d2, deviation=deviation))
+        violations += _centroid_violations(i, x, buckets)
     if r2 is not None and not any_shell and len(pts) > 1:
         raise StructuralError("cutoff is below the minimal inter-point distance")
     return BalanceReport(balanced=not violations, violations=tuple(violations))
@@ -217,13 +213,7 @@ def _check_periodic(pts, basis, r2) -> BalanceReport:
                 buckets.setdefault(d2, []).append(y)
         if buckets:
             any_shell = True
-        for d2 in sorted(buckets):
-            members = buckets[d2]
-            deviation = tuple(
-                sum(y[m] for y in members) - len(members) * x[m] for m in range(dim)
-            )
-            if any(deviation):
-                violations.append(Violation(point=a, shell_value=d2, deviation=deviation))
+        violations += _centroid_violations(a, x, buckets)
     if not any_shell:
         raise StructuralError("cutoff is below the minimal inter-point distance")
     return BalanceReport(balanced=not violations, violations=tuple(violations))

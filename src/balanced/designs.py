@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import Configuration, StructuralError
 
 
@@ -24,13 +26,17 @@ def gegenbauer_eval(n: int, k: int, u: Fraction) -> Fraction:
         raise StructuralError(f"dimension {n} < 2")
     if k < 0:
         raise StructuralError(f"negative degree {k}")
-    u = Fraction(u)
-    if k == 0:
-        return Fraction(1)
-    prev, cur = Fraction(1), u
-    for m in range(2, k + 1):
-        prev, cur = cur, ((2 * m + n - 4) * u * cur - (m - 1) * prev) / (m + n - 3)
-    return cur
+    return _zonal_series(n, k, Fraction(u))[k]
+
+
+def _zonal_series(n: int, cap: int, u: Fraction) -> list[Fraction]:
+    """[G_0(u), ..., G_cap(u)] for dimension n, in one pass of the recurrence."""
+    series = [Fraction(1), u]
+    for m in range(2, cap + 1):
+        # on S^0 (n = 1) the only nontrivial harmonic is u itself
+        series.append(Fraction(0) if n == 1 else (
+            (2 * m + n - 4) * u * series[-1] - (m - 1) * series[-2]) / (m + n - 3))
+    return series[: cap + 1]
 
 
 @dataclass(frozen=True)
@@ -41,20 +47,9 @@ class DesignVerdict:
 
 def gram_value_counts(c: Configuration) -> Counter:
     """Histogram of Gram values over all ordered pairs, diagonal included."""
-    g = c.gram.entries
-    counts = Counter()
-    for row in g:
-        counts.update(row)
-    return counts
-
-
-def _zonal(n: int, k: int, u: Fraction) -> Fraction:
-    # on S^0 the only nontrivial harmonic is u itself; higher degrees vanish
-    if n == 1:
-        if k == 0:
-            return Fraction(1)
-        return Fraction(u) if k == 1 else Fraction(0)
-    return gegenbauer_eval(n, k, u)
+    values = c.gram.values
+    counts = np.bincount(c.gram.colours.ravel(), minlength=len(values))
+    return Counter(dict(zip(values, counts.tolist())))
 
 
 def design_strength(c: Configuration, cap: int) -> DesignVerdict:
@@ -62,10 +57,10 @@ def design_strength(c: Configuration, cap: int) -> DesignVerdict:
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
     n = c.ambient_dim
-    counts = gram_value_counts(c)
-    moments = {}
-    for k in range(1, cap + 1):
-        moments[k] = sum(mult * _zonal(n, k, u) for u, mult in counts.items())
+    moments = dict.fromkeys(range(1, cap + 1), Fraction(0))
+    for u, mult in gram_value_counts(c).items():
+        for k, zonal in enumerate(_zonal_series(n, cap, u)[1:], start=1):
+            moments[k] += mult * zonal
     strength = 0
     for k in range(1, cap + 1):
         if moments[k] != 0:
@@ -113,14 +108,9 @@ def theorem1_check(c: Configuration, cap: int) -> TheoremOneVerdict:
     inner product -1 is the antipode).  The sufficient condition applies when
     every k_i is at most the verified strength.
     """
-    g = c.gram.entries
-    n_pts = len(g)
-    per_point = []
-    for i in range(n_pts):
-        vals = {g[i][j] for j in range(n_pts) if j != i}
-        vals.discard(Fraction(1))
-        vals.discard(Fraction(-1))
-        per_point.append(len(vals))
+    per_point = [
+        sum(abs(u) != 1 for u, _ in c.gram.shells(i)) for i in range(c.size)
+    ]
     verdict = design_strength(c, cap)
     applies = max(per_point) <= verdict.strength
     return TheoremOneVerdict(

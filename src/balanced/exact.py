@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
@@ -251,12 +253,17 @@ class GramMatrix:
 
     Validation scales the matrix to integers once (den, scaled) and runs one
     Bareiss elimination on it, which certifies PSD and gives the rank and
-    the LDL^T factors.
+    the LDL^T factors.  It also builds the value table that every shell,
+    spectrum, histogram and colouring reads: `values` holds the distinct
+    entries in ascending order, and the read-only integer array `colours`
+    satisfies values[colours[i][j]] == entries[i][j].
     """
 
     entries: Matrix
     den: int = field(init=False, repr=False, compare=False)
     scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    colours: np.ndarray = field(init=False, repr=False, compare=False)
     _elimination: _Elimination = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -273,8 +280,14 @@ class GramMatrix:
             elim = None
         if elim is None or not elim.psd:
             raise StructuralError("matrix is not positive semidefinite")
+        # np.array keeps Python ints past int64 exact, as dtype object
+        distinct, colours = np.unique(np.array(scaled), return_inverse=True)
+        colours = colours.reshape(len(m), len(m))
+        colours.setflags(write=False)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "values", tuple(Fraction(v, den) for v in distinct.tolist()))
+        object.__setattr__(self, "colours", colours)
         object.__setattr__(self, "_elimination", elim)
 
     @property
@@ -288,6 +301,18 @@ class GramMatrix:
     def ldl(self):
         """(L, D, perm) exactly as ldl_decompose(self.entries), without re-eliminating."""
         return self._elimination.ldl()
+
+    def shells(self, i: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+        """The points other than i grouped by inner product with i, ascending:
+        (value, members) pairs."""
+        order = np.argsort(self.colours[i], kind="stable")
+        order = order[order != i]
+        keys = self.colours[i][order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()  # one per shell
+        return tuple(
+            (self.values[keys[a]], tuple(order[a:b].tolist()))
+            for a, b in zip(starts, starts[1:] + [len(order)])
+        )
 
     def __getitem__(self, ij):
         i, j = ij
@@ -334,15 +359,12 @@ class Configuration:
 
 
 def inner_product_spectrum(c: Configuration) -> tuple[Fraction, ...]:
-    """Sorted distinct off-diagonal Gram values (includes -1 for antipodes)."""
-    g = c.gram.entries
-    seen = set()
-    for i in range(len(g)):
-        row = g[i]
-        for j in range(len(g)):
-            if j != i:
-                seen.add(row[j])
-    return tuple(sorted(seen))
+    """Sorted distinct off-diagonal Gram values (includes -1 for antipodes).
+
+    Distinct points have inner product below 1, so the largest value, 1,
+    sits on the diagonal only.
+    """
+    return c.gram.values[:-1]
 
 
 def scaled_integer_gram(c: Configuration) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -39,7 +39,8 @@ def configuration_to_dict(c: Configuration) -> dict:
         doc["label"] = c.label
     if c.point_labels is not None:
         doc["labels"] = list(c.point_labels)
-    doc["gram"] = [[str(x) for x in row] for row in c.gram.entries]
+    text = [str(u) for u in c.gram.values]
+    doc["gram"] = [[text[k] for k in row] for row in c.gram.colours.tolist()]
     return doc
 
 

@@ -173,27 +173,14 @@ def kissing_configuration(g: LatticeGram) -> Configuration:
     """Minimal vectors rescaled to the unit sphere, as an exact Gram matrix."""
     m = minimal_norm(g)
     vecs = short_vectors(g, m)
-    w = np.array(vecs.vectors, dtype=np.int64)
-    gm = np.array(g.entries, dtype=np.int64)
-    peak = int(np.abs(w).max()) ** 2 * int(np.abs(gm).max()) * g.dim * g.dim
-    if peak < 2**62:
-        prods = w @ gm @ w.T
-        gram_rows = [
-            [Fraction(int(prods[i, j]), m) for j in range(len(w))]
-            for i in range(len(w))
-        ]
-    else:
-        gv = [
-            [sum(g.entries[a][b] * v[b] for b in range(g.dim)) for a in range(g.dim)]
-            for v in vecs.vectors
-        ]
-        gram_rows = [
-            [
-                Fraction(sum(u[a] * gvj[a] for a in range(g.dim)), m)
-                for gvj in gv
-            ]
-            for u in vecs.vectors
-        ]
+    # |w G w^T| entries stay below peak; past int64, numpy multiplies Python ints
+    peak = max(abs(x) for v in vecs.vectors for x in v) ** 2 * g.dim * g.dim
+    peak *= max(abs(x) for row in g.entries for x in row)
+    dtype = np.int64 if peak < 2**62 else object
+    w = np.array(vecs.vectors, dtype=dtype)
+    prods = (w @ np.array(g.entries, dtype=dtype) @ w.T).tolist()
+    fractions = {v: Fraction(v, m) for v in set().union(*prods)}  # one per distinct value
+    gram_rows = [[fractions[v] for v in row] for row in prods]
     labels = tuple(",".join(str(x) for x in v) for v in vecs.vectors)
     name = g.label or "lattice"
     return Configuration.from_gram(gram_rows, label=f"kissing({name})", point_labels=labels)

@@ -9,7 +9,8 @@ upstream of a CoordinateSet is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,16 +24,37 @@ class AmbiguousShellError(ValueError):
 
 @dataclass(eq=False)
 class CoordinateSet:
-    """N x r double-precision points, optionally tied to an exact source."""
+    """N x r double-precision points, optionally tied to an exact source.
+    Unit vectors, their Gram matrix and per-tolerance shells are computed once."""
 
     points: np.ndarray
     label: Optional[str] = None
     source: Optional[Configuration] = None
+    _shells: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise StructuralError("coordinates must form a nonempty N x r array")
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return self.points / np.linalg.norm(self.points, axis=1, keepdims=True)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Inner products of the unit vectors, unclipped."""
+        return self.unit @ self.unit.T
+
+    def shells(self, tol: float) -> tuple[tuple[tuple[float, np.ndarray], ...], ...]:
+        """Per point, the other points grouped into shells of inner products
+        within tol: ((representative, member indices), ...), ascending.
+
+        Each row is clustered on its own, once per tolerance.
+        """
+        if tol not in self._shells:
+            self._shells[tol] = tuple(_row_shells(row, i, tol) for i, row in enumerate(self.gram))
+        return self._shells[tol]
 
     @property
     def size(self) -> int:
@@ -63,9 +85,7 @@ def reconstruction_residual(p: CoordinateSet) -> float:
     if p.source is None:
         raise StructuralError("coordinate set has no exact source to compare against")
     gram = p.points @ p.points.T
-    exact = np.array(
-        [[float(x) for x in row] for row in p.source.gram.entries], dtype=float
-    )
+    exact = np.array([float(u) for u in p.source.gram.values])[p.source.gram.colours]
     return float(np.abs(gram - exact).max())
 
 
@@ -112,7 +132,7 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     with np.errstate(divide="ignore"):
         w = np.where(off, s * dist ** -(s + 2.0), 0.0)
     force = (w[:, :, None] * diff).sum(axis=1)
-    radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    radial = p.unit
     tangential = force - (force * radial).sum(axis=1, keepdims=True) * radial
     norms = np.linalg.norm(tangential, axis=1)
     return ForceReport(
@@ -126,7 +146,7 @@ def gradient_check(p: CoordinateSet, s: float, directions: int = 4, seed: int = 
     rng = np.random.default_rng(seed)
     step = 1e-6
     pts = p.points
-    radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    radial = p.unit
     report = tangential_force(p, s)
     worst = 0.0
     for _ in range(directions):
@@ -204,6 +224,12 @@ def _cluster(values, tol: float):
     return [sum(cl) / len(cl) for cl in clusters]
 
 
+def _row_shells(row: np.ndarray, i: int, tol: float):
+    others = np.delete(np.arange(len(row)), i)
+    vals = row[others]
+    return tuple((u, others[np.abs(vals - u) <= tol]) for u in _cluster(vals.tolist(), tol))
+
+
 @dataclass(frozen=True)
 class FloatViolation:
     point: int
@@ -222,17 +248,10 @@ def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceRep
     """Shell-sum proportionality with tolerance-based shell grouping."""
     if tol <= 0:
         raise StructuralError(f"tolerance must be positive, got {tol}")
-    pts = p.points
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    unit = pts / norms
-    gram = unit @ unit.T
-    n = p.size
+    unit = p.unit
     violations = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        reps = _cluster([gram[i][j] for j in others], tol)
-        for u in reps:
-            members = [j for j in others if abs(gram[i][j] - u) <= tol]
+    for i, shells in enumerate(p.shells(tol)):
+        for u, members in shells:
             shell_sum = unit[members].sum(axis=0)
             coeff = float(shell_sum @ unit[i])
             dev = shell_sum - coeff * unit[i]
@@ -248,12 +267,8 @@ def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceRep
 
 def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     """Clustered distinct off-diagonal inner products."""
-    pts = p.points
-    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    gram = unit @ unit.T
-    n = p.size
-    vals = [gram[i][j] for i in range(n) for j in range(n) if i != j]
-    return tuple(_cluster(vals, tol))
+    off = ~np.eye(p.size, dtype=bool)
+    return tuple(_cluster(p.gram[off].tolist(), tol))
 
 
 def _float_gegenbauer_moments(gram: np.ndarray, n_dim: int, cap: int) -> list[float]:
@@ -273,11 +288,8 @@ def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(strength, moments) in float mode; zero test scaled by N^2."""
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
-    pts = p.points
-    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    n_dim = p.dim
-    moments = _float_gegenbauer_moments(gram, n_dim, cap)
+    gram = np.clip(p.gram, -1.0, 1.0)
+    moments = _float_gegenbauer_moments(gram, p.dim, cap)
     threshold = tol * p.size * p.size
     strength = 0
     for k, m in enumerate(moments, start=1):
@@ -293,15 +305,10 @@ def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     Distances at inner product 1 and -1 (the point itself and its antipode)
     are excluded, as in the exact check.
     """
-    pts = p.points
-    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    n = p.size
-    per_point = []
-    for i in range(n):
-        reps = _cluster([gram[i][j] for j in range(n) if j != i], tol)
-        reps = [u for u in reps if abs(u - 1.0) > tol and abs(u + 1.0) > tol]
-        per_point.append(len(reps))
+    per_point = [
+        sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in shells)
+        for shells in p.shells(tol)
+    ]
     strength, _ = design_strength_float(p, cap, tol)
     applies = max(per_point) <= strength
     return tuple(per_point), strength, applies

@@ -17,9 +17,11 @@ deterministic Schreier-Sims stabilizer chain.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exact import Configuration, StructuralError, gram_rank, require
 
@@ -34,25 +36,22 @@ class ColoredGraph:
     edge_colors: tuple[tuple[int, ...], ...]  # symmetric; diagonal entries are -1
     vertex_colors: tuple[int, ...]
     color_values: tuple[Fraction, ...] = ()
+    n_edge_colors: int = field(init=False)
 
-    @property
-    def n_edge_colors(self) -> int:
-        return max((c for row in self.edge_colors for c in row), default=-1) + 1
+    def __post_init__(self):
+        top = max(map(max, self.edge_colors), default=-1)
+        object.__setattr__(self, "n_edge_colors", top + 1)
 
 
 def colored_graph_from_config(c: Configuration) -> ColoredGraph:
-    g = c.gram.entries
-    n = len(g)
-    values = sorted({g[i][j] for i in range(n) for j in range(n) if i != j})
-    index = {u: k for k, u in enumerate(values)}
-    rows = tuple(
-        tuple(-1 if i == j else index[g[i][j]] for j in range(n)) for i in range(n)
-    )
+    # value-table colours; the diagonal holds the largest value, 1, only
+    colours = np.array(c.gram.colours)
+    np.fill_diagonal(colours, -1)
     return ColoredGraph(
-        size=n,
-        edge_colors=rows,
-        vertex_colors=(0,) * n,
-        color_values=tuple(values),
+        size=c.size,
+        edge_colors=tuple(map(tuple, colours.tolist())),
+        vertex_colors=(0,) * c.size,
+        color_values=c.gram.values[:-1],
     )
 
 
@@ -243,10 +242,6 @@ class PermutationGroup:
             raise StructuralError(f"point index {i} out of range")
         chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,))
         return PermutationGroup(self.degree, chain.level_generators(1))
-
-
-def orbits(group: PermutationGroup) -> tuple[tuple[int, ...], ...]:
-    return group.orbits()
 
 
 def point_stabilizer(group: PermutationGroup, i: int) -> PermutationGroup:

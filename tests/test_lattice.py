@@ -9,6 +9,7 @@ from balanced.lattice import (
     ShortVectorSet,
     bundled_lattice,
     enumerate_quadratic,
+    kissing_configuration,
     minimal_norm,
     short_vectors,
 )
@@ -152,6 +153,18 @@ class TestKissingConfiguration:
     def test_vector_labels(self, d4_kissing):
         assert d4_kissing.point_labels is not None
         assert len(d4_kissing.point_labels) == 24
+
+    def test_products_past_int64(self):
+        # entries near 2^60 push w G w^T past int64, so the products are
+        # Python ints; the Gram must be A2's 6-point kissing configuration
+        wide = kissing_configuration(LatticeGram(((2**60, 2**59), (2**59, 2**60))))
+        a2 = kissing_configuration(LatticeGram(((2, 1), (1, 2))))
+        assert wide.size == 6
+        assert wide.gram.entries == a2.gram.entries
+        assert inner_product_spectrum(wide) == (Fraction(-1), Fraction(-1, 2), Fraction(1, 2))
+        # past 2^63 the entries themselves no longer fit an int64
+        wider = kissing_configuration(LatticeGram(((2**65, 2**64), (2**64, 2**65))))
+        assert wider.gram.entries == a2.gram.entries
 
 
 @pytest.mark.slow
