@@ -280,8 +280,11 @@ class GramMatrix:
             elim = None
         if elim is None or not elim.psd:
             raise StructuralError("matrix is not positive semidefinite")
-        # np.array keeps Python ints past int64 exact, as dtype object
-        distinct, colours = np.unique(np.array(scaled), return_inverse=True)
+        # a PSD unit-diagonal matrix has |entries| <= 1, so den bounds every
+        # scaled entry; past int64 they stay Python ints (left to itself,
+        # numpy stores entries in [2^63, 2^64) as float64)
+        dtype = np.int64 if den < 2**63 else object
+        distinct, colours = np.unique(np.array(scaled, dtype=dtype), return_inverse=True)
         colours = colours.reshape(len(m), len(m))
         colours.setflags(write=False)
         object.__setattr__(self, "den", den)

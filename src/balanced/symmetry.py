@@ -10,8 +10,10 @@ The automorphism search is deterministic individualization-refinement:
 refine to the coarsest equitable partition, branch on the least vertex of
 the first smallest non-singleton cell, compare leaves against the first
 leaf, prune siblings by orbits of the group found so far (on the leftmost
-path) and by refinement invariants elsewhere.  Group orders come from a
-deterministic Schreier-Sims stabilizer chain.
+path) and by refinement invariants elsewhere; a refinement off the leftmost
+path stops at the first split that departs from the leftmost path's trace
+at the same depth.  Group orders come from a deterministic Schreier-Sims
+stabilizer chain.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,99 +83,136 @@ def adjacency_complement(adjacency: Sequence[Sequence[int]]) -> tuple[tuple[int,
 
 
 # --- permutation groups ----------------------------------------------------
+#
+# Inside the stabilizer chain and the search, permutations are intp arrays:
+# "apply p, then q" is q[p].  Tuples stay at the boundary (generators,
+# level_generators and everything printed).
 
 
-def _compose(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q."""
-    return tuple(q[x] for x in p)
+def _invert(p: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p))
+    return inv
 
 
-def _invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+class _Orbits:
+    """Union-find over 0..n-1: the orbits of the permutations added so far."""
 
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-def _is_identity(p: Perm) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def add(self, perm: Sequence[int]) -> None:
+        find, parent = self.find, self.parent
+        for a, b in enumerate(perm):
+            if a != b:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
 
 
 class _StabilizerChain:
-    """Deterministic Schreier-Sims chain with an optional forced base prefix."""
+    """Deterministic Schreier-Sims chain with an optional forced base prefix.
+
+    Every transversal element is stored with its inverse, which is what
+    `strip` and the Schreier generators apply.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Perm], base_prefix=()):
         self.degree = degree
+        self.identity = np.arange(degree)
+        self._identity_bytes = self.identity.tobytes()
         self.base: list[int] = []
-        self.gens: list[list[Perm]] = []  # gens[i] generate the level-i group
-        self.trans: list[dict[int, Perm]] = []
+        self.gens: list[list[np.ndarray]] = []  # gens[i] generate the level-i group
+        self.trans: list[dict[int, np.ndarray]] = []
+        self.inverses: list[dict[int, np.ndarray]] = []  # of the trans elements
+        self.sifted: list[set[bytes]] = []  # Schreier generators sifted per level
         for pt in base_prefix:
             self._add_level(pt)
         for g in generators:
-            self._add_element(tuple(g))
+            self._add_element(np.array(g, dtype=np.intp))
+
+    def _is_identity(self, p: np.ndarray) -> bool:
+        return p.tobytes() == self._identity_bytes
 
     def _add_level(self, pt: int) -> None:
         self.base.append(pt)
         self.gens.append([])
-        self.trans.append({pt: tuple(range(self.degree))})
+        self.trans.append({pt: self.identity})
+        self.inverses.append({pt: self.identity})
+        self.sifted.append({self._identity_bytes})
 
     def _rebuild_transversal(self, level: int) -> None:
         b = self.base[level]
-        identity = tuple(range(self.degree))
-        trans = {b: identity}
-        frontier = deque([b])
+        trans = {b: self.identity}
+        inverses = {b: self.identity}
         gens = self.gens[level]
+        images = [s.tolist() for s in gens]
+        gen_inverses = [_invert(s) for s in gens]
+        frontier = deque([b])
         while frontier:
             a = frontier.popleft()
-            for s in gens:
-                c = s[a]
+            for s, image, s_inv in zip(gens, images, gen_inverses):
+                c = image[a]
                 if c not in trans:
-                    trans[c] = _compose(trans[a], s)
+                    trans[c] = s[trans[a]]
+                    inverses[c] = inverses[a][s_inv]
                     frontier.append(c)
         self.trans[level] = trans
+        self.inverses[level] = inverses
 
-    def strip(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
-        for i in range(start, len(self.base)):
-            x = g[self.base[i]]
-            t = self.trans[i].get(x)
-            if t is None:
+    def strip(self, g: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
+        base, inverses = self.base, self.inverses
+        for i in range(start, len(base)):
+            t_inv = inverses[i].get(g.item(base[i]))
+            if t_inv is None:
                 return g, i
-            g = _compose(g, _invert(t))
-        return g, len(self.base)
+            g = t_inv[g]
+        return g, len(base)
 
-    def _add_element(self, g: Perm) -> None:
-        residue, j = self.strip(g)
-        if _is_identity(residue):
-            return
+    def _sift_in(self, residue: np.ndarray, j: int, top: int) -> None:
+        """Add a non-identity residue that sifted to level j to levels top..j
+        and close those levels, deepest first."""
         if j == len(self.base):
-            moved = next(i for i in range(self.degree) if residue[i] != i)
-            self._add_level(moved)
-        for level in range(j + 1):
+            self._add_level(int(np.flatnonzero(residue != self.identity)[0]))
+        for level in range(top, j + 1):
             self.gens[level].append(residue)
-        for level in range(j, -1, -1):
+        for level in range(j, top - 1, -1):
             self._close(level)
+
+    def _add_element(self, g: np.ndarray) -> None:
+        residue, j = self.strip(g)
+        if not self._is_identity(residue):
+            self._sift_in(residue, j, 0)
 
     def _close(self, level: int) -> None:
         """Process all Schreier generators of this level."""
         self._rebuild_transversal(level)
+        trans, inverses = self.trans[level], self.inverses[level]
+        sifted = self.sifted[level]
         # gens at this level are frozen during the scan, so the orbit and
         # transversal are stable and one pass over the Schreier generators
-        # suffices; new residues land strictly deeper and are closed there
-        for a in sorted(self.trans[level]):
-            ta = self.trans[level][a]
+        # suffices; new residues land strictly deeper and are closed there.
+        # A Schreier generator sifted before lies in the group of the next
+        # level (its residue was added there), and the levels below are
+        # complete whenever this scan sifts, so it would sift to the identity.
+        for a in sorted(trans):
+            ta = trans[a]
             for s in list(self.gens[level]):
-                c = s[a]
-                schreier = _compose(_compose(ta, s), _invert(self.trans[level][c]))
-                residue, j = self.strip(schreier, level + 1)
-                if _is_identity(residue):
+                schreier = inverses[s.item(a)][s[ta]]
+                key = schreier.tobytes()
+                if key in sifted:
                     continue
-                if j == len(self.base):
-                    moved = next(i for i in range(self.degree) if residue[i] != i)
-                    self._add_level(moved)
-                for l in range(level + 1, j + 1):
-                    self.gens[l].append(residue)
-                for l in range(j, level, -1):
-                    self._close(l)
+                sifted.add(key)
+                residue, j = self.strip(schreier, level + 1)
+                if not self._is_identity(residue):
+                    self._sift_in(residue, j, level + 1)
 
     def order(self) -> int:
         n = 1
@@ -183,11 +223,7 @@ class _StabilizerChain:
     def level_generators(self, level: int) -> tuple[Perm, ...]:
         if level >= len(self.base):
             return ()
-        seen = []
-        for g in self.gens[level]:
-            if g not in seen and not _is_identity(g):
-                seen.append(g)
-        return tuple(seen)
+        return tuple(dict.fromkeys(tuple(g.tolist()) for g in self.gens[level]))
 
 
 class PermutationGroup:
@@ -195,13 +231,15 @@ class PermutationGroup:
 
     def __init__(self, degree: int, generators: Sequence[Perm] = ()):
         self.degree = int(degree)
-        gens = []
+        points = list(range(self.degree))
+        identity = tuple(points)
+        gens = {}
         for g in generators:
             g = tuple(int(x) for x in g)
-            if sorted(g) != list(range(self.degree)):
+            if sorted(g) != points:
                 raise StructuralError(f"not a permutation of 0..{self.degree - 1}: {g}")
-            if not _is_identity(g) and g not in gens:
-                gens.append(g)
+            if g != identity:
+                gens[g] = None
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._chain: Optional[_StabilizerChain] = None
 
@@ -214,8 +252,9 @@ class PermutationGroup:
         return self._get_chain().order()
 
     def contains(self, perm: Sequence[int]) -> bool:
-        residue, _ = self._get_chain().strip(tuple(perm))
-        return _is_identity(residue)
+        chain = self._get_chain()
+        residue, _ = chain.strip(np.array(perm, dtype=np.intp))
+        return chain._is_identity(residue)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.degree
@@ -251,55 +290,64 @@ def point_stabilizer(group: PermutationGroup, i: int) -> PermutationGroup:
 # --- automorphism search ----------------------------------------------------
 
 
-def _refine(graph: ColoredGraph, cells: list[tuple[int, ...]]):
-    """Coarsest equitable refinement; returns (cells, invariant).
+def _count_bins(colours: np.ndarray, n_colours: int) -> np.ndarray:
+    """bins[u, v] = v * n_colours + colour of edge vu, so one bincount of
+    bins[splitter] counts every vertex's splitter colours at once.  The
+    diagonal goes to one spare bin after the n * n_colours counted ones."""
+    n = len(colours)
+    bins = np.ascontiguousarray(colours.T) + np.arange(n) * n_colours
+    np.fill_diagonal(bins, n * n_colours)
+    return bins
+
+
+def _refine(bins: np.ndarray, n_colours: int, cells: list[tuple[int, ...]], splitters,
+            expected: Optional[tuple] = None):
+    """Equitable refinement of cells against the queued splitters and every
+    subcell split off on the way; returns (cells, invariant).
 
     Subcells replace their parent in signature order, so the cell sequence
-    and the recorded trace are isomorphism-invariant.
+    and the recorded trace are isomorphism-invariant.  Given the trace
+    expected at this depth, it returns None as soon as its own trace departs
+    from it, since the invariants can then no longer match.
     """
-    colors = graph.edge_colors
-    ncolors = graph.n_edge_colors
-    queue = deque(cells)
+    n = len(bins)
+    size = n * n_colours + 1
+    queue = deque(splitters)
     trace = []
-    while queue:
+    wide = [(ci, itemgetter(*cell)) for ci, cell in enumerate(cells) if len(cell) > 1]
+    while queue and wide:
         splitter = queue.popleft()
-        newcells = []
-        for ci, cell in enumerate(cells):
-            if len(cell) == 1:
-                newcells.append(cell)
+        counts = np.bincount(bins.take(splitter, axis=0).ravel(), minlength=size)
+        rows = counts[:-1].reshape(n, n_colours).tolist()
+        splits = []
+        for ci, members in wide:
+            sigs = members(rows)  # the count vectors of the cell's vertices
+            if sigs.count(sigs[0]) == len(sigs):
                 continue
-            sigs: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                row = colors[v]
-                cnt = [0] * ncolors
-                for u in splitter:
-                    cu = row[u]
-                    if cu >= 0:
-                        cnt[cu] += 1
-                sigs.setdefault(tuple(cnt), []).append(v)
-            if len(sigs) == 1:
-                newcells.append(cell)
-                continue
-            parts = sorted(sigs.items())
-            trace.append((ci, tuple((sig, len(vs)) for sig, vs in parts)))
-            for _, vs in parts:
-                sub = tuple(vs)
-                newcells.append(sub)
-                queue.append(sub)
-        cells = newcells
+            cell = cells[ci]
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v, sig in zip(cell, sigs):
+                parts.setdefault(tuple(sig), []).append(v)
+            parts = sorted(parts.items())
+            step = (ci, tuple((sig, len(vs)) for sig, vs in parts))
+            if expected is not None and (
+                len(trace) == len(expected) or expected[len(trace)] != step
+            ):
+                return None
+            trace.append(step)
+            subs = [tuple(vs) for _, vs in parts]
+            queue.extend(subs)
+            splits.append((ci, subs))
+        if splits:
+            newcells, last = [], 0
+            for ci, subs in splits:
+                newcells += cells[last:ci]
+                newcells += subs
+                last = ci + 1
+            cells = newcells + cells[last:]
+            wide = [(ci, itemgetter(*cell)) for ci, cell in enumerate(cells) if len(cell) > 1]
     invariant = (tuple(len(c) for c in cells), tuple(trace))
     return cells, invariant
-
-
-def _individualize(cells, v):
-    out = []
-    for cell in cells:
-        if v in cell and len(cell) > 1:
-            out.append((v,))
-            out.append(tuple(u for u in cell if u != v))
-        else:
-            out.append(cell)
-    return out
 
 
 def _initial_cells(graph: ColoredGraph) -> list[tuple[int, ...]]:
@@ -309,18 +357,11 @@ def _initial_cells(graph: ColoredGraph) -> list[tuple[int, ...]]:
     return [tuple(buckets[c]) for c in sorted(buckets)]
 
 
-def _preserves_colors(graph: ColoredGraph, p: Perm) -> bool:
-    colors = graph.edge_colors
-    n = graph.size
-    for i in range(n):
-        if graph.vertex_colors[p[i]] != graph.vertex_colors[i]:
-            return False
-        row = colors[i]
-        prow = colors[p[i]]
-        for j in range(i + 1, n):
-            if prow[p[j]] != row[j]:
-                return False
-    return True
+def _preserves_colors(colours: np.ndarray, vertex_colours: np.ndarray, p: np.ndarray) -> bool:
+    return bool(
+        (vertex_colours[p] == vertex_colours).all()
+        and (colours[np.ix_(p, p)] == colours).all()
+    )
 
 
 def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
@@ -328,50 +369,45 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     n = graph.size
     if n == 0:
         return PermutationGroup(0)
+    colours = np.array(graph.edge_colors, dtype=np.intp)
+    vertex_colours = np.array(graph.vertex_colors, dtype=np.intp)
+    n_colours = graph.n_edge_colors
+    bins = _count_bins(colours, n_colours)
     state = {"first_leaf": None}
     gens: list[Perm] = []
+    orbits = _Orbits(n)
     invariants: dict[int, object] = {}
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
-        if not gens:
-            return False
-        seen = {v}
-        frontier = deque([v])
-        targets = set(explored)
-        while frontier:
-            a = frontier.popleft()
-            if a in targets:
-                return True
-            for g in gens:
-                for b in (g[a], g.index(a)):
-                    if b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-        return False
+        root = orbits.find(v)
+        return any(orbits.find(u) == root for u in explored)
 
-    def search(cells, depth: int, leftmost: bool) -> bool:
-        cells, inv = _refine(graph, cells)
+    def search(cells, splitters, depth: int, leftmost: bool) -> bool:
+        # off the spine, the spine's node at this depth sets the trace to match
+        expected = None if leftmost else invariants[depth][1]
+        refined = _refine(bins, n_colours, cells, splitters, expected)
+        if refined is None:
+            return False
+        cells, inv = refined
         if leftmost:
             invariants[depth] = inv
         elif invariants.get(depth) != inv:
             return False
-        sizes = [len(c) for c in cells]
-        if all(s == 1 for s in sizes):
-            leaf = tuple(c[0] for c in cells)
+        if len(cells) == n:
+            leaf = np.array([c[0] for c in cells], dtype=np.intp)
             if state["first_leaf"] is None:
                 state["first_leaf"] = leaf
                 return False
-            first = state["first_leaf"]
-            p = [0] * n
-            for a, b in zip(first, leaf):
-                p[a] = b
-            p = tuple(p)
-            if _preserves_colors(graph, p):
-                gens.append(p)
+            p = np.empty(n, dtype=np.intp)
+            p[state["first_leaf"]] = leaf
+            if _preserves_colors(colours, vertex_colours, p):
+                gens.append(tuple(p.tolist()))
+                orbits.add(gens[-1])
                 return True
             return False
+        sizes = [len(c) for c in cells]
         target = min(s for s in sizes if s > 1)
-        ti = next(i for i, s in enumerate(sizes) if s == target)
+        ti = sizes.index(target)
         cell = cells[ti]
         explored: list[int] = []
         found = False
@@ -379,17 +415,26 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             if leftmost and explored and in_explored_orbit(v, explored):
                 continue
             child_leftmost = leftmost and state["first_leaf"] is None
-            res = search(_individualize(cells, v), depth + 1, child_leftmost)
+            # only (v,) is queued: the cells of an equitable partition cannot
+            # split anything, and once (v,) has, neither can rest, whose
+            # counts are those of the old cell minus those of (v,)
+            rest = tuple(u for u in cell if u != v)
+            child = cells[:ti] + [(v,), rest] + cells[ti + 1:]
+            res = search(child, [(v,)], depth + 1, child_leftmost)
             explored.append(v)
             found = found or res
             if res and not leftmost:
                 return True  # one coset representative is enough off the spine
         return found
 
-    search(_initial_cells(graph), 0, True)
+    cells = _initial_cells(graph)
+    search(cells, cells, 0, True)
     group = PermutationGroup(n, gens)
     for g in group.generators:
-        require(_preserves_colors(graph, g), "automorphism search returned a non-automorphism")
+        require(
+            _preserves_colors(colours, vertex_colours, np.array(g, dtype=np.intp)),
+            "automorphism search returned a non-automorphism",
+        )
     return group
 
 
@@ -397,17 +442,18 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
 
 
 def _check_preserves_gram(c: Configuration, group: PermutationGroup) -> None:
-    g = c.gram.scaled
-    n = len(g)
+    # value-table colours are a bijection with the Gram values, so comparing
+    # colours is comparing the exact entries
+    colours = c.gram.colours
+    n = len(colours)
     for p in group.generators:
         if len(p) != n:
             raise StructuralError("permutation degree does not match configuration")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g[p[i]][p[j]] != g[i][j]:
-                    raise StructuralError(
-                        f"permutation does not preserve the Gram matrix at ({i},{j})"
-                    )
+        p = np.array(p, dtype=np.intp)
+        moved = np.triu(colours[np.ix_(p, p)] != colours, 1)
+        if moved.any():
+            i, j = np.argwhere(moved)[0].tolist()
+            raise StructuralError(f"permutation does not preserve the Gram matrix at ({i},{j})")
 
 
 def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:

@@ -307,3 +307,17 @@ class TestOptimizedInterpreter:
             assert run.returncode == 0, run.stderr
         assert runs[0].stdout
         assert runs[1].stdout == runs[0].stdout
+
+
+class TestDenominatorPastInt64:
+    """The common denominator of these entries lies in [2^63, 2^64).  The
+    three points are not balanced, so `check balanced` answers 1."""
+
+    @pytest.mark.parametrize("command, code", [(["report"], 0), (["check", "balanced"], 1)])
+    def test_verdict(self, runner, tmp_path, command, code):
+        f = tmp_path / "wide.json"
+        a, b = "1/50695", "1/296841182339356"
+        write_json({"gram": [["1", "0", a], ["0", "1", b], [a, b, "1"]]}, f)
+        res = invoke(runner, command + [str(f)])
+        assert res.exit_code == code
+        assert json.loads(res.output)["balanced"] is False

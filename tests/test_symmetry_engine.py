@@ -1,0 +1,233 @@
+"""The array symmetry engine against the tuple engine and brute force.
+
+`reference_symmetry` holds the tuple engine the array engine replaced.  On
+the configurations the paper and the benchmark use, and on seeded
+relabellings of them, both must print the same generators, orders, orbits
+and stabilizer generators.  Small hypothesis configurations are checked
+against all N! permutations.
+"""
+
+import random
+from itertools import permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_symmetry as ref
+from balanced.constructors import (
+    antipodal_union,
+    c7_prime,
+    cross_polytope,
+    cube,
+    simplex_midpoints,
+)
+from balanced.exact import Configuration, StructuralError
+from balanced.symmetry import (
+    PermutationGroup,
+    _StabilizerChain,
+    _count_bins,
+    _initial_cells,
+    _refine,
+    automorphism_group,
+    colored_graph_from_config,
+    fixed_subspace_dim,
+)
+
+
+def chain_levels(chain):
+    """Base and every level's generators, in the order they were added."""
+    return chain.base, [[tuple(map(int, g)) for g in gens] for gens in chain.gens]
+
+
+def relabel(c, seed):
+    perm = list(range(c.size))
+    random.Random(seed).shuffle(perm)
+    g = c.gram.entries
+    return Configuration.from_gram([[g[a][b] for b in perm] for a in perm])
+
+
+# --- reference-engine equality ----------------------------------------------
+
+ENGINE_CASES = {
+    "paulus_r": lambda request: request.getfixturevalue("paulus_r"),
+    "paulus_s": lambda request: request.getfixturevalue("paulus_s"),
+    "c7p": lambda request: c7_prime(),
+    "c5": lambda request: simplex_midpoints(5),
+    "c6": lambda request: simplex_midpoints(6),
+    "c7": lambda request: simplex_midpoints(7),
+    "c8": lambda request: simplex_midpoints(8),
+    "c7-union-minus-c7": lambda request: antipodal_union(simplex_midpoints(7)),
+    "cube": lambda request: cube(),
+    "cross4": lambda request: cross_polytope(4),
+    "cross5": lambda request: cross_polytope(5),
+    "cross6": lambda request: cross_polytope(6),
+    "d4_kissing": lambda request: request.getfixturevalue("d4_kissing"),
+}
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_matches_tuple_reference(name, relabelled, request):
+    c = ENGINE_CASES[name](request)
+    if relabelled:
+        c = relabel(c, seed=sum(map(ord, name)))
+    graph = colored_graph_from_config(c)
+    group = automorphism_group(graph)
+    want = ref.automorphism_generators(graph)
+    assert group.generators == want
+    assert group.order() == ref.group_order(c.size, want)
+    for prefix in [(), (c.size - 1,)]:
+        chain = _StabilizerChain(c.size, want, base_prefix=prefix)
+        assert chain_levels(chain) == chain_levels(ref.StabilizerChain(c.size, want, prefix))
+    assert group.orbits() == ref.orbits(c.size, want)
+    for i in range(c.size):
+        assert group.point_stabilizer(i).generators == ref.stabilizer_generators(c.size, want, i)
+
+
+def test_engine_matches_tuple_reference_on_e8(e8_kissing):
+    graph = colored_graph_from_config(e8_kissing)
+    group = automorphism_group(graph)
+    want = ref.automorphism_generators(graph)
+    assert group.generators == want
+    assert group.order() == ref.group_order(e8_kissing.size, want) == 696729600
+
+
+@pytest.mark.parametrize("name", ["paulus_r", "c7p", "c7-union-minus-c7", "cube", "cross5"])
+def test_child_refinement_queues_only_the_individualized_vertex(name, request):
+    """Refining a child against its individualized vertex alone gives the
+    same cells and invariant as re-queueing every cell, at every node the
+    search visits."""
+    graph = colored_graph_from_config(ENGINE_CASES[name](request))
+    bins = _count_bins(np.array(graph.edge_colors), graph.n_edge_colors)
+    refinements = []
+    ref.automorphism_generators(graph, refinements)
+    assert any(new is not None for _, new, _ in refinements)
+    for cells, new, want in refinements:
+        splitters = cells if new is None else new[:1]
+        assert _refine(bins, graph.n_edge_colors, cells, splitters) == want
+
+
+def test_root_refinement_matches_reference(paulus_r):
+    graph = colored_graph_from_config(paulus_r)
+    cells = _initial_cells(graph)
+    bins = _count_bins(np.array(graph.edge_colors), graph.n_edge_colors)
+    assert _refine(bins, graph.n_edge_colors, cells, cells) == ref.refine(graph, cells)
+
+
+def test_contains_and_level_generators_match_reference():
+    # S5 on 0..4 times S2 on 5, 6
+    gens = ((1, 2, 3, 4, 0, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 6, 5))
+    group = PermutationGroup(7, gens)
+    assert group.order() == ref.group_order(7, gens) == 240
+    assert group.contains((4, 3, 2, 1, 0, 6, 5))
+    assert not group.contains((5, 0, 1, 2, 3, 4, 6))
+    for i in range(7):
+        assert group.point_stabilizer(i).generators == ref.stabilizer_generators(7, gens, i)
+
+
+# --- brute force --------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_configurations(draw):
+    """At most 7 rational unit vectors by inverse stereographic projection,
+    some joined by their antipodes."""
+    d = draw(st.integers(2, 4))
+    ts = draw(st.lists(st.tuples(*[small_rationals] * (d - 1)), min_size=1, max_size=7))
+    points = []
+    for t in ts:
+        q = sum(x * x for x in t)
+        points.append(tuple(2 * x / (q + 1) for x in t) + ((q - 1) / (q + 1),))
+    flips = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    points += [tuple(-x for x in p) for p, f in zip(points, flips) if f]
+    points = list(dict.fromkeys(points))[:7]
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in points] for p in points]
+    return Configuration.from_gram(gram, label="stereographic")
+
+
+def brute_force_automorphisms(c):
+    g = c.gram.entries
+    n = c.size
+    return [
+        p for p in permutations(range(n))
+        if all(g[p[i]][p[j]] == g[i][j] for i in range(n) for j in range(i + 1, n))
+    ]
+
+
+def orbits_of(n, perms):
+    out = {}
+    for a in range(n):
+        orbit = tuple(sorted({p[a] for p in perms}))
+        out.setdefault(orbit, None)
+    return tuple(sorted(out))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_configurations())
+def test_group_matches_brute_force(c):
+    autos = brute_force_automorphisms(c)
+    group = automorphism_group(colored_graph_from_config(c))
+    assert group.order() == len(autos)
+    assert group.orbits() == orbits_of(c.size, autos)
+    assert set(group.generators) <= set(autos)
+
+
+BUNDLED = ["c7", "c7p", "c56", "paulus_r", "paulus_s", "cube_config", "z2_kissing", "d4_kissing"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_order_and_orbit_sizes_invariant_under_relabelling(name, request):
+    c = request.getfixturevalue(name)
+    group = automorphism_group(colored_graph_from_config(c))
+    want = (group.order(), sorted(map(len, group.orbits())))
+    for seed in (11, 12):
+        shuffled = automorphism_group(colored_graph_from_config(relabel(c, seed)))
+        assert (shuffled.order(), sorted(map(len, shuffled.orbits()))) == want
+
+
+# --- the Gram check on the colour array -------------------------------------
+
+
+def reference_check_preserves_gram(c, group):
+    g = c.gram.scaled
+    n = len(g)
+    for p in group.generators:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g[p[i]][p[j]] != g[i][j]:
+                    return f"permutation does not preserve the Gram matrix at ({i},{j})"
+    return None
+
+
+def test_gram_check_names_first_failing_pair(c7p):
+    swap = list(range(c7p.size))
+    swap[3], swap[5] = swap[5], swap[3]
+    group = PermutationGroup(c7p.size, [swap])
+    want = "permutation does not preserve the Gram matrix at (3,9)"
+    assert reference_check_preserves_gram(c7p, group) == want
+    with pytest.raises(StructuralError) as exc:
+        fixed_subspace_dim(c7p, group)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_check_matches_reference_on_random_permutations(seed):
+    c = simplex_midpoints(5)
+    perm = list(range(c.size))
+    random.Random(seed).shuffle(perm)
+    group = PermutationGroup(c.size, [perm])
+    want = reference_check_preserves_gram(c, group)
+    if want is None:
+        fixed_subspace_dim(c, group)
+        return
+    with pytest.raises(StructuralError) as exc:
+        fixed_subspace_dim(c, group)
+    assert str(exc.value) == want
+
+
+def test_gram_check_rejects_wrong_degree(c7p):
+    with pytest.raises(StructuralError, match="degree"):
+        fixed_subspace_dim(c7p, PermutationGroup(3, [(1, 2, 0)]))

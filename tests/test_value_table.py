@@ -308,3 +308,20 @@ def test_float_rows_are_clustered_once_per_tolerance():
     assert p.shells(1e-6) is not first
     north = dict((round(u, 9), tuple(m)) for u, m in first[0])
     assert north == {-1.0: (1,), 0.0: (2, 3, 4, 5, 6, 7)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_value_table_past_int64(sign):
+    # den = lcm(50695, 296841182339356) lies in [2^63, 2^64), where numpy
+    # alone would store the scaled entries as float64
+    a, b = Fraction(sign, 50695), Fraction(1, 296841182339356)
+    rows = [[1, 0, a], [0, 1, b], [a, b, 1]]
+    c = Configuration.from_gram(rows)
+    assert 2**63 <= c.gram.den < 2**64
+    if sign > 0:
+        assert c.gram.values == (0, b, a, 1)
+        assert c.gram.colours.tolist() == [[3, 0, 2], [0, 3, 1], [2, 1, 3]]
+    else:
+        assert c.gram.values == (a, 0, b, 1)
+        assert c.gram.colours.tolist() == [[3, 1, 0], [1, 3, 2], [0, 2, 3]]
+    check_against_references(c)
