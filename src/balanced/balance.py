@@ -55,17 +55,16 @@ def shell_decomposition(c: Configuration, i: int) -> ShellDecomposition:
 
 
 def _exact_violation(c: Configuration, i: int, colour: int) -> Violation:
-    g = c.gram.entries
-    n = len(g)
-    members = np.flatnonzero(c.gram.colours[i] == colour).tolist()
-    sums = [sum(g[j][m] for j in members) for m in range(n)]
-    coeff = sums[i]
-    deviation = tuple(sums[m] - coeff * g[i][m] for m in range(n))
-    return Violation(point=i, shell_value=c.gram.values[colour], deviation=deviation)
+    den, scaled = scaled_integer_gram(c)
+    # Python ints: a shell sum times den may pass int64
+    sums = scaled[c.gram.colours[i] == colour].astype(object).sum(axis=0)
+    deviation = (den * sums - sums[i] * scaled[i].astype(object)).tolist()
+    return Violation(point=i, shell_value=c.gram.values[colour],
+                     deviation=tuple(Fraction(x, den * den) for x in deviation))
 
 
 def check_balanced(c: Configuration) -> BalanceReport:
-    """Exact shell-sum proportionality test on the Gram matrix."""
+    """Exact shell-sum proportionality test on the stored integer Gram."""
     den, scaled = scaled_integer_gram(c)
     n = len(scaled)
     # scaled off-diagonal values, ascending: the value table without its 1
@@ -81,7 +80,7 @@ def check_balanced(c: Configuration) -> BalanceReport:
 
 def _scan_int64(scaled, den, off_values):
     """All (point, scaled shell value) pairs whose shell sum is not radial."""
-    m = np.array(scaled, dtype=np.int64)
+    m = np.asarray(scaled, dtype=np.int64)
     bad = []
     for v in off_values:
         sel = (m == v).astype(np.int64)  # never selects the diagonal: v != den
@@ -95,6 +94,9 @@ def _scan_int64(scaled, den, off_values):
 
 
 def _scan_bigint(scaled, den, off_values):
+    # Python ints throughout: numpy int64 scalars would wrap silently here
+    scaled = np.asarray(scaled).tolist()
+    den = int(den)
     n = len(scaled)
     bad = []
     for i in range(n):

@@ -11,7 +11,9 @@ from importlib import resources
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .exact import Configuration, StructuralError, require
+import numpy as np
+
+from .exact import Configuration, Scaled, StructuralError
 
 
 class ConstructionError(StructuralError):
@@ -131,19 +133,12 @@ def srg_spectral_embedding(
     if mult < 2:
         raise ConstructionError(f"eigenvalue {theta} has multiplicity {mult} < 2")
     n = params.n
-    shift = Fraction(params.k - phi, n)
-    scale = Fraction(theta - phi)
-    diag = (Fraction(-phi) - shift) / scale
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = (Fraction(adjacency[i][j]) - (Fraction(phi) if i == j else 0) - shift) / scale
-            row.append(p)
-        require(row[i] == diag, "spectral embedding has a non-constant diagonal")
-        rows.append([x / diag for x in row])
+    # N (theta - phi) P = N (A - phi I) - (k - phi) J, whose diagonal is constant
+    m = n * (np.array(adjacency, dtype=np.int64) - phi * np.eye(n, dtype=np.int64))
+    m -= params.k - phi
+    sign = 1 if m[0, 0] > 0 else -1
     config = Configuration.from_gram(
-        rows,
+        Scaled(sign * int(m[0, 0]), sign * m),
         label=f"srg({params.n},{params.k},{params.lam},{params.mu})/{eigen_choice}",
         point_labels=tuple(str(i) for i in range(n)),
     )
@@ -167,19 +162,9 @@ def simplex_midpoints(n: int) -> Configuration:
     if n < 3:
         raise ConstructionError(f"simplex midpoints need n >= 3, got {n}")
     pairs = list(combinations(range(1, n + 2), 2))
-    share = Fraction(n - 3, 2 * n - 2)
-    disjoint = Fraction(-2, n - 1)
-    rows = []
-    for p in pairs:
-        row = []
-        for q in pairs:
-            if p == q:
-                row.append(Fraction(1))
-            elif set(p) & set(q):
-                row.append(share)
-            else:
-                row.append(disjoint)
-        rows.append(row)
+    # b b^T counts shared vertices: 2 on the diagonal, 1 or 0 off it
+    b = np.array([[v in p for v in range(1, n + 2)] for p in pairs], dtype=np.int64)
+    rows = Scaled(2 * n - 2, (n + 1) * (b @ b.T) - 4)
     labels = tuple(_pair_label(i, j, n + 1) for i, j in pairs)
     return Configuration.from_gram(rows, label=f"C{n}", point_labels=labels)
 
@@ -192,15 +177,14 @@ def invert_tetrahedron(c: Configuration, tetra: Sequence[int]) -> Configuration:
         raise ConstructionError(f"need 4 distinct indices, got {tetra}")
     if any(not 0 <= i < n for i in tetra):
         raise ConstructionError(f"tetrahedron index out of range: {tetra}")
-    g = c.gram.entries
-    third = Fraction(-1, 3)
+    g = c.gram
     for a, b in combinations(tetra, 2):
-        if g[a][b] != third:
+        if g[a, b] != Fraction(-1, 3):
             raise ConstructionError(
-                f"points {a},{b} have inner product {g[a][b]}, expected -1/3"
+                f"points {a},{b} have inner product {g[a, b]}, expected -1/3"
             )
-    flip = [-1 if i in tetra else 1 for i in range(n)]
-    rows = [[g[i][j] * flip[i] * flip[j] for j in range(n)] for i in range(n)]
+    flip = np.where(np.isin(np.arange(n), tetra), -1, 1)
+    rows = Scaled(g.den, g.scaled * np.outer(flip, flip))
     labels = None
     if c.point_labels:
         labels = tuple(
@@ -224,45 +208,30 @@ def c7_prime(tetra: Optional[Sequence[int]] = None) -> Configuration:
 
 def count_tetrahedra(c: Configuration, i: int) -> int:
     """Number of 4-subsets through point i with all inner products -1/3."""
-    g = c.gram.entries
     n = c.size
     if not 0 <= i < n:
         raise StructuralError(f"point index {i} out of range")
-    third = Fraction(-1, 3)
-    nbrs = [j for j in range(n) if j != i and g[i][j] == third]
-    count = 0
-    for a_pos, a in enumerate(nbrs):
-        ga = g[a]
-        for b_pos in range(a_pos + 1, len(nbrs)):
-            b = nbrs[b_pos]
-            if ga[b] != third:
-                continue
-            gb = g[b]
-            for c_pos in range(b_pos + 1, len(nbrs)):
-                d = nbrs[c_pos]
-                if ga[d] == third and gb[d] == third:
-                    count += 1
-    return count
+    if Fraction(-1, 3) not in c.gram.values:
+        return 0
+    third = c.gram.colours == c.gram.values.index(Fraction(-1, 3))
+    nbrs = np.flatnonzero(third[i])
+    # the 4-subsets through i are the triangles among its -1/3 neighbours
+    sub = third[np.ix_(nbrs, nbrs)].astype(np.int64)
+    return int(np.trace(sub @ sub @ sub)) // 6
 
 
 def antipodal_union(c: Configuration) -> Configuration:
     """Union with the antipodal copy; Gram is the block matrix [[G,-G],[-G,G]]."""
-    g = c.gram.entries
-    n = c.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] == -1:
-                raise ConstructionError(
-                    f"points {i} and {j} are already antipodal; union would duplicate"
-                )
-    rows = [
-        [
-            g[i % n][j % n] * (1 if (i < n) == (j < n) else -1)
-            for j in range(2 * n)
-        ]
-        for i in range(2 * n)
-    ]
-    base_labels = c.point_labels or tuple(str(i) for i in range(n))
+    if c.gram.values[0] == -1:  # the smallest value, when present
+        antipodes = np.argwhere(np.triu(c.gram.colours == 0, 1))
+        if len(antipodes):
+            i, j = antipodes[0].tolist()
+            raise ConstructionError(
+                f"points {i} and {j} are already antipodal; union would duplicate"
+            )
+    m = c.gram.scaled
+    rows = Scaled(c.gram.den, np.block([[m, -m], [-m, m]]))
+    base_labels = c.point_labels or tuple(str(i) for i in range(c.size))
     labels = tuple(base_labels) + tuple(f"-{lab}" for lab in base_labels)
     label = f"{c.label} u -{c.label}" if c.label else None
     return Configuration.from_gram(rows, label=label, point_labels=labels)
@@ -270,9 +239,7 @@ def antipodal_union(c: Configuration) -> Configuration:
 
 def cube() -> Configuration:
     verts = list(product((1, -1), repeat=3))
-    rows = [
-        [Fraction(sum(a * b for a, b in zip(u, v)), 3) for v in verts] for u in verts
-    ]
+    rows = Scaled(3, np.array(verts) @ np.array(verts).T)
     labels = tuple("".join("+" if x > 0 else "-" for x in v) for v in verts)
     return Configuration.from_gram(rows, label="cube", point_labels=labels)
 
@@ -281,10 +248,8 @@ def cross_polytope(n: int) -> Configuration:
     if n < 1:
         raise ConstructionError(f"cross polytope needs n >= 1, got {n}")
     points = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
-    rows = [
-        [Fraction(si * sj) if i == j else Fraction(0) for (j, sj) in points]
-        for (i, si) in points
-    ]
+    eye = np.eye(n, dtype=np.int64)
+    rows = Scaled(1, np.block([[eye, -eye], [-eye, eye]]))
     labels = tuple(f"{'+' if s > 0 else '-'}e{i + 1}" for i, s in points)
     return Configuration.from_gram(rows, label=f"cross_polytope({n})", point_labels=labels)
 
@@ -292,10 +257,7 @@ def cross_polytope(n: int) -> Configuration:
 def simplex(n: int) -> Configuration:
     if n < 1:
         raise ConstructionError(f"simplex needs n >= 1, got {n}")
-    off = Fraction(-1, n)
-    rows = [
-        [Fraction(1) if i == j else off for j in range(n + 1)] for i in range(n + 1)
-    ]
+    rows = Scaled(n, (n + 1) * np.eye(n + 1, dtype=np.int64) - 1)
     labels = tuple(f"v{i + 1}" for i in range(n + 1))
     return Configuration.from_gram(rows, label=f"simplex({n})", point_labels=labels)
 

@@ -1,16 +1,21 @@
 """Exact rational core: scalars, symmetric matrix elimination, configurations.
 
-Everything here is exact. Matrices are tuples of tuples of Fraction at the
-interface; eliminations run on the integer matrix den * m in Python ints, so
-no floating point and no Fraction arithmetic enters their inner loops.
+Everything here is exact.  A matrix is stored as (den, M): a positive common
+denominator and the symmetric integer numpy array M = den * m, int64 when
+every entry fits and Python ints (object dtype) otherwise.  Eliminations run
+on M, so no floating point and no Fraction arithmetic enters their inner
+loops; Fractions appear in the value table and at the interface only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +23,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT64 = 2**63
+# entry types the coder accepts; a float or bool would share a code with an
+# equal int and so slip past rational()
+_RATIONAL_TYPES = frozenset((str, int, Fraction))
 
 
 class StructuralError(ValueError):
@@ -45,18 +54,20 @@ def require(condition: bool, message: str) -> None:
 def rational(value) -> Fraction:
     """Coerce an int, Fraction or 'p/q'/'k' string to an exact rational.
 
-    Floats are rejected: the exact pipeline never launders binary
-    approximations into rationals.
+    Floats and booleans are rejected: the exact pipeline never launders
+    binary approximations into rationals, and a JSON true is not 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"not a rational: {value!r}") from exc
+    if isinstance(value, float):
+        raise StructuralError(f"{value!r} is a float; exact input carries rationals as strings")
     raise StructuralError(f"not a rational: {value!r}")
 
 
@@ -75,75 +86,125 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def check_symmetric(m: Sequence[Sequence]) -> None:
-    if tuple(zip(*m)) == tuple(map(tuple, m)):
-        return
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise StructuralError(f"not symmetric at entry [{i}][{j}]")
+class Scaled(NamedTuple):
+    """An integer matrix over a positive denominator: entry [i][j] is
+    matrix[i][j] / den.  GramMatrix accepts it in place of rational rows."""
+
+    den: int
+    matrix: np.ndarray
 
 
-def _scaled(m: Matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Least common denominator den > 0 and the integer matrix den * m."""
-    dens = {x.denominator for row in m for x in row}
-    den = math.lcm(*dens)
-    mult = {d: den // d for d in dens}
-    return den, tuple(tuple(x.numerator * mult[x.denominator] for x in row) for row in m)
+# (den, table, codes): a square rational matrix coded by its distinct entries,
+# entry [i][j] being table[codes[i, j]] / den with integers in the table
+_Encoded = tuple[int, list[int], np.ndarray]
 
 
-def _bareiss(a: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Symmetric fraction-free (Bareiss) elimination, in place.
+def _encode(rows) -> _Encoded:
+    """Code a square matrix of ints, Fractions and 'p/q' strings, parsing and
+    scaling each distinct entry once.  The first entry in row-major order that
+    is not a rational is named in the error."""
+    rows = [tuple(row) for row in rows]
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise StructuralError(f"row {i} has length {len(row)}, expected {n}")
+    if not _RATIONAL_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                try:
+                    rational(x)
+                except StructuralError as exc:
+                    raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
+    index: defaultdict = defaultdict()
+    index.default_factory = index.__len__  # a new entry gets the next code
+    codes = np.array([list(map(index.__getitem__, row)) for row in rows], dtype=np.intp)
+    codes = codes.reshape(n, n)
+    values = []
+    for k, x in enumerate(index):  # in order of first occurrence
+        try:
+            values.append(rational(x))
+        except StructuralError as exc:
+            i, j = np.argwhere(codes == k)[0].tolist()
+            raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values], codes
 
-    `a` holds the lower triangle of a symmetric integer matrix, row i being
-    entries 0..i.  Pivots are diagonal, in the order of the rational LDL^T:
-    at step k the first nonzero remaining diagonal entry, moved to k by a
-    transposition.  Each update divides exactly by the previous pivot, so
-    every entry stays a minor of the input and grows linearly in bit length.
-    The loop stops once the remaining diagonal vanishes; the remaining block
-    must then be zero, else IndefinitePivotError.
 
-    Returns (perm, pivots): pivots[k] is the determinant of the leading
-    (k+1)-block of the permuted matrix, and on return a[i][k] (k < i,
-    k < len(pivots)) is entry (i, k) at step k, so L[i][k] = a[i][k] / pivots[k].
+def _encode_scaled(den: int, m) -> _Encoded:
+    """Code an integer matrix over den, reduced by the gcd of den and its entries."""
+    m = np.asarray(m)
+    if den <= 0 or m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StructuralError("expected a square integer matrix over a positive denominator")
+    distinct, codes = np.unique(m, return_inverse=True)
+    table = distinct.tolist()
+    g = math.gcd(den, *table)
+    return den // g, [v // g for v in table], codes.reshape(m.shape)
+
+
+def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, colours, M) of a coded matrix, which must be symmetric: its
+    distinct scaled entries ascending, the read-only colour of every entry and
+    the read-only integer matrix M = distinct[colours].  Arrays are int64 when den and every
+    entry fit, else Python ints: left to itself numpy stores integers in
+    [2^63, 2^64) as uint64 and larger ones as float64."""
+    den, table, codes = enc
+    dtype = np.int64 if max(max(map(abs, table), default=0), den) < _INT64 else object
+    distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
+    colours = inverse.reshape(-1)[codes]
+    asymmetric = np.argwhere(np.triu(colours != colours.T, 1))  # row-major
+    if len(asymmetric):
+        i, j = asymmetric[0].tolist()
+        raise StructuralError(f"not symmetric at entry [{i}][{j}]")
+    m = distinct[colours]
+    colours.setflags(write=False)
+    m.setflags(write=False)
+    return distinct, colours, m
+
+
+def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Symmetric fraction-free (Bareiss) elimination of a full symmetric
+    integer matrix, overwriting it.
+
+    Pivots are diagonal, in the order of the rational LDL^T: at step k the
+    first nonzero remaining diagonal entry, moved to k by a symmetric
+    transposition.  Each step updates the whole remaining block and divides
+    exactly by the previous pivot, so every entry stays a minor of the input
+    and grows linearly in bit length.  An int64 block is checked before each
+    step: while 2 max|a|^2 < 2^63 the update cannot overflow, and past that
+    the remaining steps run in Python ints.  The loop stops once the remaining
+    diagonal vanishes; the remaining block must then be zero, else
+    IndefinitePivotError.
+
+    Returns (perm, pivots, a): pivots[k] is the determinant of the leading
+    (k+1)-block of the permuted matrix, and a[i][k] (k < i, k < len(pivots))
+    is entry (i, k) at step k, so L[i][k] = a[i][k] / pivots[k].
     """
     n = len(a)
     perm = list(range(n))
     pivots: list[int] = []
     prev = 1
     for k in range(n):
-        q = next((q for q in range(k, n) if a[q][q]), None)
-        if q is None:
+        nonzero = np.flatnonzero(a.diagonal()[k:])
+        if not nonzero.size:
             # PSD => zero diagonal forces a zero block; anything else is indefinite
-            if any(any(a[i][k:i]) for i in range(k + 1, n)):
+            if a[k:, k:].any():
                 raise IndefinitePivotError(
                     "zero diagonal with nonzero off-diagonal entries; not PSD"
                 )
             break
+        q = k + int(nonzero[0])
         if q != k:
-            _swap(a, k, q)
+            a[[k, q]] = a[[q, k]]
+            a[:, [k, q]] = a[:, [q, k]]
             perm[k], perm[q] = perm[q], perm[k]
-        p = a[k][k]
-        col = [row[k] for row in a[k + 1:]]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = col[i - k - 1]
-            row[k + 1:] = [(p * x - f * c) // prev for x, c in zip(row[k + 1:], col)]
+        if a.dtype != object and 2 * int(np.abs(a[k:, k:]).max()) ** 2 >= _INT64:
+            a = a.astype(object)
+        p = int(a[k, k])
+        col = a[k + 1:, k]
+        a[k + 1:, k + 1:] = (p * a[k + 1:, k + 1:] - np.outer(col, col)) // prev
         pivots.append(p)
         prev = p
-    return perm, pivots
-
-
-def _swap(a: list[list[int]], k: int, q: int) -> None:
-    """Symmetric transposition of indices k < q on lower-triangle storage."""
-    rk, rq = a[k], a[q]
-    rk[:k], rq[:k] = rq[:k], rk[:k]
-    rk[k], rq[q] = rq[q], rk[k]
-    for j in range(k + 1, q):
-        a[j][k], rq[j] = rq[j], a[j][k]
-    for row in a[q + 1:]:
-        row[k], row[q] = row[q], row[k]
+    return perm, pivots, a
 
 
 @dataclass(frozen=True)
@@ -153,14 +214,15 @@ class _Elimination:
     den: int
     perm: tuple[int, ...]
     pivots: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]  # columns[i][k] = a[i][k] for k < rank
+    columns: tuple[tuple[int, ...], ...]  # columns[i][k] = a[i][k] for k <= i, k < rank
 
     @classmethod
-    def of(cls, den: int, scaled: Sequence[Sequence[int]]) -> "_Elimination":
-        a = [list(row[: i + 1]) for i, row in enumerate(scaled)]
-        perm, pivots = _bareiss(a)
+    def of(cls, den: int, scaled: np.ndarray) -> "_Elimination":
+        perm, pivots, a = _bareiss(scaled.copy())
         r = len(pivots)
-        return cls(den, tuple(perm), tuple(pivots), tuple(tuple(row[:r]) for row in a))
+        lower = a[:, :r].tolist()
+        return cls(den, tuple(perm), tuple(pivots),
+                   tuple(tuple(row[: i + 1]) for i, row in enumerate(lower)))
 
     @property
     def rank(self) -> int:
@@ -187,45 +249,21 @@ class _Elimination:
 
 
 def _eliminate(m) -> _Elimination:
-    m = as_matrix(m)
-    den, scaled = _scaled(m)
-    check_symmetric(scaled)
-    return _Elimination.of(den, scaled)
+    enc = _encode(m)
+    return _Elimination.of(enc[0], _tabulate(enc)[2])
 
 
 def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) Gaussian elimination.
+    """Rank over the rationals of any symmetric rational matrix.
 
-    Works on any symmetric rational matrix.  Rows are scaled to integers
-    once; each row update divides exactly by the previous pivot, so entries
-    stay minors of the scaled matrix instead of doubling in size per pivot.
+    For the scaled integer matrix M, M M = M^T M is PSD with the rank of M, so
+    the symmetric Bareiss elimination of M M never meets an indefinite block
+    and its pivot count is the rank.
     """
-    m = as_matrix(m)
-    check_symmetric(m)
-    n = len(m)
-    rows = []
-    for row in m:
-        den = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    rank = 0
-    col = 0
-    prev = 1
-    while col < n and rank < n:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank][col + 1:]
-        p = rows[rank][col]
-        for r in range(rank + 1, n):
-            row = rows[r]
-            f = row[col]
-            row[col + 1:] = [(p * a - f * b) // prev for a, b in zip(row[col + 1:], prow)]
-        prev = p
-        rank += 1
-        col += 1
-    return rank
+    scaled = _tabulate(_encode(m))[2]
+    if len(scaled) * int(np.abs(scaled).max(initial=0)) ** 2 >= _INT64:
+        scaled = scaled.astype(object)  # M M would overflow int64
+    return len(_bareiss(scaled @ scaled)[1])
 
 
 def ldl_decompose(m: Sequence[Sequence[Fraction]]):
@@ -247,55 +285,65 @@ def is_positive_semidefinite(m: Sequence[Sequence[Fraction]]) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric unit-diagonal PSD rational matrix of pairwise inner products.
 
-    Validation scales the matrix to integers once (den, scaled) and runs one
-    Bareiss elimination on it, which certifies PSD and gives the rank and
-    the LDL^T factors.  It also builds the value table that every shell,
+    Built from rows of rationals (ints, Fractions or 'p/q' strings) or from a
+    Scaled(den, matrix) integer pair.  Validation codes the entries, parsing
+    and scaling each distinct entry once, and keeps (den, scaled): the common
+    denominator and the read-only integer array den * m.  One Bareiss
+    elimination of `scaled` certifies PSD and gives the rank and the LDL^T
+    factors.  The same pass builds the value table that every shell,
     spectrum, histogram and colouring reads: `values` holds the distinct
     entries in ascending order, and the read-only integer array `colours`
     satisfies values[colours[i][j]] == entries[i][j].
     """
 
-    entries: Matrix
-    den: int = field(init=False, repr=False, compare=False)
-    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    colours: np.ndarray = field(init=False, repr=False, compare=False)
-    _elimination: _Elimination = field(init=False, repr=False, compare=False)
+    rows: InitVar[object]
+    den: int = field(init=False, repr=False)
+    scaled: np.ndarray = field(init=False, repr=False)
+    values: tuple[Fraction, ...] = field(init=False)
+    colours: np.ndarray = field(init=False, repr=False)
+    _elimination: _Elimination = field(init=False, repr=False)
 
-    def __post_init__(self):
-        m = as_matrix(self.entries)
-        object.__setattr__(self, "entries", m)
-        den, scaled = _scaled(m)
-        check_symmetric(scaled)
-        for i in range(len(m)):
-            if scaled[i][i] != den:
-                raise StructuralError(f"diagonal entry [{i}][{i}] = {m[i][i]}, expected 1")
+    def __post_init__(self, rows):
+        enc = _encode_scaled(*rows) if isinstance(rows, Scaled) else _encode(rows)
+        den = enc[0]
+        distinct, colours, scaled = _tabulate(enc)
+        wrong = np.flatnonzero(scaled.diagonal() != den)
+        if wrong.size:
+            i = int(wrong[0])
+            value = Fraction(int(scaled[i, i]), den)
+            raise StructuralError(f"diagonal entry [{i}][{i}] = {value}, expected 1")
         try:
             elim = _Elimination.of(den, scaled)
         except IndefinitePivotError:
             elim = None
         if elim is None or not elim.psd:
             raise StructuralError("matrix is not positive semidefinite")
-        # a PSD unit-diagonal matrix has |entries| <= 1, so den bounds every
-        # scaled entry; past int64 they stay Python ints (left to itself,
-        # numpy stores entries in [2^63, 2^64) as float64)
-        dtype = np.int64 if den < 2**63 else object
-        distinct, colours = np.unique(np.array(scaled, dtype=dtype), return_inverse=True)
-        colours = colours.reshape(len(m), len(m))
-        colours.setflags(write=False)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "values", tuple(Fraction(v, den) for v in distinct.tolist()))
         object.__setattr__(self, "colours", colours)
         object.__setattr__(self, "_elimination", elim)
 
+    def __eq__(self, other):
+        if not isinstance(other, GramMatrix):
+            return NotImplemented
+        return self.values == other.values and np.array_equal(self.colours, other.colours)
+
+    def __hash__(self):
+        return hash((self.values, self.colours.tobytes()))
+
+    @cached_property
+    def entries(self) -> Matrix:
+        """The matrix as rows of Fractions, built from the value table on first use."""
+        return tuple(map(tuple, np.array(self.values, dtype=object)[self.colours].tolist()))
+
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.colours)
 
     @property
     def rank(self) -> int:
@@ -319,7 +367,7 @@ class GramMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.values[self.colours[i, j]]
 
 
 @dataclass(frozen=True)
@@ -336,15 +384,14 @@ class Configuration:
     point_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        s = self.gram.scaled
-        n = len(s)
+        n = self.gram.size
         if n == 0:
             raise StructuralError("empty configuration")
-        den = self.gram.den
-        for i, row in enumerate(s):
-            if den in row[i + 1:]:
-                j = row.index(den, i + 1)
-                raise StructuralError(f"points {i} and {j} coincide (inner product 1)")
+        # the largest value of a unit-diagonal PSD matrix is 1
+        same = np.argwhere(np.triu(self.gram.colours == len(self.gram.values) - 1, 1))
+        if len(same):
+            i, j = same[0].tolist()
+            raise StructuralError(f"points {i} and {j} coincide (inner product 1)")
         if self.point_labels is not None:
             labels = tuple(str(x) for x in self.point_labels)
             if len(labels) != n:
@@ -370,8 +417,8 @@ def inner_product_spectrum(c: Configuration) -> tuple[Fraction, ...]:
     return c.gram.values[:-1]
 
 
-def scaled_integer_gram(c: Configuration) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Common denominator L and the integer matrix L*gram.
+def scaled_integer_gram(c: Configuration) -> tuple[int, np.ndarray]:
+    """Common denominator L and the read-only integer array L*gram.
 
     Shared by the balance and design modules so shell sums and moment
     histograms run in integer arithmetic.  Built once, by validation.

@@ -44,14 +44,17 @@ def configuration_to_dict(c: Configuration) -> dict:
     return doc
 
 
-def configuration_from_dict(doc: dict, where: str = "configuration") -> Configuration:
+def _gram_rows(doc: dict, where: str) -> list:
     if "gram" not in doc:
         raise InputError(f"{where}: missing 'gram' field")
     gram = doc["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise InputError(f"{where}: 'gram' must be a list of rows")
-    parsed: dict[str, Fraction] = {}  # each distinct entry string is parsed once
-    rows = [_parse_row(row, i, parsed, where) for i, row in enumerate(gram)]
+    return gram
+
+
+def configuration_from_dict(doc: dict, where: str = "configuration") -> Configuration:
+    gram = _gram_rows(doc, where)
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
@@ -59,38 +62,12 @@ def configuration_from_dict(doc: dict, where: str = "configuration") -> Configur
         raise InputError(f"{where}: 'labels' must be a list of strings")
     try:
         return Configuration.from_gram(
-            rows,
+            gram,
             label=doc.get("label"),
             point_labels=tuple(labels) if labels is not None else None,
         )
     except StructuralError as exc:
         raise InputError(f"{where}: {exc}") from exc
-
-
-def _parse_row(row: list, i: int, parsed: dict, where: str) -> list:
-    """Row i of a 'gram' field as Fractions, memoizing entry strings in `parsed`."""
-    try:
-        return [parsed[x] for x in row]
-    except (KeyError, TypeError):
-        pass
-    out = []
-    for j, x in enumerate(row):
-        if isinstance(x, str) and x in parsed:
-            out.append(parsed[x])
-            continue
-        if isinstance(x, float):
-            raise InputError(
-                f"{where}: gram[{i}][{j}] is a float; exact files carry "
-                f"rationals as strings"
-            )
-        try:
-            value = rational(x)
-        except StructuralError as exc:
-            raise InputError(f"{where}: gram[{i}][{j}]: {exc}") from exc
-        if isinstance(x, str):
-            parsed[x] = value
-        out.append(value)
-    return out
 
 
 def read_configuration(path) -> Configuration:
@@ -161,18 +138,13 @@ def read_lattice(spec: str) -> LatticeGram:
         except StructuralError as exc:
             raise InputError(str(exc)) from exc
     doc = _load_json(spec)
-    if "gram" not in doc:
-        raise InputError(f"{spec}: missing 'gram' field")
-    rows = []
-    for i, row in enumerate(doc["gram"]):
-        out = []
+    gram = _gram_rows(doc, spec)
+    for i, row in enumerate(gram):
         for j, x in enumerate(row):
-            if not isinstance(x, int):
+            if type(x) is not int:  # a JSON true is a bool, not the integer 1
                 raise InputError(f"{spec}: gram[{i}][{j}] = {x!r} is not an integer")
-            out.append(x)
-        rows.append(tuple(out))
     try:
-        return LatticeGram(entries=tuple(rows), label=doc.get("label"))
+        return LatticeGram(entries=tuple(map(tuple, gram)), label=doc.get("label"))
     except StructuralError as exc:
         raise InputError(f"{spec}: {exc}") from exc
 

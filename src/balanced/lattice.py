@@ -1,9 +1,10 @@
 """Exact short-vector enumeration and kissing configurations.
 
-The enumerator is a rational Fincke-Pohst: bounds come from the exact LDL^T
-of the Gram matrix, so completeness never depends on floating point.  The
-affine variant (linear + constant term) is shared with the periodic
-Euclidean balance check.
+The enumerator is an integer Fincke-Pohst: its bounds come from the Bareiss
+pivots and minors of the scaled Gram matrix and are compared exactly with
+math.isqrt, so completeness never depends on floating point.  The affine
+variant (linear + constant term) is shared with the periodic Euclidean
+balance check.
 """
 
 from __future__ import annotations
@@ -13,19 +14,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exact import (
     Configuration,
+    IndefinitePivotError,
     InvariantError,
+    Scaled,
     StructuralError,
+    _bareiss,
+    _encode,
+    _tabulate,
     as_matrix,
-    ldl_decompose,
     rational,
     require,
 )
+
+
+def _definite_minors(rows, d: int, what: str) -> tuple[list[int], list[list[int]]]:
+    """Pivots and Bareiss minors of a symmetric integer matrix whose leading
+    d x d block must be positive definite: d positive pivots, natural order."""
+    try:
+        perm, pivots, a = _bareiss(_tabulate(_encode(rows))[2].copy())
+    except IndefinitePivotError:
+        perm, pivots = [], []
+    if len(pivots) < d or not all(p > 0 for p in pivots[:d]) or perm[:d] != list(range(d)):
+        raise StructuralError(f"{what} is not positive definite")
+    return pivots[:d], a.tolist()
 
 
 @dataclass(frozen=True)
@@ -37,35 +56,14 @@ class LatticeGram:
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise StructuralError(f"row {i} has length {len(row)}, expected {n}")
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise StructuralError(f"not symmetric at entry [{i}][{j}]")
+        if not rows:
+            raise StructuralError("lattice Gram matrix is empty")
+        _definite_minors(rows, len(rows), "lattice Gram matrix")
         object.__setattr__(self, "entries", rows)
-        _, diag, _ = ldl_decompose(as_matrix(rows))
-        if not all(d > 0 for d in diag):
-            raise StructuralError("lattice Gram matrix is not positive definite")
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-
-def _int_interval(center: Fraction, q: Fraction) -> tuple[int, int]:
-    """Integer z with (z + center)^2 <= q, as an inclusive (lo, hi) range."""
-    if q < 0:
-        return 1, 0
-    root_hi = Fraction(math.isqrt(q.numerator * q.denominator) + 1, q.denominator)
-    hi = math.floor(-center + root_hi)
-    while (hi + center) > 0 and (hi + center) ** 2 > q:
-        hi -= 1
-    lo = math.ceil(-center - root_hi)
-    while (lo + center) < 0 and (lo + center) ** 2 > q:
-        lo += 1
-    return lo, hi
 
 
 def enumerate_quadratic(
@@ -78,6 +76,16 @@ def enumerate_quadratic(
 
     G must be positive definite.  Yields (z, value) pairs; the order follows
     the enumeration tree (last coordinate outermost, ascending).
+
+    Everything is scaled by the common denominator s to integers A, b, c and
+    B, and the symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the
+    pivots p_k of A (p_{-1} = 1), the minors a_jk below them, beta_k = the
+    eliminated b_k, and e = the eliminated c = p_{d-1} (c - b^T A^-1 b).  With
+    t_k = p_k z_k + beta_k + sum_{j>k} a_jk z_j the form equals
+    sum_k t_k^2 / (p_k p_{k-1}) + e / p_{d-1}, so after multiplying by a
+    common multiple D of the p_k p_{k-1} every level tests an integer
+    w_k t_k^2 against an integer budget, and the interval of z_k follows from
+    math.isqrt.
     """
     g = as_matrix(gram)
     d = len(g)
@@ -86,38 +94,55 @@ def enumerate_quadratic(
     bound = rational(bound)
     if len(lin) != d:
         raise StructuralError("linear term has wrong dimension")
-    lower, diag, perm = ldl_decompose(g)
-    if not all(p > 0 for p in diag):
-        raise StructuralError("quadratic form is not positive definite")
-    # positive definiteness keeps the pivot order natural
-    require(list(perm) == list(range(d)), "positive definite form needed a pivot swap")
-    # forward substitution: k = L^-1 lin, so 2 lin.z = 2 k.(L^T z)
-    k = [Fraction(0)] * d
-    for i in range(d):
-        k[i] = lin[i] - sum(lower[i][j] * k[j] for j in range(i))
-    offset = const - sum(k[i] * k[i] / diag[i] for i in range(d))
-    total = bound - offset
     if d == 0:
         if const <= bound:
             yield (), const
         return
+    s = math.lcm(*(x.denominator for x in chain(chain.from_iterable(g), lin, (const, bound))))
+
+    def scale(x: Fraction) -> int:
+        return x.numerator * (s // x.denominator)
+
+    b = [scale(x) for x in lin]
+    rows = [[scale(x) for x in row] + [bk] for row, bk in zip(g, b)]
+    pivots, minors = _definite_minors(rows + [b + [scale(const)]], d, "quadratic form")
+    below = [[minors[j][k] for j in range(k + 1, d)] for k in range(d)]
+    beta = minors[d][:d]
+    prev = [1] + pivots[:-1]
+    delta = math.lcm(*(p * q for p, q in zip(pivots, prev)))
+    weight = [delta // (p * q) for p, q in zip(pivots, prev)]
+    top = delta * scale(bound)
+    budget = top - delta // pivots[-1] * minors[d][d]
+    if budget < 0:
+        return
     z = [0] * d
+    hi = [0] * d
+    shift = [0] * d
+    rem = [0] * d + [budget]  # rem[k]: budget left after levels d-1 .. k
 
-    def descend(level: int, budget: Fraction):
-        center = k[level] / diag[level] + sum(
-            lower[j][level] * z[j] for j in range(level + 1, d)
-        )
-        lo, hi = _int_interval(center, budget / diag[level])
-        for zi in range(lo, hi + 1):
-            z[level] = zi
-            used = diag[level] * (zi + center) ** 2
-            if level == 0:
-                yield tuple(z), bound - (budget - used)
-            else:
-                yield from descend(level - 1, budget - used)
+    def enter(k: int) -> None:
+        shift[k] = sk = beta[k] + sum(map(mul, below[k], z[k + 1:]))
+        r = math.isqrt(rem[k + 1] // weight[k])
+        z[k] = -((r + sk) // pivots[k])
+        hi[k] = (r - sk) // pivots[k]
 
-    if total >= 0:
-        yield from descend(d - 1, total)
+    k = d - 1
+    enter(k)
+    while True:
+        if z[k] > hi[k]:
+            k += 1
+            if k == d:
+                return
+            z[k] += 1
+            continue
+        t = pivots[k] * z[k] + shift[k]
+        rem[k] = rem[k + 1] - weight[k] * t * t
+        if k:
+            k -= 1
+            enter(k)
+        else:
+            yield tuple(z), Fraction(top - rem[0], delta * s)
+            z[0] += 1
 
 
 @dataclass(frozen=True)
@@ -139,51 +164,64 @@ class ShortVectorSet:
         return len(self.vectors)
 
 
-def minimal_norm(g: LatticeGram) -> int:
-    """Smallest nonzero value of v^T G v, by enumeration below min diagonal."""
+def _confirmed(g: LatticeGram, vectors, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """W and G W^T as arrays, once integer arithmetic independent of the
+    enumeration has confirmed that every vector has norm m.  Entries of
+    W G W^T stay below 2^62 in int64 and are Python ints past that."""
+    peak = max((abs(x) for v in vectors for x in v), default=0) ** 2 * g.dim * g.dim
+    peak *= max(abs(x) for row in g.entries for x in row)
+    dtype = np.int64 if peak < 2**62 else object
+    w = np.array(vectors, dtype=dtype).reshape(len(vectors), g.dim)
+    gw = np.array(g.entries, dtype=dtype) @ w.T
+    wrong = np.flatnonzero((w * gw.T).sum(axis=1) != m)
+    if wrong.size:
+        raise InvariantError(f"enumerated vector {vectors[wrong[0]]} does not have norm {m}")
+    return w, gw
+
+
+def _minimal_vectors(g: LatticeGram) -> tuple[int, list[tuple[int, ...]]]:
+    """The minimal nonzero norm and its vectors in lexicographic order, from
+    one enumeration below the smallest diagonal entry."""
     bound = min(g.entries[i][i] for i in range(g.dim))
-    best = None
+    best, found = None, []
     for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, bound):
-        if any(vec) and (best is None or value < best):
-            best = value
+        if any(vec) and (best is None or value <= best):
+            if best is None or value < best:
+                best, found = value, []
+            found.append(vec)
     require(best is not None, "enumeration missed the basis vectors")  # e_i attains the bound
     require(best.denominator == 1, "integer form has a non-integer minimal norm")
-    return int(best)
+    found.sort()
+    return int(best), found
+
+
+def minimal_norm(g: LatticeGram) -> int:
+    """Smallest nonzero value of v^T G v, by enumeration below min diagonal."""
+    return _minimal_vectors(g)[0]
 
 
 def short_vectors(g: LatticeGram, m: int) -> ShortVectorSet:
     """Exactly the vectors of Gram norm m, in lexicographic order."""
     if m < 1:
         raise StructuralError(f"norm {m} < 1")
-    found = []
-    for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, m):
-        if value == m:
-            found.append(vec)
-    found.sort()
-    # integer-arithmetic confirmation, independent of the rational search
-    rows = g.entries
-    for v in found:
-        gv = [sum(rows[i][j] * v[j] for j in range(g.dim)) for i in range(g.dim)]
-        if sum(v[i] * gv[i] for i in range(g.dim)) != m:
-            raise InvariantError(f"enumerated vector {v} does not have norm {m}")
+    found = sorted(
+        vec for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, m) if value == m
+    )
+    _confirmed(g, found, m)
     return ShortVectorSet(norm=m, vectors=tuple(found))
 
 
 def kissing_configuration(g: LatticeGram) -> Configuration:
-    """Minimal vectors rescaled to the unit sphere, as an exact Gram matrix."""
-    m = minimal_norm(g)
-    vecs = short_vectors(g, m)
-    # |w G w^T| entries stay below peak; past int64, numpy multiplies Python ints
-    peak = max(abs(x) for v in vecs.vectors for x in v) ** 2 * g.dim * g.dim
-    peak *= max(abs(x) for row in g.entries for x in row)
-    dtype = np.int64 if peak < 2**62 else object
-    w = np.array(vecs.vectors, dtype=dtype)
-    prods = (w @ np.array(g.entries, dtype=dtype) @ w.T).tolist()
-    fractions = {v: Fraction(v, m) for v in set().union(*prods)}  # one per distinct value
-    gram_rows = [[fractions[v] for v in row] for row in prods]
+    """Minimal vectors rescaled to the unit sphere, as an exact Gram matrix.
+
+    One enumeration finds the minimal norm m and its vectors W; the Gram
+    matrix is handed over as the integer pair (m, W G W^T)."""
+    m, found = _minimal_vectors(g)
+    vecs = ShortVectorSet(norm=m, vectors=tuple(found))
+    w, gw = _confirmed(g, vecs.vectors, m)
     labels = tuple(",".join(str(x) for x in v) for v in vecs.vectors)
     name = g.label or "lattice"
-    return Configuration.from_gram(gram_rows, label=f"kissing({name})", point_labels=labels)
+    return Configuration.from_gram(Scaled(m, w @ gw), label=f"kissing({name})", point_labels=labels)
 
 
 _BUNDLED = ("z2", "z3", "d4", "e8", "k12", "leech")

@@ -465,18 +465,17 @@ def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
     which has the same rank.
     """
     _check_preserves_gram(c, group)
-    g = c.gram.scaled
     orbs = group.orbits()
     if len(orbs) == c.size:
         # trivial action: B is a permutation matrix and rank(B G B^T) = rank(G)
         return c.ambient_dim
-    m = [
-        [
-            sum(g[i][j] for i in oa for j in ob)
-            for ob in orbs
-        ]
-        for oa in orbs
-    ]
+    g = c.gram.scaled
+    if c.size * c.size * c.gram.den >= 2**63:  # bounds every orbit-block sum
+        g = g.astype(object)
+    order = np.concatenate([np.asarray(o, dtype=np.intp) for o in orbs])
+    starts = np.cumsum([0] + [len(o) for o in orbs[:-1]])
+    blocks = np.add.reduceat(g[np.ix_(order, order)], starts, axis=0)
+    m = np.add.reduceat(blocks, starts, axis=1).tolist()
     return gram_rank(m)
 
 

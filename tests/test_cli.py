@@ -321,3 +321,51 @@ class TestDenominatorPastInt64:
         res = invoke(runner, command + [str(f)])
         assert res.exit_code == code
         assert json.loads(res.output)["balanced"] is False
+
+
+class TestMalformedNumbers:
+    """Every reader answers exit 2, never a traceback or a verdict, when a
+    'gram' field is not a list of rows or holds a JSON boolean."""
+
+    @pytest.mark.parametrize("gram", [[1, 2], "abc", [[2, 1], 3]])
+    def test_lattice_gram_not_rows(self, runner, tmp_path, gram):
+        f = tmp_path / "lattice.json"
+        write_json({"gram": gram}, f)
+        res = invoke(runner, ["construct", "kissing", str(f)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "must be a list of rows" in res.stderr
+
+    @pytest.mark.parametrize("gram", [[[True]], [[2, True], [True, 2]], [[]], []])
+    def test_lattice_rejects_booleans_and_empty(self, runner, tmp_path, gram):
+        f = tmp_path / "lattice.json"
+        write_json({"gram": gram}, f)
+        res = invoke(runner, ["construct", "kissing", str(f)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "gram", [[[True]], [[1, True], [True, 1]], [["1", False], [False, "1"]]]
+    )
+    def test_exact_gram_rejects_booleans(self, runner, tmp_path, gram):
+        f = tmp_path / "gram.json"
+        write_json({"gram": gram}, f)
+        for command in (["check", "balanced"], ["report"]):
+            res = invoke(runner, [*command, str(f)])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert "gram[0][" in res.stderr
+
+    def test_euclidean_rejects_booleans(self, runner, tmp_path):
+        f = tmp_path / "points.json"
+        write_json({"points": [[0, 0], [1, True]]}, f)
+        res = invoke(runner, ["check", "euclidean", str(f)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_first_bad_entry_is_named(self, runner, tmp_path):
+        f = tmp_path / "gram.json"
+        write_json({"gram": [["1", "x"], ["x", 0.5]]}, f)
+        res = invoke(runner, ["check", "balanced", str(f)])
+        assert res.exit_code == 2
+        assert "gram[0][1]: not a rational: 'x'" in res.stderr

@@ -1,0 +1,276 @@
+"""The integer Gram core against the list and Fraction references.
+
+`reference_elimination` keeps the earlier symmetric Bareiss on lower-triangle
+lists and the recursive Fraction Fincke-Pohst.  The array elimination must
+give the same (perm, pivots, columns), whether it runs in int64, in Python
+ints or switches between them partway; the integer enumerator must yield the
+same (z, value) sequence, order included, and match a box brute force.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_elimination as ref
+from conftest import balance_oracle, cube_vectors, midpoint_vectors
+from balanced import balance
+from balanced.balance import check_balanced
+from balanced.exact import (
+    Configuration,
+    IndefinitePivotError,
+    _bareiss,
+    _eliminate,
+    _encode,
+    _tabulate,
+)
+from balanced.lattice import LatticeGram, bundled_lattice, enumerate_quadratic, minimal_norm
+
+# --- elimination --------------------------------------------------------------
+
+
+def check_elimination(m):
+    _, rows = ref.scaled(m)
+    try:
+        expected = ref.elimination(rows)
+    except ref.ReferenceIndefinite:
+        with pytest.raises(IndefinitePivotError):
+            _eliminate(m)
+        return
+    e = _eliminate(m)
+    assert (e.perm, e.pivots, e.columns) == expected
+    assert all(type(x) is int for x in e.pivots + sum(e.columns, ()))
+
+
+denominators = st.one_of(st.integers(1, 6), st.integers(2**60, 2**70))
+rationals = st.builds(Fraction, st.integers(-4, 4), denominators)
+wide = st.builds(lambda x, s: s * x, st.integers(2**29, 2**31), st.sampled_from([1, -1]))
+
+
+@st.composite
+def symmetric(draw, entries, zero_diagonal=False):
+    n = draw(st.integers(1, 7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+        if zero_diagonal:
+            m[i][i] = 0
+    return m
+
+
+@st.composite
+def gram_products(draw, entries):
+    """A^T A for an r x n matrix A (r <= n <= 7): PSD of rank at most r."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    a = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    return [[sum((row[i] * row[j] for row in a), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+small = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+matrices = st.one_of(
+    symmetric(small),
+    symmetric(small, zero_diagonal=True),
+    gram_products(st.one_of(st.integers(-2, 2), rationals)),
+    symmetric(st.one_of(st.just(0), wide)),
+    symmetric(st.one_of(st.just(0), wide), zero_diagonal=True),
+    gram_products(st.one_of(st.just(0), st.integers(2**14, 2**16))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices)
+def test_elimination_matches_list_reference(m):
+    check_elimination(m)
+
+
+def test_int64_switches_to_python_ints_partway():
+    # step 0 fits int64 (2 * max^2 < 2^63); its minors near 2^60 do not
+    big = 2**30
+    m = [[big + 11, big // 2 + 1, 3], [big // 2 + 1, big + 7, 5], [3, 5, big]]
+    scaled = _tabulate(_encode(m))[2]
+    assert scaled.dtype == np.int64
+    _, pivots, a = _bareiss(scaled.copy())
+    assert a.dtype == object and len(pivots) == 3
+    check_elimination(m)
+
+
+@pytest.mark.parametrize("den", [2**63 - 25, 2**63, 2**64 + 3, 3**50])
+def test_denominator_past_int64(den):
+    m = [[1, Fraction(1, den), 0], [Fraction(1, den), 1, Fraction(-2, den)],
+         [0, Fraction(-2, den), 1]]
+    scaled = _tabulate(_encode(m))[2]
+    assert scaled.dtype == (np.int64 if den < 2**63 else object)
+    check_elimination(m)
+
+
+# --- enumeration --------------------------------------------------------------
+
+
+def check_enumeration(gram, lin, const, bound):
+    got = list(enumerate_quadratic(gram, lin, const, bound))
+    assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
+    assert all(type(x) is int for z, _ in got for x in z)
+    assert all(type(v) is Fraction for _, v in got)
+    return got
+
+
+def cartan(kind, n):
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 2 if kind == "D" else n - 1):
+        c[i][i + 1] = c[i + 1][i] = -1
+    if kind == "D":
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    return c
+
+
+def rebased(gram, seed):
+    """U G U^T for a seeded product of transvections e_i += +-e_j."""
+    rng = random.Random(seed)
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+    return [[sum(u[i][k] * gram[k][l] * u[j][l] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+ROOT_LATTICES = [("A", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+
+
+@pytest.mark.parametrize("name, bound", [("d4", 2), ("d4", 4), ("e8", 2), ("z3", 3)])
+def test_bundled_lattices_match_reference(name, bound):
+    g = bundled_lattice(name).entries
+    got = check_enumeration(g, [0] * len(g), 0, bound)
+    assert len(got) == {("d4", 2): 25, ("d4", 4): 49, ("e8", 2): 241, ("z3", 3): 27}[name, bound]
+
+
+@pytest.mark.parametrize("kind, n", ROOT_LATTICES, ids=[f"{k}{n}" for k, n in ROOT_LATTICES])
+def test_rebased_root_lattices_match_reference(kind, n):
+    gram = rebased(cartan(kind, n), seed=100 * n + ord(kind))
+    bound = min(gram[i][i] for i in range(n))
+    got = check_enumeration(gram, [0] * n, 0, min(bound, 4))
+    assert minimal_norm(LatticeGram(tuple(map(tuple, gram)))) == 2
+    assert sum(v == 2 for _, v in got) == (n * (n + 1) if kind == "A" else 2 * n * (n - 1))
+
+
+def near_minimum(gram, lin, const):
+    """A rational just below the minimum of z^T G z + 2 lin.z + const over R^d."""
+    g = np.array(gram, dtype=float)
+    b = np.array(lin, dtype=float)
+    return Fraction(float(const) - float(b @ np.linalg.solve(g, b))).limit_denominator(12)
+
+
+@st.composite
+def affine_forms(draw):
+    """(G, lin, const, bound): G = (B^T B + I) / q positive definite, d <= 5,
+    bound a little above the minimum so that a box around it stays small."""
+    d = draw(st.integers(1, 5))
+    b = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+    q = draw(st.integers(1, 4))
+    gram = [[Fraction(sum(row[i] * row[j] for row in b) + (i == j), q) for j in range(d)]
+            for i in range(d)]
+    small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    lin = [draw(small_rationals) for _ in range(d)]
+    const = draw(small_rationals)
+    extra = draw(st.builds(Fraction, st.integers(-2, 10), st.integers(1, 3)))
+    return gram, lin, const, near_minimum(gram, lin, const) + extra
+
+
+def box_brute_force(gram, lin, const, bound):
+    """{z: value} over a box that contains the ellipsoid, in exact integers."""
+    d = len(gram)
+    g = np.array(gram, dtype=float)
+    center = -np.linalg.solve(g, np.array(lin, dtype=float))
+    radius2 = float(bound) - float(const) + float(np.array(lin, dtype=float) @ -center)
+    inv = np.linalg.inv(g)
+    ranges = []
+    for i in range(d):
+        r = np.sqrt(max(radius2, 0.0) * inv[i, i]) + 1
+        ranges.append(range(int(np.floor(center[i] - r)), int(np.ceil(center[i] + r)) + 1))
+    s = math.lcm(*(x.denominator for x in [*sum(map(list, gram), []), *lin, const, bound]))
+    a = np.array([[int(x * s) for x in row] for row in gram], dtype=np.int64)
+    bv = np.array([int(x * s) for x in lin], dtype=np.int64)
+    z = np.array(list(product(*ranges)), dtype=np.int64).reshape(-1, d)
+    values = np.einsum("ni,ij,nj->n", z, a, z) + 2 * z @ bv + int(const * s)
+    keep = values <= int(bound * s)
+    return {tuple(v.tolist()): Fraction(int(x), s) for v, x in zip(z[keep], values[keep])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_forms())
+def test_affine_forms_match_reference_and_box(form):
+    got = check_enumeration(*form)
+    assert dict(got) == box_brute_force(*form)
+
+
+def test_zero_budget_and_empty_ellipsoid():
+    # 3 z^2 + 2 z has its real minimum -1/3 at z = -1/3, not a lattice point
+    gram, lin = [[3]], [Fraction(1)]
+    assert check_enumeration(gram, lin, 0, -1) == []
+    assert check_enumeration(gram, lin, 0, Fraction(-1, 3)) == []
+    assert check_enumeration(gram, lin, 0, 1) == [((-1,), Fraction(1)), ((0,), Fraction(0))]
+
+
+# --- the bigint shell scan on stored arrays ------------------------------------
+
+
+def configuration_of(vectors):
+    norm2 = sum(x * x for x in vectors[0])
+    rows = [[Fraction(sum(a * b for a, b in zip(v, w)), norm2) for w in vectors]
+            for v in vectors]
+    return Configuration.from_gram(rows), norm2
+
+
+@pytest.fixture()
+def bigint_calls(monkeypatch):
+    calls = []
+    real = balance._scan_bigint
+
+    def spy(scaled, den, off_values):
+        calls.append(scaled)
+        return real(scaled, den, off_values)
+
+    monkeypatch.setattr(balance, "_scan_bigint", spy)
+    return calls
+
+
+def test_bigint_scan_unbalanced_rectangle(bigint_calls):
+    # a Pythagorean rectangle: den = (p^2 + q^2)^2 / gcd is near 2^41, so the
+    # array is int64 while den times a shell sum is far past it
+    p, q = 700, 999
+    a, b = 2 * p * q, q * q - p * p
+    vectors = [(a, b), (a, -b), (-a, -b), (-a, b)]
+    c, norm2 = configuration_of(vectors)
+    assert c.gram.scaled.dtype == np.int64
+    assert c.size * c.gram.den**2 >= 2**62 and c.gram.den > 2**40
+    with np.errstate(over="raise"):  # an int64 product that wraps is an error
+        report = check_balanced(c)
+    assert len(bigint_calls) == 1 and isinstance(bigint_calls[0], np.ndarray)
+    ok, bad = balance_oracle(vectors)
+    assert report.balanced is ok is False
+    assert sorted((v.point, v.shell_value) for v in report.violations) == sorted(
+        (i, u / norm2) for i, u in bad
+    )
+
+
+@pytest.mark.parametrize(
+    "vectors", [cube_vectors(), midpoint_vectors(7, flip=(0, 13, 22, 27))], ids=["cube", "c7p"]
+)
+def test_bigint_scan_balanced(bigint_calls, monkeypatch, vectors):
+    # no balanced configuration here has n den^2 >= 2^62, so the budget is lowered
+    monkeypatch.setattr(balance, "_INT64_BUDGET", 0)
+    c, _ = configuration_of(vectors)
+    assert c.gram.scaled.dtype == np.int64
+    report = check_balanced(c)
+    assert len(bigint_calls) == 1
+    assert report.balanced is balance_oracle(vectors)[0] is True
+
