@@ -2,9 +2,19 @@
 
 A spherical configuration is balanced iff for every point x and every inner
 product u, the sum of the shell {y : <x,y> = u} is a scalar multiple of x.
-That sum lies in the span of the configuration, so the test can be run
-entirely on the Gram matrix: with s_m = sum_{j in shell} gram[j][m] and
-c = s_i, the shell passes iff s_m = c * gram[i][m] for every m.
+The test reads the integer coordinates that Gram validation built: the
+Bareiss elimination gives the n x r integer matrix X of full column rank r
+with den * gram = X W X^T, W a positive diagonal.  So the shell of point i
+passes iff S_i = sum_{j in shell} X_j is parallel to X_i, that is iff
+S_i[m] X_i[f] == S_i[f] X_i[m] for every m, f being the first nonzero
+component of X_i.  A violation is reported in Gram form, as the deviation
+sum_j gram[j] - <sum_j x_j, x_i> gram[i] over the shell.
+
+Every test is exact.  A shell sum is an integer of size at most n max|X| and
+a cross product at most n max|X|^2: the sums use float64 BLAS only while
+n max|X| < 2^53, so that every partial sum is an exact integer, and the
+products int64 only while n max|X|^2 < 2^63.  Past either bound that stage
+runs on Python ints (object dtype).
 
 The Euclidean analogue replaces shells by equal-distance sets and "multiple
 of x" by "centroid x".
@@ -18,9 +28,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, rational, scaled_integer_gram
+from .exact import Configuration, StructuralError, rational
 
-_INT64_BUDGET = 2**62
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
+_INT64 = 2**63
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ def shell_decomposition(c: Configuration, i: int) -> ShellDecomposition:
 
 
 def _exact_violation(c: Configuration, i: int, colour: int) -> Violation:
-    den, scaled = scaled_integer_gram(c)
+    den, scaled = c.gram.den, c.gram.scaled
     # Python ints: a shell sum times den may pass int64
     sums = scaled[c.gram.colours[i] == colour].astype(object).sum(axis=0)
     deviation = (den * sums - sums[i] * scaled[i].astype(object)).tolist()
@@ -64,56 +75,33 @@ def _exact_violation(c: Configuration, i: int, colour: int) -> Violation:
 
 
 def check_balanced(c: Configuration) -> BalanceReport:
-    """Exact shell-sum proportionality test on the stored integer Gram."""
-    den, scaled = scaled_integer_gram(c)
-    n = len(scaled)
-    # scaled off-diagonal values, ascending: the value table without its 1
-    off_values = [u.numerator * (den // u.denominator) for u in c.gram.values[:-1]]
-    if n * den * den < _INT64_BUDGET:
-        bad = _scan_int64(scaled, den, off_values)
-    else:
-        bad = _scan_bigint(scaled, den, off_values)
-    colour = {v: k for k, v in enumerate(off_values)}
-    violations = tuple(_exact_violation(c, i, colour[v]) for i, v in sorted(bad))
+    """Exact shell-sum test on the integer coordinates X of the elimination."""
+    x = c.gram.elimination.x
+    n, top = len(x), int(np.abs(x).max())
+    sums = np.float64 if n * top < _FLOAT_EXACT else object
+    cross = np.int64 if n * top * top < _INT64 else object
+    # the largest value, 1, is the diagonal's and colours no shell
+    bad = _not_radial(c.gram.colours, len(c.gram.values) - 1, x, sums, cross)
+    violations = tuple(_exact_violation(c, i, k) for i, k in bad)
     return BalanceReport(balanced=not violations, violations=violations)
 
 
-def _scan_int64(scaled, den, off_values):
-    """All (point, scaled shell value) pairs whose shell sum is not radial."""
-    m = np.asarray(scaled, dtype=np.int64)
-    bad = []
-    for v in off_values:
-        sel = (m == v).astype(np.int64)  # never selects the diagonal: v != den
-        sums = sel @ m
-        coeff = np.diagonal(sums)
-        mismatch = (den * sums != coeff[:, None] * m).any(axis=1)
-        occupied = sel.any(axis=1)
-        for i in np.nonzero(mismatch & occupied)[0]:
-            bad.append((int(i), v))
-    return bad
-
-
-def _scan_bigint(scaled, den, off_values):
-    # Python ints throughout: numpy int64 scalars would wrap silently here
-    scaled = np.asarray(scaled).tolist()
-    den = int(den)
-    n = len(scaled)
-    bad = []
-    for i in range(n):
-        row = scaled[i]
-        buckets: dict[int, list[int]] = {}
-        for j in range(n):
-            if j != i:
-                buckets.setdefault(row[j], []).append(j)
-        for v, members in buckets.items():
-            sums = [0] * n
-            for j in members:
-                srow = scaled[j]
-                sums = [a + b for a, b in zip(sums, srow)]
-            coeff = sums[i]
-            if any(den * s != coeff * r for s, r in zip(sums, row)):
-                bad.append((i, v))
-    return bad
+def _not_radial(colours, shells, x, sums, cross) -> list[list[int]]:
+    """The (point i, colour k < shells) pairs, ascending, whose shell sum
+    S_i = sum of x[j] over colours[i, j] == k is not parallel to x[i].  The
+    sums run in dtype `sums`, the cross products in dtype `cross`."""
+    rows = np.arange(len(x))
+    lead = (x != 0).argmax(axis=1)  # no row is zero: every point has norm 1
+    xs, xc = x.astype(sums), x.astype(cross)
+    x_lead = xc[rows, lead][:, None]
+    bad = np.zeros((len(x), shells), dtype=bool)
+    for k in range(shells):
+        s = (colours == k).astype(sums) @ xs
+        if sums is np.float64:
+            s = s.astype(np.int64)  # exact: every sum is an integer below 2^53
+        s = s.astype(cross)
+        bad[:, k] = (s * x_lead != s[rows, lead][:, None] * xc).any(axis=1)
+    return np.argwhere(bad).tolist()
 
 
 # --- Euclidean mode -------------------------------------------------------
@@ -141,14 +129,21 @@ def check_balanced_euclidean(
     representative per translation class is checked.
     """
     pts = _as_points(points)
-    r2 = None
-    if cutoff is not None:
-        r2 = rational(cutoff) ** 2
-    if period is not None:
-        if cutoff is None:
-            raise StructuralError("periodic input requires a cutoff radius")
-        return _check_periodic(pts, _as_points(period), r2)
-    return _check_finite(pts, r2)
+    r2 = None if cutoff is None else rational(cutoff) ** 2
+    if period is None:
+        shells = _finite_shells(pts, r2)
+    elif r2 is None:
+        raise StructuralError("periodic input requires a cutoff radius")
+    else:
+        shells = _periodic_shells(pts, _as_points(period), r2)
+    violations = []
+    any_shell = False
+    for i, buckets in enumerate(shells):
+        any_shell = any_shell or bool(buckets)
+        violations += _centroid_violations(i, pts[i], buckets)
+    if r2 is not None and not any_shell and (period is not None or len(pts) > 1):
+        raise StructuralError("cutoff is below the minimal inter-point distance")
+    return BalanceReport(balanced=not violations, violations=tuple(violations))
 
 
 def _centroid_violations(i: int, x, buckets: dict) -> list[Violation]:
@@ -164,9 +159,8 @@ def _centroid_violations(i: int, x, buckets: dict) -> list[Violation]:
     return out
 
 
-def _check_finite(pts, r2) -> BalanceReport:
-    violations = []
-    any_shell = False
+def _finite_shells(pts, r2):
+    """Per point, its distance shells {d2: member points} within the cutoff."""
     for i, x in enumerate(pts):
         buckets: dict[Fraction, list[tuple[Fraction, ...]]] = {}
         for j, y in enumerate(pts):
@@ -175,26 +169,19 @@ def _check_finite(pts, r2) -> BalanceReport:
             d2 = sum((a - b) ** 2 for a, b in zip(x, y))
             if d2 == 0:
                 raise StructuralError(f"points {i} and {j} coincide")
-            if r2 is not None and d2 > r2:
-                continue
-            buckets.setdefault(d2, []).append(y)
-        if buckets:
-            any_shell = True
-        violations += _centroid_violations(i, x, buckets)
-    if r2 is not None and not any_shell and len(pts) > 1:
-        raise StructuralError("cutoff is below the minimal inter-point distance")
-    return BalanceReport(balanced=not violations, violations=tuple(violations))
+            if r2 is None or d2 <= r2:
+                buckets.setdefault(d2, []).append(y)
+        yield buckets
 
 
-def _check_periodic(pts, basis, r2) -> BalanceReport:
+def _periodic_shells(pts, basis, r2):
+    """Per point, its distance shells over all translates within the cutoff."""
     from .lattice import enumerate_quadratic  # shared Fincke-Pohst core
 
     dim = len(pts[0])
     if any(len(b) != dim for b in basis):
         raise StructuralError("period basis dimension does not match points")
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    violations = []
-    any_shell = False
     for a, x in enumerate(pts):
         buckets: dict[Fraction, list[tuple[Fraction, ...]]] = {}
         for b, p in enumerate(pts):
@@ -213,9 +200,4 @@ def _check_periodic(pts, basis, r2) -> BalanceReport:
                     for m in range(dim)
                 )
                 buckets.setdefault(d2, []).append(y)
-        if buckets:
-            any_shell = True
-        violations += _centroid_violations(a, x, buckets)
-    if not any_shell:
-        raise StructuralError("cutoff is below the minimal inter-point distance")
-    return BalanceReport(balanced=not violations, violations=tuple(violations))
+        yield buckets

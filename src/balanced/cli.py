@@ -204,24 +204,13 @@ def check_design_cmd(file, cap, tol):
     loaded = files.load_point_input(file)
     if isinstance(loaded, Configuration):
         verdict = designs.design_strength(loaded, cap)
-        _echo(
-            {
-                "mode": "exact",
-                "cap": cap,
-                "strength": verdict.strength,
-                "moments": {str(k): str(v) for k, v in verdict.per_k_moment.items()},
-            }
-        )
+        mode, strength = "exact", verdict.strength
+        moments = {k: str(v) for k, v in verdict.per_k_moment.items()}
     else:
+        mode = "float"
         strength, moments = numerics.design_strength_float(loaded, cap, tol)
-        _echo(
-            {
-                "mode": "float",
-                "cap": cap,
-                "strength": strength,
-                "moments": {str(k): v for k, v in moments.items()},
-            }
-        )
+    _echo({"mode": mode, "cap": cap, "strength": strength,
+           "moments": {str(k): v for k, v in moments.items()}})
 
 
 @check.command("theorem1")
@@ -232,25 +221,13 @@ def check_design_cmd(file, cap, tol):
 def check_theorem1_cmd(file, cap, tol):
     loaded = files.load_point_input(file)
     if isinstance(loaded, Configuration):
-        verdict = designs.theorem1_check(loaded, cap)
-        doc = {
-            "mode": "exact",
-            "cap": cap,
-            "per_point_k": list(verdict.per_point_k),
-            "strength": verdict.strength,
-            "applies": verdict.applies,
-        }
-        applies = verdict.applies
+        t1 = designs.theorem1_check(loaded, cap)
+        mode, per_point, strength, applies = "exact", t1.per_point_k, t1.strength, t1.applies
     else:
+        mode = "float"
         per_point, strength, applies = numerics.theorem1_check_float(loaded, cap, tol)
-        doc = {
-            "mode": "float",
-            "cap": cap,
-            "per_point_k": list(per_point),
-            "strength": strength,
-            "applies": applies,
-        }
-    _echo(doc)
+    _echo({"mode": mode, "cap": cap, "per_point_k": list(per_point), "strength": strength,
+           "applies": applies})
     sys.exit(0 if applies else 1)
 
 

@@ -3,6 +3,11 @@
 A configuration is a t-design iff the ultraspherical moment sums
 sum_{x,y} G_k(<x,y>) vanish for k = 1..t.  The moments are computed exactly
 from the Gram value histogram, so no coordinates are ever needed.
+
+They run on integers.  With u = a/den and D_k = prod_{m=2..k} (m+n-3), the
+scaled polynomial H_k(a) = D_k den^k G_k(a/den) satisfies H_0 = 1, H_1 = a and
+H_k = (2k+n-4) a H_{k-1} - (k-1) f_k den^2 H_{k-2}, f_2 = 1, f_k = k+n-4,
+so each moment is one Fraction sum_a mult_a H_k(a) / (D_k den^k).
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -56,17 +62,25 @@ def design_strength(c: Configuration, cap: int) -> DesignVerdict:
     """Largest verified design strength t* <= cap, with all moment sums."""
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
-    n = c.ambient_dim
-    moments = dict.fromkeys(range(1, cap + 1), Fraction(0))
-    for u, mult in gram_value_counts(c).items():
-        for k, zonal in enumerate(_zonal_series(n, cap, u)[1:], start=1):
-            moments[k] += mult * zonal
-    strength = 0
-    for k in range(1, cap + 1):
-        if moments[k] != 0:
-            break
-        strength = k
-    return DesignVerdict(strength=strength, per_k_moment=moments)
+    den = c.gram.den
+    counts = gram_value_counts(c)
+    scaled = [u.numerator * (den // u.denominator) for u in counts]
+    moments = _moments(c.ambient_dim, cap, den, scaled, list(counts.values()))
+    strength = next((k for k, m in enumerate(moments) if m), cap)
+    return DesignVerdict(strength=strength, per_k_moment=dict(enumerate(moments, start=1)))
+
+
+def _moments(n: int, cap: int, den: int, scaled: list, mults: list) -> list[Fraction]:
+    """[sum_a mult_a G_k(a/den) for k = 1..cap] by the integer recurrence for
+    H_k(a) = D_k den^k G_k(a/den) (module docstring)."""
+    out = [Fraction(sum(map(mul, mults, scaled)), den)]
+    prev, h, d = [1] * len(scaled), scaled, 1
+    for k in range(2, cap + 1 if n > 1 else 2):  # on S^0 only G_1 = u is nontrivial
+        drop = (k - 1) * (1 if k == 2 else k + n - 4) * den * den
+        prev, h = h, [(2 * k + n - 4) * a * x - drop * y for a, x, y in zip(scaled, h, prev)]
+        d *= k + n - 3
+        out.append(Fraction(sum(map(mul, mults, h)), d * den**k))
+    return out + [Fraction(0)] * (cap - len(out))
 
 
 def sphere_monomial_average(n: int, alpha) -> Fraction:
@@ -108,9 +122,11 @@ def theorem1_check(c: Configuration, cap: int) -> TheoremOneVerdict:
     inner product -1 is the antipode).  The sufficient condition applies when
     every k_i is at most the verified strength.
     """
-    per_point = [
-        sum(abs(u) != 1 for u, _ in c.gram.shells(i)) for i in range(c.size)
-    ]
+    n, values = c.size, c.gram.values
+    present = np.zeros((n, len(values)), dtype=bool)
+    present[np.arange(n)[:, None], c.gram.colours] = True
+    # the last value, 1, is the diagonal's; -1, if present, is the first
+    per_point = present[:, 1 if values[0] == -1 else 0:-1].sum(axis=1).tolist()
     verdict = design_strength(c, cap)
     applies = max(per_point) <= verdict.strength
     return TheoremOneVerdict(

@@ -117,7 +117,7 @@ def _encode(rows) -> _Encoded:
                     raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
     index: defaultdict = defaultdict()
     index.default_factory = index.__len__  # a new entry gets the next code
-    codes = np.array([list(map(index.__getitem__, row)) for row in rows], dtype=np.intp)
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.intp, n * n)
     codes = codes.reshape(n, n)
     values = []
     for k, x in enumerate(index):  # in order of first occurrence
@@ -209,20 +209,23 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
 
 @dataclass(frozen=True)
 class _Elimination:
-    """The Bareiss elimination of den * m, kept for LDL^T read-outs."""
+    """The Bareiss elimination of den * m.  x is the read-only n x r integer
+    array of its columns in the input's labelling, x[perm[i], k] = a[i][k] for
+    k <= i and 0 for k > i, so den * m = x diag(1 / (p_{k-1} p_k)) x^T with
+    p_k = pivots[k], p_{-1} = 1: x has full column rank r."""
 
     den: int
     perm: tuple[int, ...]
     pivots: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]  # columns[i][k] = a[i][k] for k <= i, k < rank
+    x: np.ndarray
 
     @classmethod
     def of(cls, den: int, scaled: np.ndarray) -> "_Elimination":
         perm, pivots, a = _bareiss(scaled.copy())
-        r = len(pivots)
-        lower = a[:, :r].tolist()
-        return cls(den, tuple(perm), tuple(pivots),
-                   tuple(tuple(row[: i + 1]) for i, row in enumerate(lower)))
+        x = np.empty_like(a[:, :len(pivots)])
+        x[perm] = np.tril(a[:, :len(pivots)])
+        x.setflags(write=False)
+        return cls(den, tuple(perm), tuple(pivots), x)
 
     @property
     def rank(self) -> int:
@@ -235,17 +238,13 @@ class _Elimination:
 
     def ldl(self):
         """(L, D, perm) of the rational LDL^T, read off the Bareiss minors."""
-        n = len(self.perm)
-        lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        diag = [_ZERO] * n
-        prev = 1
-        for k, p in enumerate(self.pivots):
-            diag[k] = Fraction(p, prev * self.den)
-            for i in range(k + 1, n):
-                if self.columns[i][k]:
-                    lower[i][k] = Fraction(self.columns[i][k], p)
-            prev = p
-        return tuple(map(tuple, lower)), tuple(diag), self.perm
+        n, r, pivots = len(self.perm), self.rank, self.pivots
+        lower = tuple(
+            tuple(_ONE if k == i else Fraction(row[k], pivots[k]) if k < r and row[k] else _ZERO
+                  for k in range(n))
+            for i, row in enumerate(self.x[list(self.perm)].tolist()))
+        diag = tuple(Fraction(p, q * self.den) for p, q in zip(pivots, (1,) + pivots))
+        return lower, diag + (_ZERO,) * (n - r), self.perm
 
 
 def _eliminate(m) -> _Elimination:
@@ -253,17 +252,23 @@ def _eliminate(m) -> _Elimination:
     return _Elimination.of(enc[0], _tabulate(enc)[2])
 
 
-def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals of any symmetric rational matrix.
+def integer_rank(a: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix A.
 
-    For the scaled integer matrix M, M M = M^T M is PSD with the rank of M, so
-    the symmetric Bareiss elimination of M M never meets an indefinite block
-    and its pivot count is the rank.
+    A A^T and A^T A are PSD with the rank of A, so the symmetric Bareiss
+    elimination of the smaller one never meets an indefinite block and its
+    pivot count is the rank.
     """
-    scaled = _tabulate(_encode(m))[2]
-    if len(scaled) * int(np.abs(scaled).max(initial=0)) ** 2 >= _INT64:
-        scaled = scaled.astype(object)  # M M would overflow int64
-    return len(_bareiss(scaled @ scaled)[1])
+    if len(a) > a.shape[1]:
+        a = a.T
+    if a.shape[1] * int(np.abs(a).max(initial=0)) ** 2 >= _INT64:
+        a = a.astype(object)  # A A^T would overflow int64
+    return len(_bareiss(a @ a.T)[1])
+
+
+def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals of any symmetric rational matrix."""
+    return integer_rank(_tabulate(_encode(m))[2])
 
 
 def ldl_decompose(m: Sequence[Sequence[Fraction]]):
@@ -293,11 +298,12 @@ class GramMatrix:
     Scaled(den, matrix) integer pair.  Validation codes the entries, parsing
     and scaling each distinct entry once, and keeps (den, scaled): the common
     denominator and the read-only integer array den * m.  One Bareiss
-    elimination of `scaled` certifies PSD and gives the rank and the LDL^T
-    factors.  The same pass builds the value table that every shell,
-    spectrum, histogram and colouring reads: `values` holds the distinct
-    entries in ascending order, and the read-only integer array `colours`
-    satisfies values[colours[i][j]] == entries[i][j].
+    elimination of `scaled` certifies PSD and gives the rank, the LDL^T
+    factors and the integer coordinates `elimination.x` that the balance,
+    fixed-subspace and coordinate read-outs use.  The same pass builds the
+    value table that every shell, spectrum, histogram and colouring reads:
+    `values` holds the distinct entries in ascending order, and the read-only
+    integer array `colours` satisfies values[colours[i][j]] == entries[i][j].
     """
 
     rows: InitVar[object]
@@ -305,7 +311,7 @@ class GramMatrix:
     scaled: np.ndarray = field(init=False, repr=False)
     values: tuple[Fraction, ...] = field(init=False)
     colours: np.ndarray = field(init=False, repr=False)
-    _elimination: _Elimination = field(init=False, repr=False)
+    elimination: _Elimination = field(init=False, repr=False)
 
     def __post_init__(self, rows):
         enc = _encode_scaled(*rows) if isinstance(rows, Scaled) else _encode(rows)
@@ -326,7 +332,7 @@ class GramMatrix:
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "values", tuple(Fraction(v, den) for v in distinct.tolist()))
         object.__setattr__(self, "colours", colours)
-        object.__setattr__(self, "_elimination", elim)
+        object.__setattr__(self, "elimination", elim)
 
     def __eq__(self, other):
         if not isinstance(other, GramMatrix):
@@ -347,11 +353,11 @@ class GramMatrix:
 
     @property
     def rank(self) -> int:
-        return self._elimination.rank
+        return self.elimination.rank
 
     def ldl(self):
         """(L, D, perm) exactly as ldl_decompose(self.entries), without re-eliminating."""
-        return self._elimination.ldl()
+        return self.elimination.ldl()
 
     def shells(self, i: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
         """The points other than i grouped by inner product with i, ascending:
@@ -415,12 +421,3 @@ def inner_product_spectrum(c: Configuration) -> tuple[Fraction, ...]:
     sits on the diagonal only.
     """
     return c.gram.values[:-1]
-
-
-def scaled_integer_gram(c: Configuration) -> tuple[int, np.ndarray]:
-    """Common denominator L and the read-only integer array L*gram.
-
-    Shared by the balance and design modules so shell sums and moment
-    histograms run in integer arithmetic.  Built once, by validation.
-    """
-    return c.gram.den, c.gram.scaled

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 from .exact import Configuration, StructuralError, rational
@@ -39,8 +40,8 @@ def configuration_to_dict(c: Configuration) -> dict:
         doc["label"] = c.label
     if c.point_labels is not None:
         doc["labels"] = list(c.point_labels)
-    text = [str(u) for u in c.gram.values]
-    doc["gram"] = [[text[k] for k in row] for row in c.gram.colours.tolist()]
+    text = np.array([str(u) for u in c.gram.values], dtype=object)
+    doc["gram"] = text[c.gram.colours].tolist()
     return doc
 
 
@@ -74,8 +75,51 @@ def read_configuration(path) -> Configuration:
     return configuration_from_dict(_load_json(path), where=str(path))
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+class _Quoted(dict):
+    """The JSON text of each distinct string, encoded on first use."""
+
+    def __missing__(self, s):
+        self[s] = text = _quote(s)
+        return text
+
+
+def _dumps(o, indent: str, quoted: _Quoted) -> str:
+    """json.dumps(o, indent=2) for a value nested at `indent`.
+
+    An indent makes json.dumps encode every scalar in Python.  Here a list of
+    strings, such as a Gram row, joins the text of each distinct string, and a
+    list of numbers is one C-encoder call whose separators are then replaced.
+    JSON text escapes every newline in a string, so a scalar never spans lines.
+    """
+    if isinstance(o, str):
+        return quoted[o]
+    if not isinstance(o, _CONTAINERS) or not o:
+        return json.dumps(o)  # a scalar or an empty container: no newline either way
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, dict):
+        if not all(isinstance(k, str) for k in o):  # keys json.dumps converts
+            return json.dumps(o, indent=2).replace("\n", "\n" + indent)
+        body = sep.join(quoted[k] + ": " + _dumps(v, inner, quoted) for k, v in o.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(o[0], str):
+        try:  # a list of strings, such as a Gram row
+            return f"[\n{inner}{sep.join(map(quoted.__getitem__, o))}\n{indent}]"
+        except TypeError:  # an item is not a string
+            pass
+    if any(isinstance(x, (str, *_CONTAINERS)) for x in o):
+        body = sep.join(_dumps(x, inner, quoted) for x in o)
+    else:  # numbers, booleans and nulls, whose text holds no ", "
+        body = json.dumps(o)[1:-1].replace(", ", sep)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def write_json(doc: dict, path=None) -> str:
-    text = json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) plus a newline, written to path if given."""
+    text = _dumps(doc, "", _Quoted()) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -66,18 +66,14 @@ class CoordinateSet:
 
 
 def coordinates_from_gram(c: Configuration) -> CoordinateSet:
-    """Realize the configuration in rank(gram) coordinates via exact LDL^T,
-    read off the elimination that validated the Gram matrix."""
-    lower, diag, perm = c.gram.ldl()
-    if any(d < 0 for d in diag):
-        raise StructuralError("Gram matrix has a negative pivot; not PSD")
-    cols = [k for k, d in enumerate(diag) if d > 0]
-    n = c.size
-    pts = np.zeros((n, len(cols)), dtype=float)
-    for row in range(n):
-        for out_k, k in enumerate(cols):
-            pts[perm[row], out_k] = float(lower[row][k]) * math.sqrt(float(diag[k]))
-    return CoordinateSet(points=pts, label=c.label, source=c)
+    """Realize the configuration in rank(gram) coordinates, read off the
+    elimination that validated the Gram matrix: den * G = X W X^T with
+    W[k] = 1 / (p_{k-1} p_k), so point j gets X[j][k] / p_k * sqrt(p_k / (p_{k-1} den)).
+    Both quotients are Python-int true divisions, hence correctly rounded."""
+    e = c.gram.elimination
+    scale = [math.sqrt(p / (q * e.den)) for p, q in zip(e.pivots, (1,) + e.pivots)]
+    pts = [[a / p * s for a, p, s in zip(row, e.pivots, scale)] for row in e.x.tolist()]
+    return CoordinateSet(points=np.array(pts, dtype=float), label=c.label, source=c)
 
 
 def reconstruction_residual(p: CoordinateSet) -> float:
@@ -291,11 +287,7 @@ def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     gram = np.clip(p.gram, -1.0, 1.0)
     moments = _float_gegenbauer_moments(gram, p.dim, cap)
     threshold = tol * p.size * p.size
-    strength = 0
-    for k, m in enumerate(moments, start=1):
-        if abs(m) > threshold:
-            break
-        strength = k
+    strength = next((k for k, m in enumerate(moments) if abs(m) > threshold), cap)
     return strength, {k: m for k, m in enumerate(moments, start=1)}
 
 

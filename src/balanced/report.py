@@ -30,22 +30,9 @@ class AnalysisReport:
     mode: str = "exact"
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "n_points": self.n_points,
-            "ambient_dim": self.ambient_dim,
-            "spectrum": list(self.spectrum),
-            "balanced": self.balanced,
-            "design_cap": self.design_cap,
-            "design_strength": self.design_strength,
-            "per_point_distance_counts": list(self.per_point_distance_counts),
-            "theorem1_applies": self.theorem1_applies,
-            "symmetry_order": self.symmetry_order,
-            "orbit_sizes": list(self.orbit_sizes) if self.orbit_sizes is not None else None,
-            "group_balanced": self.group_balanced,
-            "witnesses": list(self.witnesses) if self.witnesses is not None else None,
-        }
+        """The fields with "mode" second; tuples are written as JSON lists."""
+        doc = dict(vars(self))
+        return {"label": doc.pop("label"), "mode": doc.pop("mode"), **doc}
 
 
 def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:

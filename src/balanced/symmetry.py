@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, gram_rank, require
+from .exact import Configuration, StructuralError, integer_rank, require
 
 Perm = tuple[int, ...]
 
@@ -460,23 +460,21 @@ def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
     """Dimension of the subspace of span(C) fixed by the induced action.
 
     The fixed space of a permutation-induced orthogonal action on span(C) is
-    spanned by the orbit sums, so its dimension is rank(B G B^T) with B the
-    orbit indicator matrix; it is computed on the integer matrix den * G,
-    which has the same rank.
+    spanned by the orbit sums, so its dimension is the rank of B X, with B
+    the orbit indicator matrix and X the integer coordinates of the Gram
+    elimination (den * G = X W X^T, W a positive diagonal).
     """
     _check_preserves_gram(c, group)
     orbs = group.orbits()
     if len(orbs) == c.size:
-        # trivial action: B is a permutation matrix and rank(B G B^T) = rank(G)
+        # trivial action: B is a permutation matrix and rank(B X) = rank(X)
         return c.ambient_dim
-    g = c.gram.scaled
-    if c.size * c.size * c.gram.den >= 2**63:  # bounds every orbit-block sum
-        g = g.astype(object)
+    x = c.gram.elimination.x
+    if c.size * int(np.abs(x).max()) >= 2**63:  # bounds every orbit sum
+        x = x.astype(object)
     order = np.concatenate([np.asarray(o, dtype=np.intp) for o in orbs])
     starts = np.cumsum([0] + [len(o) for o in orbs[:-1]])
-    blocks = np.add.reduceat(g[np.ix_(order, order)], starts, axis=0)
-    m = np.add.reduceat(blocks, starts, axis=1).tolist()
-    return gram_rank(m)
+    return integer_rank(np.add.reduceat(x[order], starts, axis=0))
 
 
 @dataclass(frozen=True)

@@ -117,16 +117,16 @@ class TestCheckBalanced:
         assert ok == check_balanced(paulus_r).balanced
 
     def test_bigint_path_matches_numpy_path(self, c7p):
-        from balanced.balance import _scan_bigint, _scan_int64
-        from balanced.exact import scaled_integer_gram
+        import reference_balance as ref
 
         for config in (c7p, perturbed_square()):
-            den, scaled = scaled_integer_gram(config)
-            n = len(scaled)
-            vals = sorted({scaled[i][j] for i in range(n) for j in range(n) if i != j})
-            assert sorted(_scan_int64(scaled, den, vals)) == sorted(
-                _scan_bigint(scaled, den, vals)
+            den, scaled = config.gram.den, config.gram.scaled
+            vals = ref.off_values(config)
+            assert sorted(ref.scan_int64(scaled, den, vals)) == sorted(
+                ref.scan_bigint(scaled, den, vals)
             )
+            got = [(v.point, v.shell_value) for v in check_balanced(config).violations]
+            assert got == ref.violations(config)
 
 
 class TestEuclidean:

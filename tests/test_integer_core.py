@@ -42,8 +42,15 @@ def check_elimination(m):
             _eliminate(m)
         return
     e = _eliminate(m)
-    assert (e.perm, e.pivots, e.columns) == expected
-    assert all(type(x) is int for x in e.pivots + sum(e.columns, ()))
+    columns = e.x[list(e.perm)].tolist()  # elimination order
+    assert (e.perm, e.pivots, tuple(tuple(row[: i + 1]) for i, row in enumerate(columns))) == expected
+    assert not any(any(row[i + 1:]) for i, row in enumerate(columns))
+    assert all(type(x) is int for x in e.pivots + tuple(sum(columns, [])))
+    # den * m = X diag(1 / (p_{k-1} p_k)) X^T
+    den, rows = ref.scaled(m)
+    weights = [Fraction(1, p * q) for p, q in zip((1,) + e.pivots, e.pivots)]
+    x = e.x.tolist()
+    assert [[sum(w * a * b for w, a, b in zip(weights, xi, xj)) for xj in x] for xi in x] == rows
 
 
 denominators = st.one_of(st.integers(1, 6), st.integers(2**60, 2**70))
@@ -232,20 +239,22 @@ def configuration_of(vectors):
 
 @pytest.fixture()
 def bigint_calls(monkeypatch):
+    """The coordinate scans that ran with Python-int sums and cross products."""
     calls = []
-    real = balance._scan_bigint
+    real = balance._not_radial
 
-    def spy(scaled, den, off_values):
-        calls.append(scaled)
-        return real(scaled, den, off_values)
+    def spy(colours, shells, x, sums, cross):
+        if sums is object and cross is object:
+            calls.append(x)
+        return real(colours, shells, x, sums, cross)
 
-    monkeypatch.setattr(balance, "_scan_bigint", spy)
+    monkeypatch.setattr(balance, "_not_radial", spy)
     return calls
 
 
 def test_bigint_scan_unbalanced_rectangle(bigint_calls):
     # a Pythagorean rectangle: den = (p^2 + q^2)^2 / gcd is near 2^41, so the
-    # array is int64 while den times a shell sum is far past it
+    # array is int64 while its Bareiss coordinates reach den^2, past int64
     p, q = 700, 999
     a, b = 2 * p * q, q * q - p * p
     vectors = [(a, b), (a, -b), (-a, -b), (-a, b)]
@@ -266,8 +275,9 @@ def test_bigint_scan_unbalanced_rectangle(bigint_calls):
     "vectors", [cube_vectors(), midpoint_vectors(7, flip=(0, 13, 22, 27))], ids=["cube", "c7p"]
 )
 def test_bigint_scan_balanced(bigint_calls, monkeypatch, vectors):
-    # no balanced configuration here has n den^2 >= 2^62, so the budget is lowered
-    monkeypatch.setattr(balance, "_INT64_BUDGET", 0)
+    # no balanced configuration here has coordinates past int64, so the bounds are lowered
+    monkeypatch.setattr(balance, "_FLOAT_EXACT", 0)
+    monkeypatch.setattr(balance, "_INT64", 0)
     c, _ = configuration_of(vectors)
     assert c.gram.scaled.dtype == np.int64
     report = check_balanced(c)
