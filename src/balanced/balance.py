@@ -65,13 +65,43 @@ def shell_decomposition(c: Configuration, i: int) -> ShellDecomposition:
     return ShellDecomposition(base_index=i, shells=c.gram.shells(i))
 
 
-def _exact_violation(c: Configuration, i: int, colour: int) -> Violation:
-    den, scaled = c.gram.den, c.gram.scaled
-    # Python ints: a shell sum times den may pass int64
-    sums = scaled[c.gram.colours[i] == colour].astype(object).sum(axis=0)
-    deviation = (den * sums - sums[i] * scaled[i].astype(object)).tolist()
-    return Violation(point=i, shell_value=c.gram.values[colour],
-                     deviation=tuple(Fraction(x, den * den) for x in deviation))
+def _violations(c: Configuration, bad: list[list[int]]) -> tuple[Violation, ...]:
+    """The Gram-form witnesses of the (point, colour) pairs in `bad`, in order.
+
+    With M = den * gram, point i's deviation over its shell S is
+    (den sum_{j in S} M[j] - (sum_{j in S} M[j, i]) M[i]) / den^2.  One
+    indicator-matrix product per colour sums the shells of all its violating
+    points.  A shell sum is at most n max|M| and a deviation at most
+    n max|M| (den + max|M|): the sums use float64 BLAS only while
+    n max|M| < 2^53, the deviations int64 only while the second bound is
+    below 2^63, and past either bound that stage runs on Python ints.
+    """
+    if not bad:
+        return ()
+    den, m, colours = c.gram.den, c.gram.scaled, c.gram.colours
+    n, top = len(m), int(np.abs(m).max())
+    sums = np.float64 if n * top < _FLOAT_EXACT else object
+    deviations = np.int64 if n * top * (den + top) < _INT64 else object
+    ms = m.astype(sums)
+    by_colour: dict[int, list[int]] = {}
+    for i, k in bad:
+        by_colour.setdefault(k, []).append(i)
+    rows = {}
+    for k, pts in by_colour.items():
+        s = (colours[pts] == k).astype(sums) @ ms
+        if sums is np.float64:
+            s = s.astype(np.int64)  # exact: every sum is an integer below 2^53
+        s = s.astype(deviations)
+        d = den * s - s[np.arange(len(pts)), pts][:, None] * m[pts].astype(deviations)
+        rows.update(zip(((i, k) for i in pts), d.tolist()))
+    den2 = den * den
+    fractions = {v: Fraction(v, den2) for v in set().union(*rows.values())}
+    values = c.gram.values
+    return tuple(
+        Violation(point=i, shell_value=values[k],
+                  deviation=tuple(map(fractions.__getitem__, rows[i, k])))
+        for i, k in bad
+    )
 
 
 def check_balanced(c: Configuration) -> BalanceReport:
@@ -82,7 +112,7 @@ def check_balanced(c: Configuration) -> BalanceReport:
     cross = np.int64 if n * top * top < _INT64 else object
     # the largest value, 1, is the diagonal's and colours no shell
     bad = _not_radial(c.gram.colours, len(c.gram.values) - 1, x, sums, cross)
-    violations = tuple(_exact_violation(c, i, k) for i, k in bad)
+    violations = _violations(c, bad)
     return BalanceReport(balanced=not violations, violations=violations)
 
 

@@ -14,6 +14,11 @@ path) and by refinement invariants elsewhere; a refinement off the leftmost
 path stops at the first split that departs from the leftmost path's trace
 at the same depth.  Group orders come from a deterministic Schreier-Sims
 stabilizer chain.
+
+A vertex's signature against a splitter, its count vector of splitter edge
+colours, is one base-n integer (n vertices, k edge colours): the sum over
+the splitter of n ** (k-1 - colour).  These integers are int64 while
+n**k < 2**63 and Python ints past that.
 """
 
 from __future__ import annotations
@@ -290,18 +295,27 @@ def point_stabilizer(group: PermutationGroup, i: int) -> PermutationGroup:
 # --- automorphism search ----------------------------------------------------
 
 
-def _count_bins(colours: np.ndarray, n_colours: int) -> np.ndarray:
-    """bins[u, v] = v * n_colours + colour of edge vu, so one bincount of
-    bins[splitter] counts every vertex's splitter colours at once.  The
-    diagonal goes to one spare bin after the n * n_colours counted ones."""
+def _signature_table(colours: np.ndarray, n_colours: int) -> tuple[np.ndarray, list[list[int]]]:
+    """Splitter signatures as base-n integers: (weights, rows).
+
+    weights[u, v] = n ** (k-1 - colour of edge uv), 0 on the diagonal, for k
+    edge colours on n vertices.  Summed over a splitter, column v is v's
+    count vector of splitter colours read as base-n digits, most significant
+    first; a count is at most n-1, so equal sums are equal count vectors, and
+    sums order as the vectors do.  A sum is below n**k, so weights are int64
+    while n**k < 2**63 and Python ints (object dtype) past that.  rows[u] is
+    weights[u] as a list whose entries are shared among the k powers.
+    """
     n = len(colours)
-    bins = np.ascontiguousarray(colours.T) + np.arange(n) * n_colours
-    np.fill_diagonal(bins, n * n_colours)
-    return bins
+    powers = [n ** (n_colours - 1 - c) for c in range(n_colours)] + [0]  # [-1]: diagonal
+    dtype = np.int64 if n**n_colours < 2**63 else object
+    weights = np.array(powers, dtype=dtype)[colours]
+    rows = [list(map(powers.__getitem__, row)) for row in colours.tolist()]
+    return weights, rows
 
 
-def _refine(bins: np.ndarray, n_colours: int, cells: list[tuple[int, ...]], splitters,
-            expected: Optional[tuple] = None):
+def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, ...]],
+            splitters, expected: Optional[tuple] = None):
     """Equitable refinement of cells against the queued splitters and every
     subcell split off on the way; returns (cells, invariant).
 
@@ -310,24 +324,24 @@ def _refine(bins: np.ndarray, n_colours: int, cells: list[tuple[int, ...]], spli
     expected at this depth, it returns None as soon as its own trace departs
     from it, since the invariants can then no longer match.
     """
-    n = len(bins)
-    size = n * n_colours + 1
     queue = deque(splitters)
     trace = []
     wide = [(ci, itemgetter(*cell)) for ci, cell in enumerate(cells) if len(cell) > 1]
     while queue and wide:
         splitter = queue.popleft()
-        counts = np.bincount(bins.take(splitter, axis=0).ravel(), minlength=size)
-        rows = counts[:-1].reshape(n, n_colours).tolist()
+        if len(splitter) == 1:
+            signature = rows[splitter[0]]
+        else:
+            signature = weights.take(splitter, axis=0).sum(axis=0).tolist()
         splits = []
         for ci, members in wide:
-            sigs = members(rows)  # the count vectors of the cell's vertices
+            sigs = members(signature)  # the signatures of the cell's vertices
             if sigs.count(sigs[0]) == len(sigs):
                 continue
             cell = cells[ci]
-            parts: dict[tuple[int, ...], list[int]] = {}
+            parts: dict[int, list[int]] = {}
             for v, sig in zip(cell, sigs):
-                parts.setdefault(tuple(sig), []).append(v)
+                parts.setdefault(sig, []).append(v)
             parts = sorted(parts.items())
             step = (ci, tuple((sig, len(vs)) for sig, vs in parts))
             if expected is not None and (
@@ -371,8 +385,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
         return PermutationGroup(0)
     colours = np.array(graph.edge_colors, dtype=np.intp)
     vertex_colours = np.array(graph.vertex_colors, dtype=np.intp)
-    n_colours = graph.n_edge_colors
-    bins = _count_bins(colours, n_colours)
+    weights, rows = _signature_table(colours, graph.n_edge_colors)
     state = {"first_leaf": None}
     gens: list[Perm] = []
     orbits = _Orbits(n)
@@ -385,7 +398,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     def search(cells, splitters, depth: int, leftmost: bool) -> bool:
         # off the spine, the spine's node at this depth sets the trace to match
         expected = None if leftmost else invariants[depth][1]
-        refined = _refine(bins, n_colours, cells, splitters, expected)
+        refined = _refine(weights, rows, cells, splitters, expected)
         if refined is None:
             return False
         cells, inv = refined

@@ -7,9 +7,15 @@ den * s[m] == s[i] * M[i, m] for every m.  `scan_int64` forms one dense
 n x n x n int64 product per shell value and is exact while n den^2 < 2^62;
 `scan_bigint` runs the same test on Python ints one row at a time.  The
 library's coordinate test must report the same (point, shell value) pairs.
+`witnesses` builds each violation's deviation from its own shell's rows, the
+way the library did before it summed all shells of a colour in one product.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from balanced.balance import Violation
 
 INT64_BUDGET = 2**62
 
@@ -67,3 +73,17 @@ def violations(c):
     else:
         bad = scan_bigint(scaled, den, vals)
     return sorted((i, c.gram.values[vals.index(v)]) for i, v in bad)
+
+
+def witnesses(c):
+    """Every violation with its deviation (den s - s[i] M[i]) / den^2, s the
+    Python-int sum of the shell's rows of M."""
+    den, scaled = int(c.gram.den), np.asarray(c.gram.scaled)
+    out = []
+    for i, u in violations(c):
+        v = u.numerator * (den // u.denominator)
+        s = scaled[scaled[i] == v].astype(object).sum(axis=0)
+        deviation = (den * s - s[i] * scaled[i].astype(object)).tolist()
+        out.append(Violation(point=i, shell_value=u,
+                             deviation=tuple(Fraction(x, den * den) for x in deviation)))
+    return tuple(out)

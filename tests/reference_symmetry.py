@@ -186,6 +186,26 @@ def refine(graph, cells):
     return cells, invariant
 
 
+def base_n_signatures(result, n, n_colours):
+    """A `refine` result with every count vector in its trace read as a
+    base-n integer, most significant digit first: the form the array engine
+    records."""
+    cells, (sizes, trace) = result
+
+    def encode(counts):
+        assert len(counts) == n_colours
+        value = 0
+        for x in counts:
+            assert 0 <= x < n
+            value = value * n + x
+        return value
+
+    trace = tuple(
+        (ci, tuple((encode(sig), size) for sig, size in parts)) for ci, parts in trace
+    )
+    return cells, (sizes, trace)
+
+
 def _individualize(cells, v):
     out = []
     for cell in cells:

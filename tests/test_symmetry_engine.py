@@ -7,8 +7,9 @@ and stabilizer generators.  Small hypothesis configurations are checked
 against all N! permutations.
 """
 
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -23,12 +24,14 @@ from balanced.constructors import (
     simplex_midpoints,
 )
 from balanced.exact import Configuration, StructuralError
+from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.symmetry import (
+    ColoredGraph,
     PermutationGroup,
     _StabilizerChain,
-    _count_bins,
     _initial_cells,
     _refine,
+    _signature_table,
     automorphism_group,
     colored_graph_from_config,
     fixed_subspace_dim,
@@ -99,20 +102,91 @@ def test_child_refinement_queues_only_the_individualized_vertex(name, request):
     same cells and invariant as re-queueing every cell, at every node the
     search visits."""
     graph = colored_graph_from_config(ENGINE_CASES[name](request))
-    bins = _count_bins(np.array(graph.edge_colors), graph.n_edge_colors)
+    n, k = graph.size, graph.n_edge_colors
+    weights, rows = _signature_table(np.array(graph.edge_colors), k)
     refinements = []
     ref.automorphism_generators(graph, refinements)
     assert any(new is not None for _, new, _ in refinements)
     for cells, new, want in refinements:
         splitters = cells if new is None else new[:1]
-        assert _refine(bins, graph.n_edge_colors, cells, splitters) == want
+        got = _refine(weights, rows, cells, splitters)
+        assert got == ref.base_n_signatures(want, n, k)
 
 
 def test_root_refinement_matches_reference(paulus_r):
     graph = colored_graph_from_config(paulus_r)
     cells = _initial_cells(graph)
-    bins = _count_bins(np.array(graph.edge_colors), graph.n_edge_colors)
-    assert _refine(bins, graph.n_edge_colors, cells, cells) == ref.refine(graph, cells)
+    n, k = graph.size, graph.n_edge_colors
+    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    want = ref.base_n_signatures(ref.refine(graph, cells), n, k)
+    assert _refine(weights, rows, cells, cells) == want
+
+
+# --- the splitter signature table ---------------------------------------------
+
+
+def folded_orbit_graph(n, n_colours, seed):
+    """A complete graph on n vertices with exactly n_colours edge colours,
+    constant on the orbits of the transposition (0 1) on pairs (so it has a
+    non-trivial automorphism), then relabelled."""
+    swap = {0: 1, 1: 0}
+    orbits = {}
+    for a, b in combinations(range(n), 2):
+        image = tuple(sorted((swap.get(a, a), swap.get(b, b))))
+        orbits.setdefault(min((a, b), image), []).append((a, b))
+    assert len(orbits) >= n_colours
+    colours = [[-1] * n for _ in range(n)]
+    for k, pairs in enumerate(orbits.values()):
+        for a, b in pairs:
+            colours[a][b] = colours[b][a] = k % n_colours
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = tuple(tuple(colours[perm[a]][perm[b]] for b in range(n)) for a in range(n))
+    graph = ColoredGraph(size=n, edge_colors=rows, vertex_colors=(0,) * n)
+    assert graph.n_edge_colors == n_colours
+    return graph
+
+
+# (n, k) on either side of n**k = 2**63: 10**18 < 2**63 < 10**19, 8**21 = 2**63
+SIGNATURE_DTYPES = [(10, 18, np.int64), (10, 19, object), (8, 20, np.int64), (8, 21, object)]
+
+
+@pytest.mark.parametrize("n, k, dtype", SIGNATURE_DTYPES)
+def test_signature_table_dtype_and_exact_sums(n, k, dtype):
+    graph = folded_orbit_graph(n, k, seed=n * k)
+    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    assert weights.dtype == dtype
+    assert rows == weights.tolist()
+    # the whole vertex set as splitter: the largest sums the search can form
+    sums = weights.take(range(n), axis=0).sum(axis=0).tolist()
+    for v in range(n):
+        counts = [0] * k
+        for u in range(n):
+            if u != v:
+                counts[graph.edge_colors[v][u]] += 1
+        assert sums[v] == sum(c * n ** (k - 1 - i) for i, c in enumerate(counts)) < n**k
+
+
+@pytest.mark.parametrize("n, k, dtype", SIGNATURE_DTYPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_search_matches_reference_past_int64_signatures(n, k, dtype, seed):
+    graph = folded_orbit_graph(n, k, seed=seed)
+    group = automorphism_group(graph)
+    want = ref.automorphism_generators(graph)
+    assert want
+    assert group.generators == want
+    assert group.order() == ref.group_order(n, want)
+
+
+def test_k12_kissing_generators_pinned():
+    """Order and generators of the K12 kissing configuration, as printed
+    before the splitter signatures became base-n integers."""
+    group = automorphism_group(colored_graph_from_config(
+        kissing_configuration(bundled_lattice("k12"))))
+    assert group.order() == 78382080
+    digest = hashlib.sha256(repr(group.generators).encode()).hexdigest()
+    assert digest == "a03bc6be1fc8a89b2905dd69a41235fcf14be41a80f5f80d01f864eff5048156"
 
 
 def test_contains_and_level_generators_match_reference():

@@ -3,7 +3,8 @@
 - `check_balanced` tests shell sums on the integer coordinates X of the Gram
   elimination; `reference_balance` keeps the Gram-row scan.  Both must report
   the same (point, shell value) pairs on every arithmetic path: float64 or
-  Python-int sums, int64 or Python-int cross products.
+  Python-int sums, int64 or Python-int cross products.  The violations'
+  deviations must equal the ones summed shell by shell, on every path.
 - `write_json` must write exactly `json.dumps(doc, indent=2) + "\\n"`.
 - `design_strength` runs the Gegenbauer recurrence on integers; its moments
   must equal the Fraction sums of `_zonal_series`.
@@ -152,6 +153,25 @@ def test_point_deleted_lattice_subsets(e8_kissing, k12_kissing):
         expected = ref.violations(sub)
         assert expected
         assert violation_pairs(sub) == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_path_witnesses_match_reference(path, seed):
+    rng = random.Random(seed)
+    vectors = rng.sample(shell_vectors(4, 6), rng.randint(8, 30))
+    c, _ = configuration_of(vectors)
+    expected = ref.witnesses(c)
+    assert expected
+    assert check_balanced(c).violations == expected
+
+
+def test_lattice_subset_witnesses_match_reference(e8_kissing, k12_kissing):
+    rng = random.Random(11)
+    for c, keep in ((e8_kissing, 200), (e8_kissing, 237), (k12_kissing, 250)):
+        sub = deleted(c, rng, keep)
+        expected = ref.witnesses(sub)
+        assert expected
+        assert check_balanced(sub).violations == expected
 
 
 def test_object_path_on_e8_subset(e8_kissing, monkeypatch):
