@@ -319,7 +319,7 @@ def force_cmd(file, exponent):
 
 @main.command("saddle-demo")
 @click.option("-s", "exponent", type=float, default=1.0, show_default=True)
-@click.option("--samples", type=int, default=64, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=64, show_default=True)
 @input_errors
 def saddle_demo_cmd(exponent, samples):
     """Rotate a cube facet: the energy is critical at 0 yet drops inside."""

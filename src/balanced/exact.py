@@ -108,16 +108,22 @@ def _encode(rows) -> _Encoded:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise StructuralError(f"row {i} has length {len(row)}, expected {n}")
-    if not _RATIONAL_TYPES.issuperset(map(type, chain.from_iterable(rows))):
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                try:
-                    rational(x)
-                except StructuralError as exc:
-                    raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
     index: defaultdict = defaultdict()
     index.default_factory = index.__len__  # a new entry gets the next code
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.intp, n * n)
+    try:
+        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.intp, n * n)
+    except TypeError:  # an unhashable entry, named by the scan below
+        codes = None
+    # a float or bool never shares a key with a str, so string keys alone
+    # mean string entries alone; otherwise every entry's type is checked
+    if codes is None or not all(type(x) is str for x in index):
+        if not _RATIONAL_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    try:
+                        rational(x)
+                    except StructuralError as exc:
+                        raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
     codes = codes.reshape(n, n)
     values = []
     for k, x in enumerate(index):  # in order of first occurrence

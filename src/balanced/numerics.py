@@ -85,6 +85,13 @@ def reconstruction_residual(p: CoordinateSet) -> float:
     return float(np.abs(gram - exact).max())
 
 
+def _require_positive(what: str, x: float) -> None:
+    """Tolerances and exponents must be positive and finite: a NaN compares
+    false with everything, so it would pass every test it is used in."""
+    if not (math.isfinite(x) and x > 0):
+        raise StructuralError(f"{what} must be positive and finite, got {x}")
+
+
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
@@ -92,8 +99,7 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
 
 def energy(p: CoordinateSet, s: float) -> float:
     """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s."""
-    if s <= 0:
-        raise StructuralError(f"exponent s must be positive, got {s}")
+    _require_positive("exponent s", s)
     d = _pairwise_distances(p.points)
     iu = np.triu_indices(p.size, k=1)
     pair = d[iu]
@@ -116,8 +122,7 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     The net force on p_i is sum_{j != i} s |p_i-p_j|^-(s+2) (p_i - p_j),
     the negative gradient of the pair energy.
     """
-    if s <= 0:
-        raise StructuralError(f"exponent s must be positive, got {s}")
+    _require_positive("exponent s", s)
     pts = p.points
     n = p.size
     diff = pts[:, None, :] - pts[None, :, :]
@@ -198,6 +203,8 @@ def poles_and_ring_coordinates(k: int) -> CoordinateSet:
 def _cluster(values, tol: float):
     """Group sorted floats into shells separated by > tol, with a 10*tol
     ambiguity guard between shells."""
+    if not values:  # a single point has no other points
+        return []
     values = sorted(values)
     clusters = [[values[0]]]
     for v in values[1:]:
@@ -242,8 +249,7 @@ class FloatBalanceReport:
 
 def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
     """Shell-sum proportionality with tolerance-based shell grouping."""
-    if tol <= 0:
-        raise StructuralError(f"tolerance must be positive, got {tol}")
+    _require_positive("tolerance", tol)
     unit = p.unit
     violations = []
     for i, shells in enumerate(p.shells(tol)):
@@ -263,6 +269,7 @@ def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceRep
 
 def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     """Clustered distinct off-diagonal inner products."""
+    _require_positive("tolerance", tol)
     off = ~np.eye(p.size, dtype=bool)
     return tuple(_cluster(p.gram[off].tolist(), tol))
 
@@ -284,6 +291,7 @@ def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(strength, moments) in float mode; zero test scaled by N^2."""
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
+    _require_positive("tolerance", tol)
     gram = np.clip(p.gram, -1.0, 1.0)
     moments = _float_gegenbauer_moments(gram, p.dim, cap)
     threshold = tol * p.size * p.size
@@ -297,6 +305,7 @@ def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     Distances at inner product 1 and -1 (the point itself and its antipode)
     are excluded, as in the exact check.
     """
+    _require_positive("tolerance", tol)
     per_point = [
         sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in shells)
         for shells in p.shells(tol)

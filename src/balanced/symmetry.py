@@ -12,8 +12,15 @@ the first smallest non-singleton cell, compare leaves against the first
 leaf, prune siblings by orbits of the group found so far (on the leftmost
 path) and by refinement invariants elsewhere; a refinement off the leftmost
 path stops at the first split that departs from the leftmost path's trace
-at the same depth.  Group orders come from a deterministic Schreier-Sims
-stabilizer chain.
+at the same depth.  When a cell splits, every subcell but the last is
+queued: the last one's counts are its parent's minus its siblings', and both
+have refined the partition before it would be popped, so it could split
+nothing.
+
+Group orders come from a deterministic Schreier-Sims stabilizer chain.  A
+point stabilizer is level 1 of the group's own chain when the point is its
+first base point, and otherwise a chain with the point as forced first base
+point that stops as soon as its transversals multiply to the group's order.
 
 A vertex's signature against a splitter, its count vector of splitter edge
 colours, is one base-n integer (n vertices, k edge colours): the sum over
@@ -23,6 +30,7 @@ n**k < 2**63 and Python ints past that.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,10 +135,24 @@ class _StabilizerChain:
 
     Every transversal element is stored with its inverse, which is what
     `strip` and the Schreier generators apply.
+
+    Given the group's order, the generator loop and `_close` stop once the
+    transversal sizes multiply to it.  Every residue added at level l+1 lies
+    in the group H_l generated at level l, so H_0 >= H_1 >= ...; as H_{l+1}
+    fixes the base point b_l, |H_l| >= |b_l^H_l| |H_{l+1}|, hence the product
+    of the orbit sizes is at most |H_0| <= |G|.  Equality makes every H_{l+1}
+    the full stabilizer of b_l in H_l and H_0 = G: the chain is a complete
+    base and strong generating set, every remaining generator and Schreier
+    generator strips to the identity, and the full scan would add nothing.
+    Levels, generators and transversals are those of the full chain.  The
+    order must come from a complete chain of the same group; a scan that ends
+    below it raises InvariantError.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm], base_prefix=()):
+    def __init__(self, degree: int, generators: Sequence[Perm], base_prefix=(),
+                 order: Optional[int] = None):
         self.degree = degree
+        self.known_order = order
         self.identity = np.arange(degree)
         self._identity_bytes = self.identity.tobytes()
         self.base: list[int] = []
@@ -141,7 +163,15 @@ class _StabilizerChain:
         for pt in base_prefix:
             self._add_level(pt)
         for g in generators:
+            if self._complete():
+                break
             self._add_element(np.array(g, dtype=np.intp))
+        if order is not None:
+            require(self.order() == order,
+                    f"stabilizer chain has order {self.order()}, the group {order}")
+
+    def _complete(self) -> bool:
+        return self.known_order is not None and self.order() == self.known_order
 
     def _is_identity(self, p: np.ndarray) -> bool:
         return p.tobytes() == self._identity_bytes
@@ -199,6 +229,8 @@ class _StabilizerChain:
     def _close(self, level: int) -> None:
         """Process all Schreier generators of this level."""
         self._rebuild_transversal(level)
+        if self._complete():
+            return
         trans, inverses = self.trans[level], self.inverses[level]
         sifted = self.sifted[level]
         # gens at this level are frozen during the scan, so the orbit and
@@ -218,6 +250,8 @@ class _StabilizerChain:
                 residue, j = self.strip(schreier, level + 1)
                 if not self._is_identity(residue):
                     self._sift_in(residue, j, level + 1)
+                    if self._complete():
+                        return
 
     def order(self) -> int:
         n = 1
@@ -232,7 +266,11 @@ class _StabilizerChain:
 
 
 class PermutationGroup:
-    """Permutation group given by generators; chain built on demand."""
+    """Permutation group given by generators; chain built on demand.
+
+    A point stabilizer comes with its order, read off the chain it was taken
+    from, so its own chain (if ever needed) stops early too.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Perm] = ()):
         self.degree = int(degree)
@@ -247,14 +285,17 @@ class PermutationGroup:
                 gens[g] = None
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._chain: Optional[_StabilizerChain] = None
+        self._order: Optional[int] = None  # only ever set from a complete chain
 
     def _get_chain(self) -> _StabilizerChain:
         if self._chain is None:
-            self._chain = _StabilizerChain(self.degree, self.generators)
+            self._chain = _StabilizerChain(self.degree, self.generators, order=self._order)
         return self._chain
 
     def order(self) -> int:
-        return self._get_chain().order()
+        if self._order is None:
+            self._order = self._get_chain().order()
+        return self._order
 
     def contains(self, perm: Sequence[int]) -> bool:
         chain = self._get_chain()
@@ -282,10 +323,20 @@ class PermutationGroup:
         return tuple(out)
 
     def point_stabilizer(self, i: int) -> "PermutationGroup":
+        """The stabilizer of point i, generated by level 1 of a chain with base
+        prefix (i,).  If i is the first base point of the group's own chain,
+        that chain is one: it starts from the same generators, and its first
+        generator, moving i, sifts into level 0 just as with the prefix, so
+        both chains run step for step alike."""
         if not 0 <= i < self.degree:
             raise StructuralError(f"point index {i} out of range")
-        chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,))
-        return PermutationGroup(self.degree, chain.level_generators(1))
+        chain = self._get_chain()
+        if chain.base[:1] != [i]:
+            chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
+                                     order=self.order())
+        stab = PermutationGroup(self.degree, chain.level_generators(1))
+        stab._order = math.prod(map(len, chain.trans[1:]))
+        return stab
 
 
 def point_stabilizer(group: PermutationGroup, i: int) -> PermutationGroup:
@@ -323,6 +374,17 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
     and the recorded trace are isomorphism-invariant.  Given the trace
     expected at this depth, it returns None as soon as its own trace departs
     from it, since the invariants can then no longer match.
+
+    A split queues every subcell but the last: against any vertex, its count
+    is its parent's minus its siblings'.  The queue is FIFO, so before the
+    last subcell would be popped its siblings have been, and so has its
+    parent, unless the parent was a last subcell itself (argued alike, by
+    induction) or a cell of the starting partition.  That partition is
+    equitable except against the queued splitters: the search queues only
+    the individualized vertex (v,), the rest of its cell being the old cell
+    minus (v,).  Once a splitter is popped every cell has a constant count
+    against it, and cells only get finer, so every cell has a constant count
+    against the last subcell: it would split nothing and add no trace step.
     """
     queue = deque(splitters)
     trace = []
@@ -350,7 +412,7 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
                 return None
             trace.append(step)
             subs = [tuple(vs) for _, vs in parts]
-            queue.extend(subs)
+            queue.extend(subs[:-1])
             splits.append((ci, subs))
         if splits:
             newcells, last = [], 0
@@ -502,13 +564,17 @@ def check_group_balanced(
     """True iff every point's stabilizer fixes only the line through it.
 
     Conjugate stabilizers have equal fixed dimensions, so one representative
-    per orbit is checked and the verdict extended orbit-wide.
+    per orbit is checked and the verdict extended orbit-wide.  The first base
+    point of the group's chain represents its orbit, since its stabilizer is
+    read off that chain; other orbits use their least point.
     """
     if group is None:
         group = automorphism_group(colored_graph_from_config(c))
+    # order() builds the group's own chain; a trivial group has no base point
+    first = group._get_chain().base[:1] if group.order() > 1 else []
     witnesses: list[int] = []
     for orbit in group.orbits():
-        rep = orbit[0]
+        rep = next((b for b in first if b in orbit), orbit[0])
         stab = group.point_stabilizer(rep)
         dim = fixed_subspace_dim(c, stab)
         if dim != 1:

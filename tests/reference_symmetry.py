@@ -5,7 +5,9 @@ Schreier-Sims chain: permutations are tuples, refinement counts splitter
 colours vertex by vertex and re-queues every cell, orbit pruning is a BFS,
 and every strip inverts its transversal element again.  The array engine
 must reproduce its generators, orders, orbits and stabilizer generators
-exactly.
+exactly.  `group_balance_witnesses` is the group-balanced loop as it was
+before the first base point came to represent its orbit: each orbit's least
+point, with its stabilizer from this module's chain.
 """
 
 from collections import deque
@@ -127,6 +129,17 @@ def group_order(degree, generators):
 def stabilizer_generators(degree, generators, i):
     chain = StabilizerChain(degree, generators, base_prefix=(i,))
     return _dedup(chain.level_generators(1))
+
+
+def group_balance_witnesses(degree, generators, fixed_dim):
+    """Points whose stabilizer fixes more than a line, one orbit at a time
+    represented by its least point; fixed_dim maps stabilizer generators to
+    the dimension of their fixed subspace."""
+    witnesses = []
+    for orbit in orbits(degree, generators):
+        if fixed_dim(stabilizer_generators(degree, generators, orbit[0])) != 1:
+            witnesses.extend(orbit)
+    return tuple(sorted(witnesses))
 
 
 def orbits(degree, generators):

@@ -369,3 +369,72 @@ class TestMalformedNumbers:
         res = invoke(runner, ["check", "balanced", str(f)])
         assert res.exit_code == 2
         assert "gram[0][1]: not a rational: 'x'" in res.stderr
+
+
+class TestNonFiniteOptions:
+    """A tolerance or exponent must be positive and finite: NaN compares false
+    with everything, so it would let every shell pass; every float command
+    answers exit 2 instead of a verdict."""
+
+    BAD = ["nan", "inf", "0", "-1"]
+
+    @pytest.fixture()
+    def unbalanced(self, tmp_path):
+        f = tmp_path / "unb.json"
+        f.write_text('{"coords": [[1, 0, 0], [0, 1, 0], [0.6, 0, 0.8]]}')
+        return str(f)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "balanced"], ["check", "design"], ["check", "theorem1"], ["report"]],
+    )
+    def test_tolerance(self, runner, unbalanced, command, value):
+        res = invoke(runner, [*command, unbalanced, "--tol", value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "tolerance must be positive and finite" in res.stderr
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("command", [["energy"], ["force"]])
+    def test_exponent(self, runner, unbalanced, command, value):
+        res = invoke(runner, [*command, unbalanced, "-s", value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "exponent s must be positive and finite" in res.stderr
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_saddle_demo_exponent(self, runner, value):
+        res = invoke(runner, ["saddle-demo", "-s", value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_valid_tolerance_still_answers(self, runner, unbalanced):
+        res = invoke(runner, ["check", "balanced", unbalanced, "--tol", "1e-9"])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["balanced"] is False
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_saddle_demo_needs_a_sample(self, runner, samples):
+        res = invoke(runner, ["saddle-demo", "--samples", samples])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--samples" in res.stderr
+
+    def test_saddle_demo_one_sample(self, runner):
+        res = invoke(runner, ["saddle-demo", "--samples", "1"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["best_energy"] == doc["energy_at_pi_4"] < doc["energy_at_0"]
+
+
+def test_single_float_point_is_balanced(runner, tmp_path):
+    """One point has no shells: balanced, as in exact mode, and no traceback."""
+    f = tmp_path / "one.json"
+    f.write_text('{"coords": [[0.6, 0, 0.8]]}')
+    res = invoke(runner, ["check", "balanced", str(f)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["balanced"] is True
+    res = invoke(runner, ["report", str(f), "--cap", "3"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["spectrum"] == []

@@ -161,3 +161,30 @@ class TestConfiguration:
             assert all(g[i][i] == 1 for i in range(n))
             assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
             assert gram_rank(g) == c.ambient_dim
+
+
+class TestEntryTypes:
+    """The coder checks entry types on the distinct entries when they are all
+    strings, and on every entry otherwise; either way the first bad entry in
+    row-major order is named."""
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([["1", "x"], ["x", "1"]], "gram[0][1]: not a rational: 'x'"),
+            ([["1", "1/2"], ["1/2", 1.0]],
+             "gram[1][1]: 1.0 is a float; exact input carries rationals as strings"),
+            ([["1", 1], [True, "1"]], "gram[1][0]: not a rational: True"),
+            ([[1, 0], [0, True]], "gram[1][1]: not a rational: True"),
+            ([["1", ["0"]], [["0"], "1"]], "gram[0][1]: not a rational: ['0']"),
+            ([["1", {}], ["0", "1"]], "gram[0][1]: not a rational: {}"),
+        ],
+    )
+    def test_first_bad_entry_named(self, rows, where):
+        with pytest.raises(StructuralError) as exc:
+            Configuration.from_gram(rows)
+        assert str(exc.value) == where
+
+    def test_mixed_rational_types_accepted(self):
+        c = Configuration.from_gram([["1", Fraction(1, 2)], [Fraction(1, 2), 1]])
+        assert c.gram.entries == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))

@@ -1,11 +1,24 @@
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import perturbed_square
 from balanced.balance import check_balanced
-from balanced.exact import Configuration, StructuralError
+from balanced.constructors import (
+    antipodal_union,
+    c7_prime,
+    cross_polytope,
+    cube,
+    figure1_adjacency,
+    simplex,
+    simplex_midpoints,
+    srg_spectral_embedding,
+)
+from balanced.exact import Configuration, Scaled, StructuralError
+from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.numerics import (
     AmbiguousShellError,
     CoordinateSet,
@@ -22,6 +35,22 @@ from balanced.numerics import (
     tangential_force,
     theorem1_check_float,
 )
+
+# every configuration the constructors build, up to E8 kissing
+CONSTRUCTED = {
+    **{f"c{n}": functools.partial(simplex_midpoints, n) for n in range(3, 10)},
+    **{f"cross{n}": functools.partial(cross_polytope, n) for n in range(2, 7)},
+    **{f"simplex{n}": functools.partial(simplex, n) for n in range(2, 7)},
+    "c7p": c7_prime,
+    "c7p-alt": functools.partial(c7_prime, (1, 8, 23, 26)),  # pairs 13, 24, 57, 68
+    "c7-union": lambda: antipodal_union(simplex_midpoints(7)),
+    "c7p-union": lambda: antipodal_union(c7_prime()),
+    "cube": cube,
+    "paulus_r": lambda: srg_spectral_embedding(figure1_adjacency(), "r"),
+    "paulus_s": lambda: srg_spectral_embedding(figure1_adjacency(), "s"),
+    **{f"{name}_kissing": functools.partial(kissing_configuration, bundled_lattice(name))
+       for name in ("z2", "d4", "e8")},
+}
 
 
 class TestCoordinates:
@@ -175,6 +204,22 @@ class TestFloatBalance:
         coords = coordinates_from_gram(ps)
         assert not check_balanced(ps).balanced
         assert not check_balanced_float(coords, 1e-9).balanced
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["whole", "two-dropped"])
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_exact_float_agreement_on_constructed(self, name, drop):
+        """Every configuration the constructors build, up to E8 kissing, and
+        the same with two seeded points removed: the float check at tol 1e-9
+        finds the violating points the exact check finds.  Clustering is
+        unambiguous on every case, so an AmbiguousShellError fails the test."""
+        c = CONSTRUCTED[name]()
+        if drop:
+            keep = sorted(random.Random(name).sample(range(c.size), c.size - 2))
+            c = Configuration.from_gram(Scaled(c.gram.den, c.gram.scaled[np.ix_(keep, keep)]))
+        exact = check_balanced(c)
+        approx = check_balanced_float(coordinates_from_gram(c), 1e-9)
+        assert approx.balanced == exact.balanced
+        assert {v.point for v in approx.violations} == {v.point for v in exact.violations}
 
     def test_ambiguity_guard(self):
         # two shells 5*tol apart: between tol and 10*tol, must refuse

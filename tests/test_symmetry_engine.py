@@ -8,6 +8,7 @@ against all N! permutations.
 """
 
 import hashlib
+import math
 import random
 from itertools import combinations, permutations
 
@@ -23,7 +24,7 @@ from balanced.constructors import (
     cube,
     simplex_midpoints,
 )
-from balanced.exact import Configuration, StructuralError
+from balanced.exact import Configuration, InvariantError, StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.symmetry import (
     ColoredGraph,
@@ -33,6 +34,7 @@ from balanced.symmetry import (
     _refine,
     _signature_table,
     automorphism_group,
+    check_group_balanced,
     colored_graph_from_config,
     fixed_subspace_dim,
 )
@@ -120,6 +122,114 @@ def test_root_refinement_matches_reference(paulus_r):
     weights, rows = _signature_table(np.array(graph.edge_colors), k)
     want = ref.base_n_signatures(ref.refine(graph, cells), n, k)
     assert _refine(weights, rows, cells, cells) == want
+
+
+@pytest.mark.parametrize("name", ["c9", "e8"])
+def test_last_subcell_rule_matches_full_queue_on_larger_searches(name, request):
+    """The refinement queues every subcell but the last; at every node of the
+    C9 and E8 kissing searches it still gives the cells and invariant of the
+    reference refinement, which queues every subcell."""
+    c = simplex_midpoints(9) if name == "c9" else request.getfixturevalue("e8_kissing")
+    graph = colored_graph_from_config(c)
+    n, k = graph.size, graph.n_edge_colors
+    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    refinements = []
+    ref.automorphism_generators(graph, refinements)
+    assert sum(new is not None for _, new, _ in refinements) > 10
+    for cells, new, want in refinements:
+        splitters = cells if new is None else new[:1]
+        assert _refine(weights, rows, cells, splitters) == ref.base_n_signatures(want, n, k)
+
+
+# --- known-order chains -------------------------------------------------------
+
+KNOWN_ORDER_CASES = {
+    **ENGINE_CASES,
+    "c9": lambda request: simplex_midpoints(9),
+    "z2_kissing": lambda request: request.getfixturevalue("z2_kissing"),
+    "e8_kissing": lambda request: request.getfixturevalue("e8_kissing"),
+}
+
+
+def transversal_points(chain):
+    return [sorted(t) for t in chain.trans]
+
+
+def known_order_params():
+    """Every case as built and under two relabellings; the relabelled E8
+    cases take 15 s each and run with the slow tests."""
+    for name in sorted(KNOWN_ORDER_CASES):
+        for seed, label in [(None, "as-built"), (1, "relabelled-1"), (2, "relabelled-2")]:
+            marks = pytest.mark.slow if name == "e8_kissing" and seed else ()
+            yield pytest.param(name, seed, id=f"{name}-{label}", marks=marks)
+
+
+@pytest.mark.parametrize("name, seed", known_order_params())
+def test_known_order_chain_matches_full_chain(name, seed, request):
+    """A chain told the group's order stops early, yet has the base, the
+    generators of every level (in order, repeats included) and the orbits of
+    the full chain, for every point as forced first base point."""
+    c = KNOWN_ORDER_CASES[name](request)
+    if seed is not None:
+        c = relabel(c, seed=seed * 1000 + sum(map(ord, name)))
+    group = automorphism_group(colored_graph_from_config(c))
+    order = group.order()
+    for prefix in [()] + [(i,) for i in range(c.size)]:
+        full = _StabilizerChain(c.size, group.generators, base_prefix=prefix)
+        known = _StabilizerChain(c.size, group.generators, base_prefix=prefix, order=order)
+        assert full.order() == known.order() == order
+        assert chain_levels(known) == chain_levels(full)
+        assert transversal_points(known) == transversal_points(full)
+        for level in range(len(full.base) + 1):
+            assert known.level_generators(level) == full.level_generators(level)
+        if prefix:
+            stab = group.point_stabilizer(prefix[0])
+            assert stab.generators == PermutationGroup(c.size, full.level_generators(1)).generators
+            assert stab.order() == math.prod(len(t) for t in full.trans[1:])
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_group_balanced_matches_least_point_representatives(name, relabelled, request):
+    """The first base point stands for its orbit; verdict and witnesses are
+    those of the loop over each orbit's least point."""
+    c = ENGINE_CASES[name](request)
+    if relabelled:
+        c = relabel(c, seed=sum(map(ord, name)))
+    group = automorphism_group(colored_graph_from_config(c))
+    want = ref.group_balance_witnesses(
+        c.size, group.generators,
+        lambda gens: fixed_subspace_dim(c, PermutationGroup(c.size, gens)),
+    )
+    verdict = check_group_balanced(c, group)
+    assert verdict.witnesses == want
+    assert verdict.group_balanced is (not want)
+
+
+def test_group_balanced_matches_least_point_representatives_on_e8(e8_kissing):
+    group = automorphism_group(colored_graph_from_config(e8_kissing))
+    want = ref.group_balance_witnesses(
+        e8_kissing.size, group.generators,
+        lambda gens: fixed_subspace_dim(e8_kissing, PermutationGroup(e8_kissing.size, gens)),
+    )
+    assert check_group_balanced(e8_kissing, group).witnesses == want == ()
+
+
+@pytest.mark.parametrize("prefix", [(), (0,), (5,)])
+def test_chain_given_too_large_an_order_raises(c7p, prefix):
+    group = automorphism_group(colored_graph_from_config(c7p))
+    assert group.order() == 384
+    for wrong in (385, 768):
+        with pytest.raises(InvariantError, match="stabilizer chain has order 384"):
+            _StabilizerChain(c7p.size, group.generators, base_prefix=prefix, order=wrong)
+    _StabilizerChain(c7p.size, group.generators, base_prefix=prefix, order=384)
+
+
+def test_trivial_group_stabilizer_knows_its_order(paulus_r):
+    group = automorphism_group(colored_graph_from_config(paulus_r))
+    assert group.order() == 1
+    stab = group.point_stabilizer(3)
+    assert stab.generators == () and stab.order() == 1
 
 
 # --- the splitter signature table ---------------------------------------------
