@@ -181,12 +181,20 @@ def _balance_report_dict(rep) -> dict:
     }
 
 
+def _load_points(file, tol):
+    """The configuration or coordinates in file; then --tol, in either mode,
+    must be positive and finite."""
+    loaded = files.load_point_input(file)
+    numerics._require_positive("tolerance", tol)
+    return loaded
+
+
 @check.command("balanced")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Float mode only.")
 @input_errors
 def check_balanced_cmd(file, tol):
-    loaded = files.load_point_input(file)
+    loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
         rep = balance.check_balanced(loaded)
     else:
@@ -201,7 +209,7 @@ def check_balanced_cmd(file, tol):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @input_errors
 def check_design_cmd(file, cap, tol):
-    loaded = files.load_point_input(file)
+    loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
         verdict = designs.design_strength(loaded, cap)
         mode, strength = "exact", verdict.strength
@@ -219,7 +227,7 @@ def check_design_cmd(file, cap, tol):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @input_errors
 def check_theorem1_cmd(file, cap, tol):
-    loaded = files.load_point_input(file)
+    loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
         t1 = designs.theorem1_check(loaded, cap)
         mode, per_point, strength, applies = "exact", t1.per_point_k, t1.strength, t1.applies
@@ -354,7 +362,7 @@ def saddle_demo_cmd(exponent, samples):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @input_errors
 def report_cmd(file, cap, tol):
-    loaded = files.load_point_input(file)
+    loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
         rep = report.build_report(loaded, cap)
     else:

@@ -150,11 +150,11 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
             raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
         if pts.ndim != 2:
             raise InputError(f"{path}: 'coords' must be a rectangular N x r array")
-        for i, point in enumerate(pts):
-            if not np.isfinite(point).all():
-                raise InputError(f"{path}: coords[{i}] is not finite")
-            if not point.any():
-                raise InputError(f"{path}: coords[{i}] is the zero vector")
+        finite, nonzero = np.isfinite(pts).all(axis=1), pts.any(axis=1)
+        if not (finite & nonzero).all():
+            i = int(np.argmin(finite & nonzero))  # the first bad point
+            problem = "is the zero vector" if finite[i] else "is not finite"
+            raise InputError(f"{path}: coords[{i}] {problem}")
         return CoordinateSet(points=pts, label=doc.get("label"))
     raise InputError(f"{path}: expected a 'gram' or 'coords' field")
 

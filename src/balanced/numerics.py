@@ -4,6 +4,22 @@ float fallback pipeline for configurations with irrational inner products.
 
 Square roots happen only at the last step (pivot square roots); everything
 upstream of a CoordinateSet is exact.
+
+Float mode has the shape of exact mode: coordinates plus a shell labelling,
+tested one shell slot at a time.  Per tolerance, a `CoordinateSet` argsorts
+every row of its Gram matrix without the diagonal once (`_ShellTable`).  A
+row's shells are the runs of its sorted values whose consecutive gaps are
+<= tol; a run wider than tol, or two runs of a row less than 10*tol apart,
+makes the tolerance ambiguous.  A shell's value is the left-to-right sum of
+its sorted values, started from 0.0, divided by its size, and its members are
+the points within tol of that value.  The radial test takes one
+indicator-matrix product per slot k, the k-th shell of every row; a shell
+whose deviation clears the threshold by the rounding margin of
+`_near_threshold` passes, and every other shell is recomputed with the
+per-shell expressions, whose result decides and is reported.  Values,
+verdicts and deviations are thus those of a per-row, per-shell pass, bit for
+bit.  The spectrum is the same split of one row that holds every
+off-diagonal value.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ class CoordinateSet:
     points: np.ndarray
     label: Optional[str] = None
     source: Optional[Configuration] = None
-    _shells: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -46,15 +62,22 @@ class CoordinateSet:
         """Inner products of the unit vectors, unclipped."""
         return self.unit @ self.unit.T
 
+    @cached_property
+    def off_diagonal(self) -> np.ndarray:
+        """The Gram matrix without its diagonal: row i lists gram[i, j] for j != i."""
+        n = self.size
+        return self.gram[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+    def shell_table(self, tol: float) -> "_ShellTable":
+        """Every point's shells at tol, built once per tolerance."""
+        if tol not in self._tables:
+            self._tables[tol] = _ShellTable(self.off_diagonal, tol)
+        return self._tables[tol]
+
     def shells(self, tol: float) -> tuple[tuple[tuple[float, np.ndarray], ...], ...]:
         """Per point, the other points grouped into shells of inner products
-        within tol: ((representative, member indices), ...), ascending.
-
-        Each row is clustered on its own, once per tolerance.
-        """
-        if tol not in self._shells:
-            self._shells[tol] = tuple(_row_shells(row, i, tol) for i, row in enumerate(self.gram))
-        return self._shells[tol]
+        within tol: ((representative, member indices), ...), ascending."""
+        return self.shell_table(tol).shells
 
     @property
     def size(self) -> int:
@@ -200,37 +223,160 @@ def poles_and_ring_coordinates(k: int) -> CoordinateSet:
 # --- float fallback pipeline ------------------------------------------------
 
 
-def _cluster(values, tol: float):
-    """Group sorted floats into shells separated by > tol, with a 10*tol
-    ambiguity guard between shells."""
-    if not values:  # a single point has no other points
-        return []
-    values = sorted(values)
-    clusters = [[values[0]]]
-    for v in values[1:]:
-        if v - clusters[-1][-1] <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    for cl in clusters:
-        if cl[-1] - cl[0] > tol:
-            raise AmbiguousShellError(
-                f"shell of spread {cl[-1] - cl[0]:.3e} exceeds tolerance {tol:.3e}"
-            )
-    for prev, nxt in zip(clusters, clusters[1:]):
-        gap = nxt[0] - prev[-1]
-        if gap < 10 * tol:
-            raise AmbiguousShellError(
-                f"inner products {prev[-1]!r} and {nxt[0]!r} are {gap:.3e} apart: "
-                f"between tol and 10*tol; choose a different tolerance"
-            )
-    return [sum(cl) / len(cl) for cl in clusters]
+_EPS = 2.0**-53  # unit roundoff of float64
 
 
-def _row_shells(row: np.ndarray, i: int, tol: float):
-    others = np.delete(np.arange(len(row)), i)
-    vals = row[others]
-    return tuple((u, others[np.abs(vals - u) <= tol]) for u in _cluster(vals.tolist(), tol))
+def _split(s: np.ndarray, rows: np.ndarray, tol: float):
+    """Cut each row of `rows`, sorted ascending in `s`, into shells: runs of
+    consecutive gaps <= tol.  A run wider than tol, or two runs of a row less
+    than 10*tol apart, raises AmbiguousShellError.  Returns the value, row
+    and number of entries of each shell, row by row and ascending in a row."""
+    n, w = s.shape
+    if not s.size:  # one point: no other point, no shell
+        return np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    new = np.ones((n, w), dtype=bool)
+    new[:, 1:] = ~(s[:, 1:] - s[:, :-1] <= tol)  # a NaN gap opens a shell too
+    new = new.ravel()
+    s = s.ravel()
+    starts = np.flatnonzero(new)
+    lens = np.concatenate((starts[1:], [s.size])) - starts
+    row = starts // w
+    first, last = s[starts], s[starts + lens - 1]
+    wide = last - first > tol
+    close = (first[1:] - last[:-1] < 10 * tol) & (row[1:] == row[:-1])
+    if wide.any() or close.any():
+        raise _ambiguity(rows, first, last, row, wide, close, tol)
+    # each sum runs left to right: one accumulate along a block of equal-length runs
+    sums = np.empty(len(starts))
+    by_len = np.argsort(lens, kind="stable")
+    sorted_lens = lens[by_len]
+    cuts = [0, *(np.flatnonzero(sorted_lens[1:] != sorted_lens[:-1]) + 1).tolist(), len(lens)]
+    for a, b in zip(cuts, cuts[1:]):
+        q = by_len[a:b]
+        block = s[starts[q, None] + np.arange(sorted_lens[a])]
+        sums[q] = np.add.accumulate(block, axis=1)[:, -1]
+    # the accumulation starts from the first value; + 0.0 gives the 0.0 a sum
+    # from 0.0 gives for a run of -0.0, and changes no other sum
+    return (sums + 0.0) / lens, row, lens
+
+
+def _ambiguity(rows, first, last, row, wide, close, tol) -> AmbiguousShellError:
+    """The error for the first failing row: its first shell wider than tol,
+    else its first gap below 10*tol."""
+    i = min(row[wide].min(initial=len(rows)), row[1:][close].min(initial=len(rows)))
+    q = np.flatnonzero(wide & (row == i))
+    if len(q):
+        q = q[0]
+        return AmbiguousShellError(
+            f"shell of spread {float(last[q] - first[q]):.3e} exceeds tolerance {tol:.3e}"
+        )
+    q = np.flatnonzero(close & (row[1:] == i))[0]
+    lo, hi = float(last[q]), float(first[q + 1])
+    # a stable sort keeps equal zeros in row order; the argsort may not
+    zeros = rows[i][rows[i] == 0]
+    lo, hi = float(zeros[-1]) if lo == 0 else lo, float(zeros[0]) if hi == 0 else hi
+    return AmbiguousShellError(
+        f"inner products {lo!r} and {hi!r} are {hi - lo:.3e} apart: "
+        f"between tol and 10*tol; choose a different tolerance"
+    )
+
+
+def _cluster(values, tol: float) -> list[float]:
+    """Shell representatives of one list of floats: `_split` on one row."""
+    row = np.array(values, dtype=float).reshape(1, -1)
+    return _split(np.sort(row), row, tol)[0].tolist()
+
+
+class _ShellTable:
+    """Every point's shells at one tolerance, from one row-wise argsort of
+    `off`, the Gram matrix without its diagonal.  Shell q lies in row
+    `row[q]` at slot `slot[q]` (its rank in the row) with value `values[q]`
+    and `counts[q]` members; `labels[i, j]` is the slot of point j in row i,
+    or -1 on the diagonal and where |gram[i, j] - value| > tol."""
+
+    def __init__(self, off: np.ndarray, tol: float):
+        n = len(off)
+        order = np.argsort(off, axis=1)
+        s = np.take_along_axis(off, order, axis=1)
+        self.values, self.row, lens = _split(s, off, tol)
+        self.first = np.searchsorted(self.row, np.arange(n + 1))
+        self.slot = np.arange(len(self.row)) - self.first[self.row]
+        self._run = np.repeat(np.arange(len(self.row)), lens)  # shell of each sorted entry
+        self._member = np.abs(s.ravel() - np.repeat(self.values, lens)) <= tol
+        self._cols = (order + (order >= np.arange(n)[:, None])).ravel()  # row i skips i
+        self.counts = lens - np.bincount(self._run[~self._member], minlength=len(lens))
+        self.labels = np.full((n, n), -1)
+        self.labels.ravel()[np.repeat(self.row * n, lens) + self._cols] = np.where(
+            self._member, np.repeat(self.slot, lens), -1
+        )
+
+    def members(self, shells: np.ndarray) -> list[np.ndarray]:
+        """The ascending member indices of each of the given shells, which
+        are in ascending order."""
+        pick = np.zeros(len(self.row), dtype=bool)
+        pick[shells] = True
+        pick = pick[self._run] & self._member
+        run, cols = self._run[pick], self._cols[pick]
+        cols = cols[np.lexsort((cols, run))]
+        ends = np.cumsum(self.counts[shells]).tolist()
+        return [cols[a:b] for a, b in zip([0] + ends, ends)]
+
+    @cached_property
+    def shells(self) -> tuple[tuple[tuple[float, np.ndarray], ...], ...]:
+        shells = list(zip(self.values.tolist(), self.members(np.arange(len(self.row)))))
+        first = self.first.tolist()
+        return tuple(tuple(shells[a:b]) for a, b in zip(first, first[1:]))
+
+
+def _deviation_norm(unit: np.ndarray, members: np.ndarray, i: int) -> float:
+    """|S - (S . x) x| for the shell sum S of `members` around point x = unit[i],
+    in the per-shell summation order: S = unit[members].sum(axis=0), the
+    norm np.linalg.norm(dev), each called here without its Python wrapper
+    (np.add.reduce is what ndarray.sum calls, sqrt(dev.dot(dev)) what
+    np.linalg.norm computes for a 1-D float array).  The sum of one member
+    is that member up to the sign of a zero component, and no later step
+    sees that sign: a zero term changes no nonzero partial sum of the dot
+    product, and dev is squared."""
+    x = unit[i]
+    shell_sum = unit[members[0]] if len(members) == 1 else np.add.reduce(unit[members], axis=0)
+    dev = shell_sum - float(shell_sum @ x) * x
+    return math.sqrt(dev.dot(dev))
+
+
+def _near_threshold(t: _ShellTable, unit: np.ndarray, tol: float) -> np.ndarray:
+    """The shells, ascending, that do not pass the radial test by a clear
+    margin.
+
+    One product per slot gives every row's shell sum S = sum of unit[j] over
+    the members, in BLAS order; the coefficient, deviation and norm follow
+    as arrays.  `_deviation_norm` sums in another order, so the two results
+    differ.  Bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3-4): let eps = 2^-53, m the members, r the dimension and
+    mu >= 1 a bound on every |unit[j]|.  Any summation order of m vectors
+    (exact zero terms add no error) gives |S^ - S| <= gamma_{m-1} m mu with
+    gamma_k = k eps / (1 - k eps).  The map P = I - x x^T has norm at most
+    mu^2, so the exact |P S^| moves by at most mu^2 gamma_{m-1} m mu.  The
+    rounded coefficient moves the deviation by gamma_r mu^2 |S^|, the rounded
+    product and difference by 3 eps mu^2 |S^| between them, and the norm by
+    (r/2 + 1) eps mu^2 |S^|, with |S^| <= m mu (1 + gamma_{m-1}).  So each
+    computed norm lies within m mu^3 eps (m + 3r/2 + 3)(1 + eta) of the exact
+    |P S|, with eta = O((m + r) eps); two of them, plus the rounding of the
+    threshold, differ by less than B = 4 m (m + r + 2) mu^3 eps.  A shell
+    with deviation <= tol max(1, m) - B thus passes under either order;
+    every other shell, a NaN included, is returned for `_deviation_norm`.
+    """
+    n, r = unit.shape
+    mu = max(1.0, float(np.sqrt(np.einsum("ij,ij->i", unit, unit).max())))
+    m = t.counts
+    bar = np.full((n, int(t.slot.max(initial=-1)) + 1), np.inf)
+    bar[t.row, t.slot] = tol * np.maximum(1.0, m) - 4 * m * (m + r + 2) * mu**3 * _EPS
+    square = np.empty(bar.shape)
+    for k in range(bar.shape[1]):
+        s = (t.labels == k).astype(float) @ unit
+        d = s - np.einsum("ij,ij->i", s, unit)[:, None] * unit
+        square[:, k] = np.einsum("ij,ij->i", d, d)
+    i, k = np.nonzero(~(np.sqrt(square) <= bar))
+    return t.first[i] + k
 
 
 @dataclass(frozen=True)
@@ -250,18 +396,16 @@ class FloatBalanceReport:
 def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
     """Shell-sum proportionality with tolerance-based shell grouping."""
     _require_positive("tolerance", tol)
+    t = p.shell_table(tol)
     unit = p.unit
+    near = _near_threshold(t, unit, tol)
     violations = []
-    for i, shells in enumerate(p.shells(tol)):
-        for u, members in shells:
-            shell_sum = unit[members].sum(axis=0)
-            coeff = float(shell_sum @ unit[i])
-            dev = shell_sum - coeff * unit[i]
-            dev_norm = float(np.linalg.norm(dev))
-            if dev_norm > tol * max(1.0, float(len(members))):
-                violations.append(
-                    FloatViolation(point=i, shell_value=float(u), deviation_norm=dev_norm)
-                )
+    shells = zip(t.row[near].tolist(), t.values[near].tolist(), t.members(near),
+                 (tol * np.maximum(1.0, t.counts[near])).tolist())
+    for i, u, members, threshold in shells:
+        dev_norm = _deviation_norm(unit, members, i)
+        if dev_norm > threshold:
+            violations.append(FloatViolation(point=i, shell_value=u, deviation_norm=dev_norm))
     return FloatBalanceReport(
         balanced=not violations, violations=tuple(violations), tol=tol
     )
@@ -270,8 +414,8 @@ def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceRep
 def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     """Clustered distinct off-diagonal inner products."""
     _require_positive("tolerance", tol)
-    off = ~np.eye(p.size, dtype=bool)
-    return tuple(_cluster(p.gram[off].tolist(), tol))
+    row = p.off_diagonal.reshape(1, -1)
+    return tuple(_split(np.sort(row), row, tol)[0].tolist())
 
 
 def _float_gegenbauer_moments(gram: np.ndarray, n_dim: int, cap: int) -> list[float]:
@@ -306,10 +450,9 @@ def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     are excluded, as in the exact check.
     """
     _require_positive("tolerance", tol)
-    per_point = [
-        sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in shells)
-        for shells in p.shells(tol)
-    ]
+    t = p.shell_table(tol)
+    counted = (np.abs(t.values - 1.0) > tol) & (np.abs(t.values + 1.0) > tol)
+    per_point = np.bincount(t.row[counted], minlength=p.size).tolist()
     strength, _ = design_strength_float(p, cap, tol)
     applies = max(per_point) <= strength
     return tuple(per_point), strength, applies

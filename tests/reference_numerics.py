@@ -1,0 +1,92 @@
+"""Per-row, per-shell float pipeline: the oracle for the shell table.
+
+Each row of the Gram matrix is clustered on its own in pure Python and each
+shell is tested with its own numpy expressions, as `balanced.numerics` did
+before it cut every row at once.  Only the means differ in form: they are
+explicit left-to-right loops from 0.0, because from CPython 3.12 on `sum()`
+of floats is compensated.  Every function reads `p.gram` and `p.unit`, so a
+test may replace the Gram matrix of a CoordinateSet and both sides see it.
+"""
+
+import numpy as np
+
+from balanced.numerics import (
+    AmbiguousShellError,
+    FloatBalanceReport,
+    FloatViolation,
+    design_strength_float,
+)
+
+
+def _mean(cluster):
+    total = 0.0
+    for v in cluster:
+        total += v
+    return total / len(cluster)
+
+
+def cluster(values, tol):
+    """Group sorted floats into shells separated by > tol, with a 10*tol
+    ambiguity guard between shells."""
+    if not values:  # a single point has no other points
+        return []
+    values = sorted(values)
+    clusters = [[values[0]]]
+    for v in values[1:]:
+        if v - clusters[-1][-1] <= tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    for cl in clusters:
+        if cl[-1] - cl[0] > tol:
+            raise AmbiguousShellError(
+                f"shell of spread {cl[-1] - cl[0]:.3e} exceeds tolerance {tol:.3e}"
+            )
+    for prev, nxt in zip(clusters, clusters[1:]):
+        gap = nxt[0] - prev[-1]
+        if gap < 10 * tol:
+            raise AmbiguousShellError(
+                f"inner products {prev[-1]!r} and {nxt[0]!r} are {gap:.3e} apart: "
+                f"between tol and 10*tol; choose a different tolerance"
+            )
+    return [_mean(cl) for cl in clusters]
+
+
+def row_shells(row, i, tol):
+    others = np.delete(np.arange(len(row)), i)
+    vals = row[others]
+    return tuple((u, others[np.abs(vals - u) <= tol]) for u in cluster(vals.tolist(), tol))
+
+
+def shells(p, tol):
+    return tuple(row_shells(row, i, tol) for i, row in enumerate(p.gram))
+
+
+def check_balanced_float(p, tol):
+    unit = p.unit
+    violations = []
+    for i, row in enumerate(shells(p, tol)):
+        for u, members in row:
+            shell_sum = unit[members].sum(axis=0)
+            coeff = float(shell_sum @ unit[i])
+            dev = shell_sum - coeff * unit[i]
+            dev_norm = float(np.linalg.norm(dev))
+            if dev_norm > tol * max(1.0, float(len(members))):
+                violations.append(
+                    FloatViolation(point=i, shell_value=float(u), deviation_norm=dev_norm)
+                )
+    return FloatBalanceReport(balanced=not violations, violations=tuple(violations), tol=tol)
+
+
+def spectrum_float(p, tol):
+    off = ~np.eye(p.size, dtype=bool)
+    return tuple(cluster(p.gram[off].tolist(), tol))
+
+
+def theorem1_check_float(p, cap, tol):
+    per_point = [
+        sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in row)
+        for row in shells(p, tol)
+    ]
+    strength, _ = design_strength_float(p, cap, tol)
+    return tuple(per_point), strength, max(per_point) <= strength

@@ -409,6 +409,30 @@ class TestNonFiniteOptions:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    @pytest.fixture()
+    def exact_cube(self, tmp_path, cube_config):
+        f = tmp_path / "cube.json"
+        write_configuration(cube_config, f)
+        return str(f)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "balanced"], ["check", "design"], ["check", "theorem1"], ["report"]],
+    )
+    def test_tolerance_in_exact_mode(self, runner, exact_cube, command, value):
+        """Exact mode does not use --tol, but it rejects the same values."""
+        res = invoke(runner, [*command, exact_cube, "--tol", value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: tolerance must be positive and finite, got {float(value)}\n"
+
+    def test_bad_file_is_reported_before_the_tolerance(self, runner, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        res = invoke(runner, ["check", "balanced", missing, "--tol", "nan"])
+        assert res.exit_code == 2
+        assert "tolerance" not in res.stderr and "missing.json" in res.stderr
+
     def test_valid_tolerance_still_answers(self, runner, unbalanced):
         res = invoke(runner, ["check", "balanced", unbalanced, "--tol", "1e-9"])
         assert res.exit_code == 1
@@ -438,3 +462,21 @@ def test_single_float_point_is_balanced(runner, tmp_path):
     res = invoke(runner, ["report", str(f), "--cap", "3"])
     assert res.exit_code == 0
     assert json.loads(res.output)["spectrum"] == []
+
+
+@pytest.mark.parametrize(
+    "coords, problem",
+    [
+        ("[[0, 0], [1, 0]]", "coords[0] is the zero vector"),
+        ("[[1, 0], [0, 0], [NaN, 1]]", "coords[1] is the zero vector"),
+        ("[[1, 0], [NaN, 1], [0, 0]]", "coords[1] is not finite"),
+        ("[[1, 0], [0, 1], [1, -Infinity]]", "coords[2] is not finite"),
+        ("[[]]", "coords[0] is the zero vector"),
+    ],
+)
+def test_coordinate_checks_name_the_first_bad_point(runner, tmp_path, coords, problem):
+    f = tmp_path / "bad.json"
+    f.write_text(f'{{"coords": {coords}}}')
+    res = invoke(runner, ["check", "balanced", str(f)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {f}: {problem}\n"

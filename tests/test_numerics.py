@@ -36,7 +36,7 @@ from balanced.numerics import (
     theorem1_check_float,
 )
 
-# every configuration the constructors build, up to E8 kissing
+# every configuration the constructors build, up to K12 kissing
 CONSTRUCTED = {
     **{f"c{n}": functools.partial(simplex_midpoints, n) for n in range(3, 10)},
     **{f"cross{n}": functools.partial(cross_polytope, n) for n in range(2, 7)},
@@ -49,7 +49,7 @@ CONSTRUCTED = {
     "paulus_r": lambda: srg_spectral_embedding(figure1_adjacency(), "r"),
     "paulus_s": lambda: srg_spectral_embedding(figure1_adjacency(), "s"),
     **{f"{name}_kissing": functools.partial(kissing_configuration, bundled_lattice(name))
-       for name in ("z2", "d4", "e8")},
+       for name in ("z2", "d4", "e8", "k12")},
 }
 
 
@@ -208,7 +208,7 @@ class TestFloatBalance:
     @pytest.mark.parametrize("drop", [False, True], ids=["whole", "two-dropped"])
     @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
     def test_exact_float_agreement_on_constructed(self, name, drop):
-        """Every configuration the constructors build, up to E8 kissing, and
+        """Every configuration the constructors build, up to K12 kissing, and
         the same with two seeded points removed: the float check at tol 1e-9
         finds the violating points the exact check finds.  Clustering is
         unambiguous on every case, so an AmbiguousShellError fails the test."""
