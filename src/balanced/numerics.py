@@ -55,7 +55,18 @@ class CoordinateSet:
 
     @cached_property
     def unit(self) -> np.ndarray:
-        return self.points / np.linalg.norm(self.points, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # huge rows are caught below
+            norms = np.linalg.norm(self.points, axis=1, keepdims=True)
+        off = ((norms == 0) | np.isinf(norms))[:, 0]
+        if not off.any():
+            return self.points / norms
+        # the squares of these rows underflow to 0 or overflow to inf: scale
+        # each by the power of two that brings its largest entry into [1/2, 1)
+        points = self.points.copy()
+        _, e = np.frexp(np.abs(points[off]).max(axis=1, keepdims=True))
+        points[off] = np.ldexp(points[off], -e)
+        norms[off] = np.linalg.norm(points[off], axis=1, keepdims=True)
+        return points / norms
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -422,13 +433,13 @@ def _float_gegenbauer_moments(gram: np.ndarray, n_dim: int, cap: int) -> list[fl
     moments = []
     prev = np.ones_like(gram)
     cur = gram.copy()
-    for k in range(1, cap + 1):
+    for k in range(1, cap + 1 if n_dim > 1 else 2):  # on S^0 only G_1 = u is nontrivial
         if k > 1:
             prev, cur = cur, ((2 * k + n_dim - 4) * gram * cur - (k - 1) * prev) / (
                 k + n_dim - 3
             )
         moments.append(float(cur.sum()))
-    return moments
+    return moments + [0.0] * (cap - len(moments))
 
 
 def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):

@@ -17,10 +17,14 @@ queued: the last one's counts are its parent's minus its siblings', and both
 have refined the partition before it would be popped, so it could split
 nothing.
 
-Group orders come from a deterministic Schreier-Sims stabilizer chain.  A
-point stabilizer is level 1 of the group's own chain when the point is its
-first base point, and otherwise a chain with the point as forced first base
-point that stops as soon as its transversals multiply to the group's order.
+The group's order and the stabilizer of the first individualized vertex come
+from the search: the leftmost path is a base, and the generators found at
+each depth are a strong generating set (see `automorphism_group`).  A
+Schreier-Sims chain is built only for the stabilizer of another point and for
+every stabilizer `point_stabilizer` hands out: level 1 of the group's own
+chain when the point is its first base point, and otherwise a chain with the
+point as forced first base point.  Either chain stops as soon as its
+transversals multiply to the group's order.
 
 A vertex's signature against a splitter, its count vector of splitter edge
 colours, is one base-n integer (n vertices, k edge colours): the sum over
@@ -109,10 +113,12 @@ def _invert(p: np.ndarray) -> np.ndarray:
 
 
 class _Orbits:
-    """Union-find over 0..n-1: the orbits of the permutations added so far."""
+    """Union-find over 0..n-1: the orbits of the permutations added so far.
+    size[r] is the size of the orbit whose root is r."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.size = [1] * n
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -127,7 +133,9 @@ class _Orbits:
             if a != b:
                 ra, rb = find(a), find(b)
                 if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                    lo, hi = min(ra, rb), max(ra, rb)
+                    parent[hi] = lo
+                    self.size[lo] += self.size[hi]
 
 
 class _StabilizerChain:
@@ -269,8 +277,14 @@ class PermutationGroup:
     """Permutation group given by generators; chain built on demand.
 
     A point stabilizer comes with its order, read off the chain it was taken
-    from, so its own chain (if ever needed) stops early too.
+    from, so its own chain (if ever needed) stops early too.  A group from
+    `automorphism_group` knows its order from the search, and the stabilizer
+    of the search's first individualized vertex v_0 as (v_0, G_v0).
     """
+
+    # set from a complete chain, or from the search by automorphism_group
+    _order: Optional[int] = None
+    _first_stabilizer: Optional[tuple[int, "PermutationGroup"]] = None
 
     def __init__(self, degree: int, generators: Sequence[Perm] = ()):
         self.degree = int(degree)
@@ -285,7 +299,6 @@ class PermutationGroup:
                 gens[g] = None
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._chain: Optional[_StabilizerChain] = None
-        self._order: Optional[int] = None  # only ever set from a complete chain
 
     def _get_chain(self) -> _StabilizerChain:
         if self._chain is None:
@@ -324,14 +337,18 @@ class PermutationGroup:
 
     def point_stabilizer(self, i: int) -> "PermutationGroup":
         """The stabilizer of point i, generated by level 1 of a chain with base
-        prefix (i,).  If i is the first base point of the group's own chain,
-        that chain is one: it starts from the same generators, and its first
-        generator, moving i, sifts into level 0 just as with the prefix, so
-        both chains run step for step alike."""
+        prefix (i,).  The group's own chain has as first base point the first
+        point moved by generators[0], which sifts into the empty chain.  If
+        that point is i, the own chain is one such chain: it starts from the
+        same generators, and its first generator, moving i, sifts into level 0
+        just as with the prefix, so both chains run step for step alike.
+        Either chain is told the group's order."""
         if not 0 <= i < self.degree:
             raise StructuralError(f"point index {i} out of range")
-        chain = self._get_chain()
-        if chain.base[:1] != [i]:
+        g = self.generators[0] if self.generators else ()
+        if next((a for a, b in enumerate(g) if a != b), None) == i:
+            chain = self._get_chain()
+        else:
             chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
                                      order=self.order())
         stab = PermutationGroup(self.degree, chain.level_generators(1))
@@ -441,7 +458,22 @@ def _preserves_colors(colours: np.ndarray, vertex_colours: np.ndarray, p: np.nda
 
 
 def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
-    """Full automorphism group of an edge-colored complete graph."""
+    """Full automorphism group of an edge-colored complete graph, with its
+    order and the stabilizer of the first individualized vertex.
+
+    The leftmost path individualizes v_0, v_1, ..., each the first vertex of
+    its node's target cell.  Let H_k be the group generated by the generators
+    found at depth >= k: each maps the first leaf to a leaf below v_0..v_{k-1}
+    and so fixes them, and H_{k+1} <= Stab_{H_k}(v_k).  When the spine node at
+    depth k ends its loop, the generators found so far are exactly those of
+    H_k (the shallower ones come later), so the union-find orbit of v_k is
+    v_k^{H_k}.  Hence prod_k |v_k^{H_k}| <= |<gens>| <= |Aut| from group
+    theory alone.  Equality, H_{k+1} = Stab_{H_k}(v_k) and H_0 = Aut, is the
+    exhaustiveness of the spine search that makes <gens> = Aut: every vertex
+    of v_k's cell is searched or lies in the orbit of one that was.  The
+    generators found below depth 0 generate H_1 = G_{v_0}, of order
+    |G| / |v_0^G|.  A chain built later is told the order and checks it.
+    """
     n = graph.size
     if n == 0:
         return PermutationGroup(0)
@@ -451,6 +483,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     state = {"first_leaf": None}
     gens: list[Perm] = []
     orbits = _Orbits(n)
+    spine_orbits: list[int] = []  # |v_k^{H_k}|, deepest first
     invariants: dict[int, object] = {}
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
@@ -496,10 +529,14 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             rest = tuple(u for u in cell if u != v)
             child = cells[:ti] + [(v,), rest] + cells[ti + 1:]
             res = search(child, [(v,)], depth + 1, child_leftmost)
+            if depth == 0 and not explored:
+                state["v0"], state["stabilizer_gens"] = v, len(gens)  # H_1 = G_{v_0}
             explored.append(v)
             found = found or res
             if res and not leftmost:
                 return True  # one coset representative is enough off the spine
+        if leftmost:
+            spine_orbits.append(orbits.size[orbits.find(cell[0])])
         return found
 
     cells = _initial_cells(graph)
@@ -510,6 +547,11 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             _preserves_colors(colours, vertex_colours, np.array(g, dtype=np.intp)),
             "automorphism search returned a non-automorphism",
         )
+    group._order = math.prod(spine_orbits)
+    if spine_orbits:
+        stab = PermutationGroup(n, gens[:state["stabilizer_gens"]])
+        stab._order = math.prod(spine_orbits[:-1])
+        group._first_stabilizer = (state["v0"], stab)
     return group
 
 
@@ -564,18 +606,17 @@ def check_group_balanced(
     """True iff every point's stabilizer fixes only the line through it.
 
     Conjugate stabilizers have equal fixed dimensions, so one representative
-    per orbit is checked and the verdict extended orbit-wide.  The first base
-    point of the group's chain represents its orbit, since its stabilizer is
-    read off that chain; other orbits use their least point.
+    per orbit is checked and the verdict extended orbit-wide.  For a group
+    from `automorphism_group`, the orbit of the search's first individualized
+    vertex uses the stabilizer the search found; every other orbit uses its
+    least point.
     """
     if group is None:
         group = automorphism_group(colored_graph_from_config(c))
-    # order() builds the group's own chain; a trivial group has no base point
-    first = group._get_chain().base[:1] if group.order() > 1 else []
+    v0, first = group._first_stabilizer or (None, None)
     witnesses: list[int] = []
     for orbit in group.orbits():
-        rep = next((b for b in first if b in orbit), orbit[0])
-        stab = group.point_stabilizer(rep)
+        stab = first if v0 in orbit else group.point_stabilizer(orbit[0])
         dim = fixed_subspace_dim(c, stab)
         if dim != 1:
             witnesses.extend(orbit)

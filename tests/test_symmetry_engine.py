@@ -191,8 +191,9 @@ def test_known_order_chain_matches_full_chain(name, seed, request):
 @pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
 @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
 def test_group_balanced_matches_least_point_representatives(name, relabelled, request):
-    """The first base point stands for its orbit; verdict and witnesses are
-    those of the loop over each orbit's least point."""
+    """The search's first individualized vertex stands for its orbit;
+    verdict and witnesses are those of the loop over each orbit's least
+    point."""
     c = ENGINE_CASES[name](request)
     if relabelled:
         c = relabel(c, seed=sum(map(ord, name)))
