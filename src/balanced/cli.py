@@ -183,9 +183,11 @@ def _balance_report_dict(rep) -> dict:
 
 def _load_points(file, tol):
     """The configuration or coordinates in file; then --tol, in either mode,
-    must be positive and finite."""
+    must be positive and finite, and no two float points may coincide at it."""
     loaded = files.load_point_input(file)
     numerics._require_positive("tolerance", tol)
+    if isinstance(loaded, numerics.CoordinateSet):
+        numerics._require_distinct(loaded, tol)
     return loaded
 
 

@@ -206,20 +206,6 @@ def c7_prime(tetra: Optional[Sequence[int]] = None) -> Configuration:
     return invert_tetrahedron(simplex_midpoints(7), tetra)
 
 
-def count_tetrahedra(c: Configuration, i: int) -> int:
-    """Number of 4-subsets through point i with all inner products -1/3."""
-    n = c.size
-    if not 0 <= i < n:
-        raise StructuralError(f"point index {i} out of range")
-    if Fraction(-1, 3) not in c.gram.values:
-        return 0
-    third = c.gram.colours == c.gram.values.index(Fraction(-1, 3))
-    nbrs = np.flatnonzero(third[i])
-    # the 4-subsets through i are the triangles among its -1/3 neighbours
-    sub = third[np.ix_(nbrs, nbrs)].astype(np.int64)
-    return int(np.trace(sub @ sub @ sub)) // 6
-
-
 def antipodal_union(c: Configuration) -> Configuration:
     """Union with the antipodal copy; Gram is the block matrix [[G,-G],[-G,G]]."""
     if c.gram.values[0] == -1:  # the smallest value, when present

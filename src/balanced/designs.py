@@ -32,17 +32,20 @@ def gegenbauer_eval(n: int, k: int, u: Fraction) -> Fraction:
         raise StructuralError(f"dimension {n} < 2")
     if k < 0:
         raise StructuralError(f"negative degree {k}")
-    return _zonal_series(n, k, Fraction(u))[k]
+    return list(_zonal_series(n, k, Fraction(u)))[k]
 
 
-def _zonal_series(n: int, cap: int, u: Fraction) -> list[Fraction]:
-    """[G_0(u), ..., G_cap(u)] for dimension n, in one pass of the recurrence."""
-    series = [Fraction(1), u]
+def _zonal_series(n: int, cap: int, u):
+    """G_0(u), ..., G_cap(u) for dimension n, yielded in one pass of the
+    recurrence, which holds two terms at a time.  u is a Fraction, or a float
+    array evaluated entrywise."""
+    prev, cur = u ** 0, u
+    yield from (prev, cur)[: cap + 1]
     for m in range(2, cap + 1):
         # on S^0 (n = 1) the only nontrivial harmonic is u itself
-        series.append(Fraction(0) if n == 1 else (
-            (2 * m + n - 4) * u * series[-1] - (m - 1) * series[-2]) / (m + n - 3))
-    return series[: cap + 1]
+        prev, cur = cur, 0 * u if n == 1 else (
+            (2 * m + n - 4) * u * cur - (m - 1) * prev) / (m + n - 3)
+        yield cur
 
 
 @dataclass(frozen=True)

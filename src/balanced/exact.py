@@ -289,13 +289,6 @@ def ldl_decompose(m: Sequence[Sequence[Fraction]]):
     return _eliminate(m).ldl()
 
 
-def is_positive_semidefinite(m: Sequence[Sequence[Fraction]]) -> bool:
-    try:
-        return _eliminate(m).psd
-    except IndefinitePivotError:
-        return False
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric unit-diagonal PSD rational matrix of pairwise inner products.
@@ -360,10 +353,6 @@ class GramMatrix:
     @property
     def rank(self) -> int:
         return self.elimination.rank
-
-    def ldl(self):
-        """(L, D, perm) exactly as ldl_decompose(self.entries), without re-eliminating."""
-        return self.elimination.ldl()
 
     def shells(self, i: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
         """The points other than i grouped by inner product with i, ascending:

@@ -27,10 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
+from .designs import _zonal_series
 from .exact import Configuration, StructuralError
 
 
@@ -110,20 +112,21 @@ def coordinates_from_gram(c: Configuration) -> CoordinateSet:
     return CoordinateSet(points=np.array(pts, dtype=float), label=c.label, source=c)
 
 
-def reconstruction_residual(p: CoordinateSet) -> float:
-    """max |<p_i, p_j> - gram[i][j]| against the exact source Gram."""
-    if p.source is None:
-        raise StructuralError("coordinate set has no exact source to compare against")
-    gram = p.points @ p.points.T
-    exact = np.array([float(u) for u in p.source.gram.values])[p.source.gram.colours]
-    return float(np.abs(gram - exact).max())
-
-
 def _require_positive(what: str, x: float) -> None:
     """Tolerances and exponents must be positive and finite: a NaN compares
     false with everything, so it would pass every test it is used in."""
     if not (math.isfinite(x) and x > 0):
         raise StructuralError(f"{what} must be positive and finite, got {x}")
+
+
+def _require_distinct(p: CoordinateSet, tol: float) -> None:
+    """No two points may coincide: two unit vectors whose inner product is
+    within tol of 1 coincide, as two points at inner product 1 do in exact
+    mode."""
+    for k in np.flatnonzero(p.gram >= 1.0 - tol).tolist():  # i == j: a point with itself
+        i, j = divmod(k, p.size)
+        if i < j:
+            raise StructuralError(f"points {i} and {j} coincide (inner product >= 1 - {tol:g})")
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -292,12 +295,6 @@ def _ambiguity(rows, first, last, row, wide, close, tol) -> AmbiguousShellError:
     )
 
 
-def _cluster(values, tol: float) -> list[float]:
-    """Shell representatives of one list of floats: `_split` on one row."""
-    row = np.array(values, dtype=float).reshape(1, -1)
-    return _split(np.sort(row), row, tol)[0].tolist()
-
-
 class _ShellTable:
     """Every point's shells at one tolerance, from one row-wise argsort of
     `off`, the Gram matrix without its diagonal.  Shell q lies in row
@@ -429,26 +426,13 @@ def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     return tuple(_split(np.sort(row), row, tol)[0].tolist())
 
 
-def _float_gegenbauer_moments(gram: np.ndarray, n_dim: int, cap: int) -> list[float]:
-    moments = []
-    prev = np.ones_like(gram)
-    cur = gram.copy()
-    for k in range(1, cap + 1 if n_dim > 1 else 2):  # on S^0 only G_1 = u is nontrivial
-        if k > 1:
-            prev, cur = cur, ((2 * k + n_dim - 4) * gram * cur - (k - 1) * prev) / (
-                k + n_dim - 3
-            )
-        moments.append(float(cur.sum()))
-    return moments + [0.0] * (cap - len(moments))
-
-
 def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(strength, moments) in float mode; zero test scaled by N^2."""
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
     _require_positive("tolerance", tol)
     gram = np.clip(p.gram, -1.0, 1.0)
-    moments = _float_gegenbauer_moments(gram, p.dim, cap)
+    moments = [float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None)]
     threshold = tol * p.size * p.size
     strength = next((k for k, m in enumerate(moments) if abs(m) > threshold), cap)
     return strength, {k: m for k, m in enumerate(moments, start=1)}

@@ -21,10 +21,9 @@ The group's order and the stabilizer of the first individualized vertex come
 from the search: the leftmost path is a base, and the generators found at
 each depth are a strong generating set (see `automorphism_group`).  A
 Schreier-Sims chain is built only for the stabilizer of another point and for
-every stabilizer `point_stabilizer` hands out: level 1 of the group's own
-chain when the point is its first base point, and otherwise a chain with the
-point as forced first base point.  Either chain stops as soon as its
-transversals multiply to the group's order.
+every stabilizer `point_stabilizer` hands out: a chain with the point as
+forced first base point, which stops as soon as its transversals multiply to
+the group's order.
 
 A vertex's signature against a splitter, its count vector of splitter edge
 colours, is one base-n integer (n vertices, k edge colours): the sum over
@@ -54,7 +53,6 @@ class ColoredGraph:
 
     size: int
     edge_colors: tuple[tuple[int, ...], ...]  # symmetric; diagonal entries are -1
-    vertex_colors: tuple[int, ...]
     color_values: tuple[Fraction, ...] = ()
     n_edge_colors: int = field(init=False)
 
@@ -70,7 +68,6 @@ def colored_graph_from_config(c: Configuration) -> ColoredGraph:
     return ColoredGraph(
         size=c.size,
         edge_colors=tuple(map(tuple, colours.tolist())),
-        vertex_colors=(0,) * c.size,
         color_values=c.gram.values[:-1],
     )
 
@@ -89,7 +86,7 @@ def colored_graph_from_adjacency(adjacency: Sequence[Sequence[int]]) -> ColoredG
         if row[i] != 0:
             raise StructuralError(f"adjacency diagonal [{i}][{i}] nonzero")
         rows.append(tuple(-1 if i == j else int(row[j]) for j in range(n)))
-    return ColoredGraph(size=n, edge_colors=tuple(rows), vertex_colors=(0,) * n)
+    return ColoredGraph(size=n, edge_colors=tuple(rows))
 
 
 def adjacency_complement(adjacency: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -274,10 +271,10 @@ class _StabilizerChain:
 
 
 class PermutationGroup:
-    """Permutation group given by generators; chain built on demand.
+    """Permutation group given by generators; a chain is built on demand.
 
     A point stabilizer comes with its order, read off the chain it was taken
-    from, so its own chain (if ever needed) stops early too.  A group from
+    from, so a chain built from it stops early too.  A group from
     `automorphism_group` knows its order from the search, and the stabilizer
     of the search's first individualized vertex v_0 as (v_0, G_v0).
     """
@@ -298,22 +295,11 @@ class PermutationGroup:
             if g != identity:
                 gens[g] = None
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._chain: Optional[_StabilizerChain] = None
-
-    def _get_chain(self) -> _StabilizerChain:
-        if self._chain is None:
-            self._chain = _StabilizerChain(self.degree, self.generators, order=self._order)
-        return self._chain
 
     def order(self) -> int:
         if self._order is None:
-            self._order = self._get_chain().order()
+            self._order = _StabilizerChain(self.degree, self.generators).order()
         return self._order
-
-    def contains(self, perm: Sequence[int]) -> bool:
-        chain = self._get_chain()
-        residue, _ = chain.strip(np.array(perm, dtype=np.intp))
-        return chain._is_identity(residue)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.degree
@@ -337,20 +323,11 @@ class PermutationGroup:
 
     def point_stabilizer(self, i: int) -> "PermutationGroup":
         """The stabilizer of point i, generated by level 1 of a chain with base
-        prefix (i,).  The group's own chain has as first base point the first
-        point moved by generators[0], which sifts into the empty chain.  If
-        that point is i, the own chain is one such chain: it starts from the
-        same generators, and its first generator, moving i, sifts into level 0
-        just as with the prefix, so both chains run step for step alike.
-        Either chain is told the group's order."""
+        prefix (i,), told the group's order."""
         if not 0 <= i < self.degree:
             raise StructuralError(f"point index {i} out of range")
-        g = self.generators[0] if self.generators else ()
-        if next((a for a, b in enumerate(g) if a != b), None) == i:
-            chain = self._get_chain()
-        else:
-            chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
-                                     order=self.order())
+        chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
+                                 order=self.order())
         stab = PermutationGroup(self.degree, chain.level_generators(1))
         stab._order = math.prod(map(len, chain.trans[1:]))
         return stab
@@ -443,18 +420,14 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
     return cells, invariant
 
 
-def _initial_cells(graph: ColoredGraph) -> list[tuple[int, ...]]:
-    buckets: dict[int, list[int]] = {}
-    for v, c in enumerate(graph.vertex_colors):
-        buckets.setdefault(c, []).append(v)
-    return [tuple(buckets[c]) for c in sorted(buckets)]
-
-
-def _preserves_colors(colours: np.ndarray, vertex_colours: np.ndarray, p: np.ndarray) -> bool:
-    return bool(
-        (vertex_colours[p] == vertex_colours).all()
-        and (colours[np.ix_(p, p)] == colours).all()
-    )
+def _moved_pair(colours: np.ndarray, p: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first pair (i, j) in row-major order whose colour the permutation p
+    changes, or None.  The diagonal holds one colour (-1 in the search, the
+    top colour in the Gram table) and p maps it onto itself, so it never
+    moves; the colours are symmetric, so the first moved pair has i < j."""
+    moved = (colours[np.ix_(p, p)] != colours).ravel()
+    k = int(moved.argmax())
+    return divmod(k, len(p)) if moved[k] else None
 
 
 def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
@@ -478,7 +451,6 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     if n == 0:
         return PermutationGroup(0)
     colours = np.array(graph.edge_colors, dtype=np.intp)
-    vertex_colours = np.array(graph.vertex_colors, dtype=np.intp)
     weights, rows = _signature_table(colours, graph.n_edge_colors)
     state = {"first_leaf": None}
     gens: list[Perm] = []
@@ -508,7 +480,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
                 return False
             p = np.empty(n, dtype=np.intp)
             p[state["first_leaf"]] = leaf
-            if _preserves_colors(colours, vertex_colours, p):
+            if _moved_pair(colours, p) is None:
                 gens.append(tuple(p.tolist()))
                 orbits.add(gens[-1])
                 return True
@@ -539,14 +511,12 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             spine_orbits.append(orbits.size[orbits.find(cell[0])])
         return found
 
-    cells = _initial_cells(graph)
+    cells = [tuple(range(n))]
     search(cells, cells, 0, True)
     group = PermutationGroup(n, gens)
     for g in group.generators:
-        require(
-            _preserves_colors(colours, vertex_colours, np.array(g, dtype=np.intp)),
-            "automorphism search returned a non-automorphism",
-        )
+        require(_moved_pair(colours, np.array(g, dtype=np.intp)) is None,
+                "automorphism search returned a non-automorphism")
     group._order = math.prod(spine_orbits)
     if spine_orbits:
         stab = PermutationGroup(n, gens[:state["stabilizer_gens"]])
@@ -558,30 +528,23 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
 # --- fixed subspaces and group-balancedness ---------------------------------
 
 
-def _check_preserves_gram(c: Configuration, group: PermutationGroup) -> None:
-    # value-table colours are a bijection with the Gram values, so comparing
-    # colours is comparing the exact entries
-    colours = c.gram.colours
-    n = len(colours)
-    for p in group.generators:
-        if len(p) != n:
-            raise StructuralError("permutation degree does not match configuration")
-        p = np.array(p, dtype=np.intp)
-        moved = np.triu(colours[np.ix_(p, p)] != colours, 1)
-        if moved.any():
-            i, j = np.argwhere(moved)[0].tolist()
-            raise StructuralError(f"permutation does not preserve the Gram matrix at ({i},{j})")
-
-
 def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
     """Dimension of the subspace of span(C) fixed by the induced action.
 
     The fixed space of a permutation-induced orthogonal action on span(C) is
     spanned by the orbit sums, so its dimension is the rank of B X, with B
     the orbit indicator matrix and X the integer coordinates of the Gram
-    elimination (den * G = X W X^T, W a positive diagonal).
+    elimination (den * G = X W X^T, W a positive diagonal).  Value-table
+    colours are a bijection with the Gram values, so a permutation that
+    keeps every colour keeps every entry.
     """
-    _check_preserves_gram(c, group)
+    for p in group.generators:
+        if len(p) != c.size:
+            raise StructuralError("permutation degree does not match configuration")
+        pair = _moved_pair(c.gram.colours, np.array(p, dtype=np.intp))
+        if pair is not None:
+            raise StructuralError(
+                f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
     orbs = group.orbits()
     if len(orbs) == c.size:
         # trivial action: B is a permutation matrix and rank(B X) = rank(X)

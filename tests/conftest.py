@@ -19,7 +19,7 @@ from balanced.constructors import (
     simplex_midpoints,
     srg_spectral_embedding,
 )
-from balanced.exact import Configuration
+from balanced.exact import Configuration, StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
 
 
@@ -84,6 +84,20 @@ def perturbed_square() -> Configuration:
     ]
     gram = [[a1 * b1 + a2 * b2 for (b1, b2) in pts] for (a1, a2) in pts]
     return Configuration.from_gram(gram, label="perturbed square")
+
+
+def count_tetrahedra(c: Configuration, i: int) -> int:
+    """Number of 4-subsets through point i with all inner products -1/3."""
+    n = c.size
+    if not 0 <= i < n:
+        raise StructuralError(f"point index {i} out of range")
+    if Fraction(-1, 3) not in c.gram.values:
+        return 0
+    third = c.gram.colours == c.gram.values.index(Fraction(-1, 3))
+    nbrs = np.flatnonzero(third[i])
+    # the 4-subsets through i are the triangles among its -1/3 neighbours
+    sub = third[np.ix_(nbrs, nbrs)].astype(np.int64)
+    return int(np.trace(sub @ sub @ sub)) // 6
 
 
 # --- exact rational coordinate models ---------------------------------------

@@ -11,6 +11,8 @@ enumerator their (z, value) sequence, order included.
 import math
 from fractions import Fraction
 
+from balanced.exact import IndefinitePivotError, _eliminate
+
 
 class ReferenceIndefinite(Exception):
     pass
@@ -86,6 +88,15 @@ def ldl(m):
                 lower[i][k] = Fraction(columns[i][k], p)
         prev = p
     return lower, diag, perm
+
+
+def is_positive_semidefinite(m):
+    """The library's PSD answer for any symmetric rational matrix: every
+    pivot of its elimination positive, and no indefinite block."""
+    try:
+        return _eliminate(m).psd
+    except IndefinitePivotError:
+        return False
 
 
 def _int_interval(center, q):

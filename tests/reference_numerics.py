@@ -6,6 +6,8 @@ before it cut every row at once.  Only the means differ in form: they are
 explicit left-to-right loops from 0.0, because from CPython 3.12 on `sum()`
 of floats is compensated.  Every function reads `p.gram` and `p.unit`, so a
 test may replace the Gram matrix of a CoordinateSet and both sides see it.
+`float_gegenbauer_moments` is the float recurrence `design_strength_float`
+ran before it shared `designs._zonal_series` with exact mode.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from balanced.numerics import (
     AmbiguousShellError,
     FloatBalanceReport,
     FloatViolation,
+    _split,
     design_strength_float,
 )
 
@@ -50,6 +53,13 @@ def cluster(values, tol):
                 f"between tol and 10*tol; choose a different tolerance"
             )
     return [_mean(cl) for cl in clusters]
+
+
+def split_one_row(values, tol):
+    """Shell representatives of one list of floats: the library's `_split` on
+    one row."""
+    row = np.array(values, dtype=float).reshape(1, -1)
+    return _split(np.sort(row), row, tol)[0].tolist()
 
 
 def row_shells(row, i, tol):
@@ -90,3 +100,23 @@ def theorem1_check_float(p, cap, tol):
     ]
     strength, _ = design_strength_float(p, cap, tol)
     return tuple(per_point), strength, max(per_point) <= strength
+
+
+def float_gegenbauer_moments(gram, n_dim, cap):
+    moments = []
+    prev = np.ones_like(gram)
+    cur = gram.copy()
+    for k in range(1, cap + 1 if n_dim > 1 else 2):  # on S^0 only G_1 = u is nontrivial
+        if k > 1:
+            prev, cur = cur, ((2 * k + n_dim - 4) * gram * cur - (k - 1) * prev) / (
+                k + n_dim - 3
+            )
+        moments.append(float(cur.sum()))
+    return moments + [0.0] * (cap - len(moments))
+
+
+def reconstruction_residual(p):
+    """max |<p_i, p_j> - gram[i][j]| against the exact source Gram."""
+    gram = p.points @ p.points.T
+    exact = np.array([float(u) for u in p.source.gram.values])[p.source.gram.colours]
+    return float(np.abs(gram - exact).max())

@@ -7,10 +7,17 @@ and every strip inverts its transversal element again.  The array engine
 must reproduce its generators, orders, orbits and stabilizer generators
 exactly.  `group_balance_witnesses` is the group-balanced loop as it was
 before the first base point came to represent its orbit: each orbit's least
-point, with its stabilizer from this module's chain.
+point, with its stabilizer from this module's chain.  `preserves_colors` and
+`check_preserves_gram` are the two colour-array checks that
+`symmetry._moved_pair` replaced: the search's leaf test and the Gram check of
+`fixed_subspace_dim`.
 """
 
 from collections import deque
+
+import numpy as np
+
+from balanced.exact import StructuralError
 
 
 def _compose(p, q):
@@ -111,6 +118,33 @@ class StabilizerChain:
             if g not in seen and not _is_identity(g):
                 seen.append(g)
         return tuple(seen)
+
+
+def preserves_colors(colours, vertex_colours, p):
+    return bool(
+        (vertex_colours[p] == vertex_colours).all()
+        and (colours[np.ix_(p, p)] == colours).all()
+    )
+
+
+def check_preserves_gram(c, group):
+    colours = c.gram.colours
+    n = len(colours)
+    for p in group.generators:
+        if len(p) != n:
+            raise StructuralError("permutation degree does not match configuration")
+        p = np.array(p, dtype=np.intp)
+        moved = np.triu(colours[np.ix_(p, p)] != colours, 1)
+        if moved.any():
+            i, j = np.argwhere(moved)[0].tolist()
+            raise StructuralError(f"permutation does not preserve the Gram matrix at ({i},{j})")
+
+
+def contains(group, perm):
+    """Membership in a group given by generators: perm sifts to the identity
+    through this module's chain of the group's generators."""
+    residue, _ = StabilizerChain(group.degree, group.generators).strip(tuple(perm))
+    return _is_identity(residue)
 
 
 def _dedup(generators):
@@ -232,16 +266,17 @@ def _individualize(cells, v):
 
 def _initial_cells(graph):
     buckets = {}
-    for v, c in enumerate(graph.vertex_colors):
+    for v, c in enumerate((0,) * graph.size):  # every vertex has colour 0
         buckets.setdefault(c, []).append(v)
     return [tuple(buckets[c]) for c in sorted(buckets)]
 
 
 def _preserves_colors(graph, p):
+    vertex_colors = (0,) * graph.size  # every vertex has colour 0
     colors = graph.edge_colors
     n = graph.size
     for i in range(n):
-        if graph.vertex_colors[p[i]] != graph.vertex_colors[i]:
+        if vertex_colors[p[i]] != vertex_colors[i]:
             return False
         row = colors[i]
         prow = colors[p[i]]

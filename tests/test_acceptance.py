@@ -13,7 +13,6 @@ from balanced.balance import check_balanced, check_balanced_euclidean
 from balanced.constructors import (
     antipodal_union,
     c7_prime,
-    count_tetrahedra,
     cross_polytope,
     cube,
     figure1_adjacency,
@@ -41,7 +40,7 @@ from balanced.symmetry import (
     colored_graph_from_config,
     fixed_subspace_dim,
 )
-from conftest import box_short_vectors
+from conftest import box_short_vectors, count_tetrahedra
 
 
 def _verdict(name: str, ok: bool) -> bool:

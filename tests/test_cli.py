@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -480,3 +481,36 @@ def test_coordinate_checks_name_the_first_bad_point(runner, tmp_path, coords, pr
     res = invoke(runner, ["check", "balanced", str(f)])
     assert res.exit_code == 2
     assert res.stderr == f"error: {f}: {problem}\n"
+
+
+TWICE = [[1, 0], [0, 1], [1, 0], [-1, 0], [0, -1]]  # points 0 and 2 coincide
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "balanced"], ["check", "design"], ["check", "theorem1"], ["report"]])
+def test_coincident_float_points_exit_2_like_their_gram_twin(runner, tmp_path, command):
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({"coords": TWICE}))
+    res = invoke(runner, [*command, str(coords)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: points 0 and 2 coincide (inner product >= 1 - 1e-09)\n"
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[str(sum(a * b for a, b in zip(x, y))) for y in TWICE]
+                                         for x in TWICE]}))
+    res = invoke(runner, [*command, str(gram)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {gram}: points 0 and 2 coincide (inner product 1)\n"
+
+
+def test_points_closer_than_tol_coincide(runner, tmp_path):
+    """Two unit vectors at inner product cos(1e-3) ~ 1 - 5e-7 coincide at
+    --tol 1e-6 and are distinct at 1e-9."""
+    t = 1e-3
+    f = tmp_path / "close.json"
+    f.write_text(json.dumps({"coords": [[1, 0], [math.cos(t), math.sin(t)], [-1, 0]]}))
+    res = invoke(runner, ["check", "balanced", str(f), "--tol", "1e-6"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: points 0 and 1 coincide (inner product >= 1 - 1e-06)\n"
+    res = invoke(runner, ["check", "balanced", str(f), "--tol", "1e-9"])
+    assert res.exit_code in (0, 1) and res.stderr == ""

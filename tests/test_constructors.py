@@ -6,7 +6,6 @@ import pytest
 from balanced.constructors import (
     ConstructionError,
     antipodal_union,
-    count_tetrahedra,
     cross_polytope,
     default_distinguished_tetrahedron,
     invert_tetrahedron,
@@ -20,6 +19,7 @@ from balanced.constructors import (
 from balanced.designs import design_strength, theorem1_check
 from balanced.exact import Configuration, inner_product_spectrum
 from balanced.numerics import CoordinateSet
+from conftest import count_tetrahedra
 
 
 def petersen_adjacency():

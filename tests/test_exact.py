@@ -12,11 +12,11 @@ from balanced.exact import (
     as_matrix,
     gram_rank,
     inner_product_spectrum,
-    is_positive_semidefinite,
     ldl_decompose,
     rational,
 )
 from balanced.constructors import c7_prime, simplex_midpoints
+from reference_elimination import is_positive_semidefinite
 
 
 class TestRational:

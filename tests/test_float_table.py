@@ -311,3 +311,31 @@ def test_violations_far_from_the_threshold_are_reported_exactly(recomputed):
     assert not rep.balanced
     assert {v.point for v in rep.violations} <= {i for i, _ in recomputed}
     assert exact(rep) == exact(ref.check_balanced_float(make(), 1e-9))
+
+
+# --- design moments on the Gegenbauer recurrence of exact mode -------------------
+
+
+def moment_sets(dim):
+    """Seeded point sets in dimension dim: random points, the cross-polytope
+    (a 3-design, whose low moments cancel) and one point; on S^0 the two
+    antipodes, an unnormalized pair and one point."""
+    if dim == 1:
+        return [np.array([[1.0], [-1.0]]), np.array([[2.0], [-0.5]]), np.array([[0.3]])]
+    rng = np.random.default_rng(dim)
+    cross = np.vstack([np.eye(dim), -np.eye(dim)])
+    return [rng.normal(size=(n, dim)) for n in (2, 7, 30)] + [cross, rng.normal(size=(1, dim))]
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_design_moments_match_the_float_recurrence_bit_for_bit(dim):
+    for points in moment_sets(dim):
+        p = CoordinateSet(points=points)
+        gram = np.clip(p.gram, -1.0, 1.0)
+        for cap in range(1, 13):
+            want = ref.float_gegenbauer_moments(gram, dim, cap)
+            strength, moments = numerics.design_strength_float(p, cap)
+            assert list(moments) == list(range(1, cap + 1))
+            assert [m.hex() for m in moments.values()] == [m.hex() for m in want]
+            threshold = 1e-9 * p.size * p.size
+            assert strength == next((k for k, m in enumerate(want) if abs(m) > threshold), cap)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed_square
+from reference_numerics import reconstruction_residual
 from balanced.balance import check_balanced
 from balanced.constructors import (
     antipodal_union,
@@ -30,7 +31,6 @@ from balanced.numerics import (
     energy,
     gradient_check,
     poles_and_ring_coordinates,
-    reconstruction_residual,
     spectrum_float,
     tangential_force,
     theorem1_check_float,

@@ -191,35 +191,34 @@ def test_stabilizer_command_builds_one_chain(name, request, tmp_path, chains):
         code, doc = run_cli(["symmetry", str(f), "--stabilizer", str(i)])
         assert code == 0
         assert doc["order"] == str(group.order())
-        assert chains == [(() if i == b0 else (i,), group.order())]
+        assert chains == [((i,), group.order())]
         want = _StabilizerChain(c.size, group.generators, base_prefix=(i,))
         assert doc["stabilizer"]["generators"] == [list(g) for g in want.level_generators(1)]
 
 
 def test_group_balanced_builds_chains_only_off_the_first_orbit(c7p, chains):
     """C7' has two orbits: the search's stabilizer serves the orbit of v_0,
-    and the other orbit's least point takes one chain told the order: the
-    group's own, as that point is its first base point."""
+    and the other orbit's least point, the first base point of the group's
+    own chain, takes one prefix chain told the order."""
     group = search_group(c7p)
     v0, _ = group._first_stabilizer
     assert not check_group_balanced(c7p, group).group_balanced
     (other,) = [o for o in group.orbits() if v0 not in o]
     assert other[0] == first_base_point(group)
-    assert chains == [((), 384)]
+    assert chains == [((other[0],), 384)]
 
 
 def test_group_balanced_with_a_hand_built_group_builds_prefix_chains(c7p, chains):
     """Without the search's stabilizer every orbit takes a chain: the group's
     own (untold, for the order) and one prefix chain per orbit, told the
-    order, except the orbit of the first base point, which reads level 1 of
-    the own chain."""
+    order."""
     group = search_group(c7p)
     by_hand = PermutationGroup(c7p.size, group.generators)
     check_group_balanced(c7p, by_hand)
     b0 = first_base_point(group)
     reps = [o[0] for o in group.orbits()]
     assert b0 in reps and len(reps) > 1
-    assert chains == [((), None)] + [((r,), 384) for r in reps if r != b0]
+    assert chains == [((), None)] + [((r,), 384) for r in reps]
 
 
 # --- float mode: extreme scales and S^0 ------------------------------------------

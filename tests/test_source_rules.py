@@ -2,9 +2,11 @@
 
 No verdict may depend on an `assert`: `python -O` strips them.  Soundness
 checks in `balanced` are explicit (`exact.require` raises `InvariantError`).
+Every definition in `balanced` is used by the library or exported.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import balanced
@@ -80,3 +82,75 @@ def test_order_assignment_rule_sees_every_form():
         "    grp._order = 6\n"
     )
     assert order_assignments(tree) == [("G.f", 4), ("G.f", 5), ("G.f", 6), ("G.f", 7), ("g", 9)]
+
+
+def unnamed_definitions(trees, exported=()):
+    """(name, line) of every function, method and class that no code outside
+    its own body names, as a Name or an attribute, and that is not exported.
+    Dunders and click commands (decorated `.command` or `.group`) are called
+    from outside the sources.  Names are matched as names, so two methods of
+    one name count as one another's uses."""
+    named = Counter()
+    for tree in trees:
+        named.update(names_in(tree))
+    found = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or is_click_command(node):
+                continue
+            if named[name] == names_in(node)[name] and name not in exported:
+                found.append((name, node.lineno))
+    return found
+
+
+def names_in(node) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def is_click_command(node) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Attribute) and func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def test_every_definition_is_used_in_the_library_or_exported():
+    """Code that only tests call belongs in `tests/`, next to the reference
+    module of its layer."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    assert unnamed_definitions(trees, set(balanced.__all__)) == []
+
+
+def test_unnamed_definition_rule_sees_every_form():
+    tree = ast.parse(
+        "import click\n"
+        "def used():\n"
+        "    return 1\n"
+        "def unused():\n"
+        "    return used()\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def exported():\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "    def method(self):\n"
+        "        return self.other()\n"
+        "    def other(self):\n"
+        "        pass\n"
+        "@click.group()\n"
+        "def main():\n"
+        "    pass\n"
+        "@main.command('run')\n"
+        "def run_cmd():\n"
+        "    pass\n"
+        "C()\n"
+    )
+    assert unnamed_definitions([tree], {"exported"}) == [
+        ("unused", 4), ("recursive", 6), ("method", 13)]

@@ -30,7 +30,7 @@ from balanced.symmetry import (
     ColoredGraph,
     PermutationGroup,
     _StabilizerChain,
-    _initial_cells,
+    _moved_pair,
     _refine,
     _signature_table,
     automorphism_group,
@@ -117,7 +117,7 @@ def test_child_refinement_queues_only_the_individualized_vertex(name, request):
 
 def test_root_refinement_matches_reference(paulus_r):
     graph = colored_graph_from_config(paulus_r)
-    cells = _initial_cells(graph)
+    cells = [tuple(range(graph.size))]
     n, k = graph.size, graph.n_edge_colors
     weights, rows = _signature_table(np.array(graph.edge_colors), k)
     want = ref.base_n_signatures(ref.refine(graph, cells), n, k)
@@ -254,7 +254,7 @@ def folded_orbit_graph(n, n_colours, seed):
     perm = list(range(n))
     rng.shuffle(perm)
     rows = tuple(tuple(colours[perm[a]][perm[b]] for b in range(n)) for a in range(n))
-    graph = ColoredGraph(size=n, edge_colors=rows, vertex_colors=(0,) * n)
+    graph = ColoredGraph(size=n, edge_colors=rows)
     assert graph.n_edge_colors == n_colours
     return graph
 
@@ -305,8 +305,8 @@ def test_contains_and_level_generators_match_reference():
     gens = ((1, 2, 3, 4, 0, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 6, 5))
     group = PermutationGroup(7, gens)
     assert group.order() == ref.group_order(7, gens) == 240
-    assert group.contains((4, 3, 2, 1, 0, 6, 5))
-    assert not group.contains((5, 0, 1, 2, 3, 4, 6))
+    assert ref.contains(group, (4, 3, 2, 1, 0, 6, 5))
+    assert not ref.contains(group, (5, 0, 1, 2, 3, 4, 6))
     for i in range(7):
         assert group.point_stabilizer(i).generators == ref.stabilizer_generators(7, gens, i)
 
@@ -411,6 +411,30 @@ def test_gram_check_matches_reference_on_random_permutations(seed):
     with pytest.raises(StructuralError) as exc:
         fixed_subspace_dim(c, group)
     assert str(exc.value) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configurations(), st.randoms(use_true_random=False))
+def test_moved_pair_is_one_check_on_both_colour_arrays(c, rnd):
+    """The search's colours (-1 on the diagonal) and the Gram colours (the
+    top colour there) give the same first moved pair, and it agrees with the
+    search's leaf test and the Gram check it replaced."""
+    n = c.size
+    graph = colored_graph_from_config(c)
+    search_colours = np.array(graph.edge_colors, dtype=np.intp)
+    autos = automorphism_group(graph).generators
+    for perm in [rnd.sample(range(n), n) for _ in range(5)] + list(autos):
+        p = np.array(perm, dtype=np.intp)
+        pair = _moved_pair(c.gram.colours, p)
+        assert _moved_pair(search_colours, p) == pair
+        assert ref.preserves_colors(search_colours, np.zeros(n, dtype=np.intp), p) is (pair is None)
+        try:
+            ref.check_preserves_gram(c, PermutationGroup(n, [perm]))
+            old = None
+        except StructuralError as exc:
+            old = str(exc)
+        assert old == (None if pair is None else
+                       f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
 
 
 def test_gram_check_rejects_wrong_degree(c7p):

@@ -246,6 +246,6 @@ def test_integer_moments_match_fraction_recurrence(n, cap, den, table):
     table = [(max(-den, min(den, a)), m) for a, m in table]  # values in [-1, 1]
     scaled = [a for a, _ in table]
     mults = [m for _, m in table]
-    expected = [sum(m * _zonal_series(n, cap, Fraction(a, den))[k] for a, m in table)
+    expected = [sum(m * list(_zonal_series(n, cap, Fraction(a, den)))[k] for a, m in table)
                 for k in range(1, cap + 1)]
     assert _moments(n, cap, den, scaled, mults) == expected

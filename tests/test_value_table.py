@@ -36,13 +36,13 @@ from balanced.numerics import (
     CoordinateSet,
     FloatBalanceReport,
     FloatViolation,
-    _cluster,
     check_balanced_float,
     design_strength_float,
     poles_and_ring_coordinates,
     theorem1_check_float,
 )
 from balanced.symmetry import ColoredGraph, colored_graph_from_adjacency, colored_graph_from_config
+from reference_numerics import split_one_row
 
 # --- exact references -------------------------------------------------------
 
@@ -216,7 +216,7 @@ def test_n_edge_colors_is_set_at_construction(c56):
     assert graph.n_edge_colors == 3
     assert colored_graph_from_adjacency(((0, 1), (1, 0))).n_edge_colors == 2
     assert colored_graph_from_adjacency(((0, 0), (0, 0))).n_edge_colors == 1
-    assert ColoredGraph(size=1, edge_colors=((-1,),), vertex_colors=(0,)).n_edge_colors == 0
+    assert ColoredGraph(size=1, edge_colors=((-1,),)).n_edge_colors == 0
 
 
 # --- float references -----------------------------------------------------------
@@ -230,7 +230,7 @@ def reference_check_balanced_float(p, tol):
     violations = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        for u in _cluster([gram[i][j] for j in others], tol):
+        for u in split_one_row([gram[i][j] for j in others], tol):
             members = [j for j in others if abs(gram[i][j] - u) <= tol]
             shell_sum = unit[members].sum(axis=0)
             coeff = float(shell_sum @ unit[i])
@@ -249,7 +249,7 @@ def reference_theorem1_check_float(p, cap, tol):
     n = p.size
     per_point = []
     for i in range(n):
-        reps = _cluster([gram[i][j] for j in range(n) if j != i], tol)
+        reps = split_one_row([gram[i][j] for j in range(n) if j != i], tol)
         per_point.append(sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u in reps))
     strength, _ = design_strength_float(p, cap, tol)
     return tuple(per_point), strength, max(per_point) <= strength
