@@ -159,6 +159,8 @@ def check_balanced_euclidean(
     representative per translation class is checked.
     """
     pts = _as_points(points)
+    if cutoff is not None and rational(cutoff) < 0:
+        raise StructuralError(f"cutoff radius {cutoff} is negative")
     r2 = None if cutoff is None else rational(cutoff) ** 2
     if period is None:
         shells = _finite_shells(pts, r2)

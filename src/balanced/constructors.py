@@ -13,7 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, Scaled, StructuralError
+from .exact import Configuration, Scaled, StructuralError, _first_pair
+from .files import read_graph
+from .symmetry import adjacency_matrix
 
 
 class ConstructionError(StructuralError):
@@ -64,48 +66,29 @@ class SrgParams:
 
 
 def srg_params(adjacency: Sequence[Sequence[int]]) -> SrgParams:
-    """Verify strong regularity and return (N, k, lambda, mu)."""
-    n = len(adjacency)
-    a = [tuple(int(x) for x in row) for row in adjacency]
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise ConstructionError(f"adjacency row {i} has length {len(row)}")
-        if row[i] != 0:
-            raise ConstructionError(f"nonzero diagonal at vertex {i}")
-        for j in range(n):
-            if row[j] not in (0, 1):
-                raise ConstructionError(f"entry [{i}][{j}] not 0/1")
-            if a[j][i] != row[j]:
-                raise ConstructionError(f"adjacency not symmetric at [{i}][{j}]")
+    """Verify strong regularity and return (N, k, lambda, mu): lambda and mu
+    are the common neighbours, read off A^2, of the first adjacent and the
+    first non-adjacent pair i < j in row-major order."""
+    a = adjacency_matrix(adjacency)
+    n = len(a)
     if n == 0:
         raise ConstructionError("empty graph")
-    k = sum(a[0])
-    for i in range(n):
-        d = sum(a[i])
-        if d != k:
-            raise ConstructionError(f"not regular: vertex {i} has degree {d}, vertex 0 has {k}")
+    deg = a.sum(axis=1)
+    k = int(deg[0])
+    i = int(np.argmax(deg != k))  # the first vertex of another degree, else 0
+    if deg[i] != k:
+        raise ConstructionError(f"not regular: vertex {i} has degree {deg[i]}, vertex 0 has {k}")
     if k == 0 or k == n - 1:
         raise ConstructionError(f"degenerate graph (k = {k}): no two eigenvalue classes")
-    lam = mu = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = sum(a[i][m] & a[j][m] for m in range(n))
-            if a[i][j]:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    raise ConstructionError(
-                        f"not strongly regular: adjacent pair ({i},{j}) has "
-                        f"{common} common neighbors, expected {lam}"
-                    )
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    raise ConstructionError(
-                        f"not strongly regular: non-adjacent pair ({i},{j}) has "
-                        f"{common} common neighbors, expected {mu}"
-                    )
+    common = a @ a
+    # 0 < k < n - 1, so both kinds of pair occur
+    lam, mu = int(common[_first_pair(a == 1)]), int(common[_first_pair(a == 0)])
+    expected = np.where(a == 1, lam, mu)
+    pair = _first_pair(common != expected)
+    if pair is not None:
+        kind = "adjacent" if a[pair] else "non-adjacent"
+        raise ConstructionError(f"not strongly regular: {kind} pair ({pair[0]},{pair[1]}) has "
+                                f"{common[pair]} common neighbors, expected {expected[pair]}")
     return SrgParams(n=n, k=k, lam=lam, mu=mu)
 
 
@@ -134,7 +117,7 @@ def srg_spectral_embedding(
         raise ConstructionError(f"eigenvalue {theta} has multiplicity {mult} < 2")
     n = params.n
     # N (theta - phi) P = N (A - phi I) - (k - phi) J, whose diagonal is constant
-    m = n * (np.array(adjacency, dtype=np.int64) - phi * np.eye(n, dtype=np.int64))
+    m = n * (adjacency_matrix(adjacency) - phi * np.eye(n, dtype=np.int64))
     m -= params.k - phi
     sign = 1 if m[0, 0] > 0 else -1
     config = Configuration.from_gram(
@@ -209,11 +192,10 @@ def c7_prime(tetra: Optional[Sequence[int]] = None) -> Configuration:
 def antipodal_union(c: Configuration) -> Configuration:
     """Union with the antipodal copy; Gram is the block matrix [[G,-G],[-G,G]]."""
     if c.gram.values[0] == -1:  # the smallest value, when present
-        antipodes = np.argwhere(np.triu(c.gram.colours == 0, 1))
-        if len(antipodes):
-            i, j = antipodes[0].tolist()
+        antipodes = _first_pair(c.gram.colours == 0)
+        if antipodes is not None:
             raise ConstructionError(
-                f"points {i} and {j} are already antipodal; union would duplicate"
+                "points %d and %d are already antipodal; union would duplicate" % antipodes
             )
     m = c.gram.scaled
     rows = Scaled(c.gram.den, np.block([[m, -m], [-m, m]]))
@@ -282,9 +264,4 @@ def standard_polytope(name: str, n: Optional[int] = None, k: Optional[int] = Non
 
 def figure1_adjacency() -> tuple[tuple[int, ...], ...]:
     """The bundled 25-vertex (25,12,5,6) adjacency matrix."""
-    text = resources.files("balanced").joinpath("data/graphs/srg_25_12_5_6.txt").read_text()
-    rows = tuple(
-        tuple(int(tok) for tok in line.split())
-        for line in text.strip().splitlines()
-    )
-    return rows
+    return read_graph(resources.files("balanced") / "data/graphs/srg_25_12_5_6.txt")

@@ -15,11 +15,9 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,19 +69,13 @@ def rational(value) -> Fraction:
     raise StructuralError(f"not a rational: {value!r}")
 
 
-def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    """Build a square rational matrix, validating shape.
-
-    Entries that already are Fractions are kept as they are.
-    """
-    m = tuple(
-        tuple(x if type(x) is Fraction else rational(x) for x in row) for row in rows
-    )
-    n = len(m)
-    for i, row in enumerate(m):
-        if len(row) != n:
-            raise StructuralError(f"row {i} has length {len(row)}, expected {n}")
-    return m
+def _first_pair(mask: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (i, j) with i < j in row-major order where the square mask is
+    true, or None."""
+    upper = np.triu(mask, 1).ravel()
+    if not upper.any():
+        return None
+    return divmod(int(upper.argmax()), len(mask))
 
 
 class Scaled(NamedTuple):
@@ -157,10 +149,9 @@ def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dtype = np.int64 if max(max(map(abs, table), default=0), den) < _INT64 else object
     distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
     colours = inverse.reshape(-1)[codes]
-    asymmetric = np.argwhere(np.triu(colours != colours.T, 1))  # row-major
-    if len(asymmetric):
-        i, j = asymmetric[0].tolist()
-        raise StructuralError(f"not symmetric at entry [{i}][{j}]")
+    asymmetric = _first_pair(colours != colours.T)
+    if asymmetric is not None:
+        raise StructuralError("not symmetric at entry [%d][%d]" % asymmetric)
     m = distinct[colours]
     colours.setflags(write=False)
     m.setflags(write=False)
@@ -342,7 +333,7 @@ class GramMatrix:
         return hash((self.values, self.colours.tobytes()))
 
     @cached_property
-    def entries(self) -> Matrix:
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The matrix as rows of Fractions, built from the value table on first use."""
         return tuple(map(tuple, np.array(self.values, dtype=object)[self.colours].tolist()))
 
@@ -389,10 +380,9 @@ class Configuration:
         if n == 0:
             raise StructuralError("empty configuration")
         # the largest value of a unit-diagonal PSD matrix is 1
-        same = np.argwhere(np.triu(self.gram.colours == len(self.gram.values) - 1, 1))
-        if len(same):
-            i, j = same[0].tolist()
-            raise StructuralError(f"points {i} and {j} coincide (inner product 1)")
+        same = _first_pair(self.gram.colours == len(self.gram.values) - 1)
+        if same is not None:
+            raise StructuralError("points %d and %d coincide (inner product 1)" % same)
         if self.point_labels is not None:
             labels = tuple(str(x) for x in self.point_labels)
             if len(labels) != n:

@@ -29,7 +29,6 @@ from .exact import (
     _bareiss,
     _encode,
     _tabulate,
-    as_matrix,
     rational,
     require,
 )
@@ -87,7 +86,7 @@ def enumerate_quadratic(
     w_k t_k^2 against an integer budget, and the interval of z_k follows from
     math.isqrt.
     """
-    g = as_matrix(gram)
+    g = [[rational(x) for x in row] for row in gram]
     d = len(g)
     lin = [rational(x) for x in lin]
     const = rational(const)

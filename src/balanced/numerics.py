@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .designs import _zonal_series
-from .exact import Configuration, StructuralError
+from .exact import Configuration, StructuralError, _first_pair
 
 
 class AmbiguousShellError(ValueError):
@@ -42,12 +42,11 @@ class AmbiguousShellError(ValueError):
 
 @dataclass(eq=False)
 class CoordinateSet:
-    """N x r double-precision points, optionally tied to an exact source.
-    Unit vectors, their Gram matrix and per-tolerance shells are computed once."""
+    """N x r double-precision points.  Unit vectors, their Gram matrix and
+    per-tolerance shells are computed once."""
 
     points: np.ndarray
     label: Optional[str] = None
-    source: Optional[Configuration] = None
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -109,7 +108,7 @@ def coordinates_from_gram(c: Configuration) -> CoordinateSet:
     e = c.gram.elimination
     scale = [math.sqrt(p / (q * e.den)) for p, q in zip(e.pivots, (1,) + e.pivots)]
     pts = [[a / p * s for a, p, s in zip(row, e.pivots, scale)] for row in e.x.tolist()]
-    return CoordinateSet(points=np.array(pts, dtype=float), label=c.label, source=c)
+    return CoordinateSet(points=np.array(pts, dtype=float), label=c.label)
 
 
 def _require_positive(what: str, x: float) -> None:
@@ -123,10 +122,9 @@ def _require_distinct(p: CoordinateSet, tol: float) -> None:
     """No two points may coincide: two unit vectors whose inner product is
     within tol of 1 coincide, as two points at inner product 1 do in exact
     mode."""
-    for k in np.flatnonzero(p.gram >= 1.0 - tol).tolist():  # i == j: a point with itself
-        i, j = divmod(k, p.size)
-        if i < j:
-            raise StructuralError(f"points {i} and {j} coincide (inner product >= 1 - {tol:g})")
+    pair = _first_pair(p.gram >= 1.0 - tol)
+    if pair is not None:
+        raise StructuralError("points %d and %d coincide (inner product >= 1 - %g)" % (*pair, tol))
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -36,64 +36,73 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, integer_rank, require
+from .exact import Configuration, StructuralError, _first_pair, integer_rank, require
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoredGraph:
-    """Complete graph with edge colors (dense ids by ascending Gram value)."""
+    """Complete graph with edge colors: a read-only symmetric n x n intp array
+    of colour ids, -1 on the diagonal, which is no edge."""
 
     size: int
-    edge_colors: tuple[tuple[int, ...], ...]  # symmetric; diagonal entries are -1
-    color_values: tuple[Fraction, ...] = ()
+    edge_colors: np.ndarray
     n_edge_colors: int = field(init=False)
 
     def __post_init__(self):
-        top = max(map(max, self.edge_colors), default=-1)
-        object.__setattr__(self, "n_edge_colors", top + 1)
+        try:
+            colours = np.array(self.edge_colors, dtype=np.intp)
+        except (TypeError, ValueError):  # ragged rows, or entries that are not integers
+            colours = None
+        if colours is None or colours.shape != (self.size, self.size):
+            raise StructuralError(f"edge colours must form a {self.size} x {self.size} array")
+        np.fill_diagonal(colours, -1)
+        colours.setflags(write=False)
+        object.__setattr__(self, "edge_colors", colours)
+        object.__setattr__(self, "n_edge_colors", int(colours.max(initial=-1)) + 1)
 
 
 def colored_graph_from_config(c: Configuration) -> ColoredGraph:
-    # value-table colours; the diagonal holds the largest value, 1, only
-    colours = np.array(c.gram.colours)
-    np.fill_diagonal(colours, -1)
-    return ColoredGraph(
-        size=c.size,
-        edge_colors=tuple(map(tuple, colours.tolist())),
-        color_values=c.gram.values[:-1],
-    )
+    # value-table colours; the diagonal, the only place of the top value 1, becomes -1
+    return ColoredGraph(c.size, c.gram.colours)
+
+
+def adjacency_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """A simple graph's adjacency matrix as an int64 array, checked in order
+    over the whole matrix: square rows, entries equal to 0 or 1, symmetry and
+    a zero diagonal.  An error names the first offending entry, row-major."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise StructuralError(f"adjacency row {i} has length {len(row)}")
+    entries = np.fromiter(chain.from_iterable(rows), dtype=object, count=n * n).reshape(n, n)
+    one = entries == 1
+    bad = np.flatnonzero(~(one | (entries == 0)))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise StructuralError(f"adjacency entry [{i}][{j}] = {entries[i, j]} not 0/1")
+    asymmetric = _first_pair(one != one.T)
+    if asymmetric is not None:
+        raise StructuralError("adjacency not symmetric at [%d][%d]" % asymmetric)
+    loops = np.flatnonzero(one.diagonal())
+    if loops.size:
+        raise StructuralError(f"adjacency diagonal [{loops[0]}][{loops[0]}] nonzero")
+    return one.astype(np.int64)
 
 
 def colored_graph_from_adjacency(adjacency: Sequence[Sequence[int]]) -> ColoredGraph:
-    n = len(adjacency)
-    rows = []
-    for i, row in enumerate(adjacency):
-        if len(row) != n:
-            raise StructuralError(f"adjacency row {i} has length {len(row)}")
-        for j, x in enumerate(row):
-            if x not in (0, 1):
-                raise StructuralError(f"adjacency entry [{i}][{j}] = {x} not 0/1")
-            if adjacency[j][i] != x:
-                raise StructuralError(f"adjacency not symmetric at [{i}][{j}]")
-        if row[i] != 0:
-            raise StructuralError(f"adjacency diagonal [{i}][{i}] nonzero")
-        rows.append(tuple(-1 if i == j else int(row[j]) for j in range(n)))
-    return ColoredGraph(size=n, edge_colors=tuple(rows))
+    return ColoredGraph(len(adjacency), adjacency_matrix(adjacency))
 
 
-def adjacency_complement(adjacency: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    n = len(adjacency)
-    return tuple(
-        tuple(0 if i == j else 1 - adjacency[i][j] for j in range(n)) for i in range(n)
-    )
+def adjacency_complement(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
+    return 1 - adjacency_matrix(adjacency) - np.eye(len(adjacency), dtype=np.int64)
 
 
 # --- permutation groups ----------------------------------------------------
@@ -450,7 +459,7 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     n = graph.size
     if n == 0:
         return PermutationGroup(0)
-    colours = np.array(graph.edge_colors, dtype=np.intp)
+    colours = graph.edge_colors
     weights, rows = _signature_table(colours, graph.n_edge_colors)
     state = {"first_leaf": None}
     gens: list[Perm] = []

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from balanced.constructors import (
+    ConstructionError,
+    SrgParams,
     antipodal_union,
     c7_prime,
     cube,
@@ -98,6 +100,53 @@ def count_tetrahedra(c: Configuration, i: int) -> int:
     # the 4-subsets through i are the triangles among its -1/3 neighbours
     sub = third[np.ix_(nbrs, nbrs)].astype(np.int64)
     return int(np.trace(sub @ sub @ sub)) // 6
+
+
+def srg_params_loop(adjacency) -> SrgParams:
+    """The library's former `srg_params`: strong regularity by a triple loop
+    over pairs and their common neighbours."""
+    n = len(adjacency)
+    a = [tuple(int(x) for x in row) for row in adjacency]
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ConstructionError(f"adjacency row {i} has length {len(row)}")
+        if row[i] != 0:
+            raise ConstructionError(f"nonzero diagonal at vertex {i}")
+        for j in range(n):
+            if row[j] not in (0, 1):
+                raise ConstructionError(f"entry [{i}][{j}] not 0/1")
+            if a[j][i] != row[j]:
+                raise ConstructionError(f"adjacency not symmetric at [{i}][{j}]")
+    if n == 0:
+        raise ConstructionError("empty graph")
+    k = sum(a[0])
+    for i in range(n):
+        d = sum(a[i])
+        if d != k:
+            raise ConstructionError(f"not regular: vertex {i} has degree {d}, vertex 0 has {k}")
+    if k == 0 or k == n - 1:
+        raise ConstructionError(f"degenerate graph (k = {k}): no two eigenvalue classes")
+    lam = mu = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = sum(a[i][m] & a[j][m] for m in range(n))
+            if a[i][j]:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    raise ConstructionError(
+                        f"not strongly regular: adjacent pair ({i},{j}) has "
+                        f"{common} common neighbors, expected {lam}"
+                    )
+            else:
+                if mu is None:
+                    mu = common
+                elif common != mu:
+                    raise ConstructionError(
+                        f"not strongly regular: non-adjacent pair ({i},{j}) has "
+                        f"{common} common neighbors, expected {mu}"
+                    )
+    return SrgParams(n=n, k=k, lam=lam, mu=mu)
 
 
 # --- exact rational coordinate models ---------------------------------------

@@ -115,8 +115,8 @@ def float_gegenbauer_moments(gram, n_dim, cap):
     return moments + [0.0] * (cap - len(moments))
 
 
-def reconstruction_residual(p):
-    """max |<p_i, p_j> - gram[i][j]| against the exact source Gram."""
+def reconstruction_residual(p, c):
+    """max |<p_i, p_j> - gram[i][j]| against the exact Gram of configuration c."""
     gram = p.points @ p.points.T
-    exact = np.array([float(u) for u in p.source.gram.values])[p.source.gram.colours]
+    exact = np.array([float(u) for u in c.gram.values])[c.gram.colours]
     return float(np.abs(gram - exact).max())

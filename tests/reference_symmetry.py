@@ -199,7 +199,7 @@ def orbits(degree, generators):
 
 def refine(graph, cells):
     """Coarsest equitable refinement with every cell queued; (cells, invariant)."""
-    colors = graph.edge_colors
+    colors = graph.edge_colors.tolist()
     ncolors = graph.n_edge_colors
     queue = deque(cells)
     trace = []
@@ -273,7 +273,7 @@ def _initial_cells(graph):
 
 def _preserves_colors(graph, p):
     vertex_colors = (0,) * graph.size  # every vertex has colour 0
-    colors = graph.edge_colors
+    colors = graph.edge_colors.tolist()
     n = graph.size
     for i in range(n):
         if vertex_colors[p[i]] != vertex_colors[i]:

@@ -228,6 +228,18 @@ class TestEuclideanCommand:
         )
         assert invoke(runner, ["check", "euclidean", str(f)]).exit_code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"points": [["0"], ["1"], ["-1"]], "cutoff": "-1"},
+        {"points": [["0", "0"]], "period": [["1", "0"], ["0", "1"]], "cutoff": "-3"},
+    ], ids=["finite", "periodic"])
+    def test_negative_cutoff(self, runner, tmp_path, doc):
+        """A cutoff radius below zero is malformed, not its absolute value."""
+        f = tmp_path / "negative.json"
+        write_json(doc, f)
+        res = invoke(runner, ["check", "euclidean", str(f)])
+        assert res.exit_code == 2
+        assert f"cutoff radius {doc['cutoff']} is negative" in res.stderr
+
 
 class TestAnalysisCommands:
     def test_kissing_d4_and_checks(self, runner, tmp_path):

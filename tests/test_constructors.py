@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balanced.constructors import (
     ConstructionError,
+    SrgParams,
     antipodal_union,
     cross_polytope,
     default_distinguished_tetrahedron,
@@ -17,9 +19,10 @@ from balanced.constructors import (
     standard_polytope,
 )
 from balanced.designs import design_strength, theorem1_check
-from balanced.exact import Configuration, inner_product_spectrum
+from balanced.exact import Configuration, StructuralError, inner_product_spectrum
 from balanced.numerics import CoordinateSet
-from conftest import count_tetrahedra
+from balanced.symmetry import adjacency_complement, colored_graph_from_adjacency
+from conftest import count_tetrahedra, srg_params_loop
 
 
 def petersen_adjacency():
@@ -27,6 +30,107 @@ def petersen_adjacency():
     return tuple(
         tuple(1 if not set(u) & set(v) else 0 for v in verts) for u in verts
     )
+
+
+def graph_from(n, edge):
+    return tuple(tuple(int(i != j and edge(i, j)) for j in range(n)) for i in range(n))
+
+
+def triangular_graph(m):
+    """T(m): the pairs of an m-set, adjacent when they share one element."""
+    pairs = list(combinations(range(m), 2))
+    return graph_from(len(pairs), lambda i, j: len(set(pairs[i]) & set(pairs[j])) == 1)
+
+
+def rook_graph(m):
+    """L2(m): the cells of an m x m grid, adjacent in a row or a column."""
+    return graph_from(m * m, lambda i, j: i // m == j // m or i % m == j % m)
+
+
+def paley_graph(q):
+    squares = {x * x % q for x in range(1, q)}
+    return graph_from(q, lambda i, j: (i - j) % q in squares)
+
+
+@st.composite
+def small_graphs(draw):
+    """Symmetric 0/1 matrices on at most 12 vertices: arbitrary edge sets, and
+    relabelled circulants, which are regular and include strongly regular
+    graphs such as C5, 2K3 and K_{2,2,2}."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        jumps = draw(st.sets(st.integers(1, max(n - 1, 1))))
+        jumps |= {n - s for s in jumps}
+        label = draw(st.permutations(range(n)))
+        return graph_from(n, lambda i, j: (label[i] - label[j]) % n in jumps)
+    edges = draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))))
+    return graph_from(n, lambda i, j: (i, j) in edges or (j, i) in edges)
+
+
+def srg_outcome(f, adjacency):
+    try:
+        return f(adjacency)
+    except StructuralError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_srg_params_matches_the_loop(adjacency):
+    assert srg_outcome(srg_params, adjacency) == srg_outcome(srg_params_loop, adjacency)
+
+
+@pytest.mark.parametrize("name, adjacency, params", [
+    ("petersen", petersen_adjacency(), (10, 3, 0, 1)),
+    ("T(5)", triangular_graph(5), (10, 6, 3, 4)),
+    ("L2(4)", rook_graph(4), (16, 6, 2, 2)),
+    ("paley(13)", paley_graph(13), (13, 6, 2, 3)),
+])
+def test_srg_params_of_named_graphs(name, adjacency, params):
+    assert srg_params(adjacency) == srg_params_loop(adjacency) == SrgParams(*params)
+
+
+def test_srg_params_of_figure1_and_complement(figure1):
+    for adjacency in (figure1, adjacency_complement(figure1)):
+        assert srg_params(adjacency) == srg_params_loop(adjacency)
+    assert srg_params(adjacency_complement(figure1)) == SrgParams(25, 12, 5, 6)
+
+
+def five_cycle(case=None):
+    """C5, strongly regular (5,2,0,1), with one defect that only the
+    adjacency entry checks can reject."""
+    a = [[int((i - j) % 5 in (1, 4)) for j in range(5)] for i in range(5)]
+    if case == "ragged":
+        a[2].pop()
+    elif case == "asymmetric":
+        a[0][2] = 1
+    elif case == "diagonal":
+        a[3][3] = 1
+    elif case is not None:
+        a[1][3] = a[3][1] = case  # vertices 1 and 3 are not adjacent
+    return a
+
+
+MALFORMED = [
+    ("ragged", "adjacency row 2 has length 4"),
+    (2, "adjacency entry [1][3] = 2 not 0/1"),
+    (-1, "adjacency entry [1][3] = -1 not 0/1"),
+    (1.5, "adjacency entry [1][3] = 1.5 not 0/1"),
+    ("1", "adjacency entry [1][3] = 1 not 0/1"),
+    ("x", "adjacency entry [1][3] = x not 0/1"),
+    ("asymmetric", "adjacency not symmetric at [0][2]"),
+    ("diagonal", "adjacency diagonal [3][3] nonzero"),
+]
+
+
+@pytest.mark.parametrize("entry_point", [
+    srg_params, colored_graph_from_adjacency, adjacency_complement, srg_spectral_embedding])
+@pytest.mark.parametrize("case, message", MALFORMED, ids=[repr(c) for c, _ in MALFORMED])
+def test_every_adjacency_entry_point_rejects_alike(entry_point, case, message):
+    assert srg_params(five_cycle()) == SrgParams(5, 2, 0, 1)
+    with pytest.raises(StructuralError) as exc:
+        entry_point(five_cycle(case))
+    assert str(exc.value) == message
 
 
 class TestSrgParams:

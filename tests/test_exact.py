@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +10,7 @@ from balanced.exact import (
     Configuration,
     GramMatrix,
     StructuralError,
-    as_matrix,
+    _first_pair,
     gram_rank,
     inner_product_spectrum,
     ldl_decompose,
@@ -17,6 +18,18 @@ from balanced.exact import (
 )
 from balanced.constructors import c7_prime, simplex_midpoints
 from reference_elimination import is_positive_semidefinite
+
+
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda bits: np.array(bits, dtype=bool).reshape(n, n))),
+    st.booleans(), st.booleans())
+def test_first_pair_is_the_first_upper_entry(mask, symmetric, diagonal):
+    if symmetric:
+        mask = mask | mask.T
+    np.fill_diagonal(mask, diagonal)
+    upper = np.argwhere(np.triu(mask, 1))
+    assert _first_pair(mask) == (tuple(upper[0].tolist()) if len(upper) else None)
 
 
 class TestRational:
@@ -144,7 +157,7 @@ class TestConfiguration:
 
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(StructuralError, match="diagonal"):
-            GramMatrix(as_matrix([[2, 0], [0, 2]]))
+            GramMatrix([[2, 0], [0, 2]])
 
     def test_rejects_non_psd(self):
         with pytest.raises(StructuralError, match="semidefinite"):

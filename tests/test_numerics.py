@@ -62,16 +62,16 @@ class TestCoordinates:
     def test_cube_residual(self, cube_config):
         p = coordinates_from_gram(cube_config)
         assert p.dim == 3
-        assert reconstruction_residual(p) < 1e-12
+        assert reconstruction_residual(p, cube_config) < 1e-12
 
     def test_c7p_shape_and_residual(self, c7p):
         p = coordinates_from_gram(c7p)
         assert p.points.shape == (28, 7)
-        assert reconstruction_residual(p) < 1e-10
+        assert reconstruction_residual(p, c7p) < 1e-10
 
     def test_bundled_residuals(self, paulus_r, c56, d4_kissing, e8_kissing):
         for c in (paulus_r, c56, d4_kissing, e8_kissing):
-            assert reconstruction_residual(coordinates_from_gram(c)) < 1e-10
+            assert reconstruction_residual(coordinates_from_gram(c), c) < 1e-10
 
 
 class TestEnergy:

@@ -84,6 +84,42 @@ def test_order_assignment_rule_sees_every_form():
     assert order_assignments(tree) == [("G.f", 4), ("G.f", 5), ("G.f", 6), ("G.f", 7), ("g", 9)]
 
 
+def called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def argwhere_triu_calls(tree):
+    """Lines of every `argwhere(triu(...))` call, ascending."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and called_name(node) == "argwhere" and node.args
+                  and isinstance(node.args[0], ast.Call) and called_name(node.args[0]) == "triu")
+
+
+def test_first_pairs_come_from_one_function():
+    """The first pair i < j of a mask in row-major order is `exact._first_pair`,
+    one argmax; no module finds it with its own `argwhere(triu(...))`."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in argwhere_triu_calls(tree)]
+    assert found == []
+
+
+def test_argwhere_triu_rule_sees_every_form():
+    tree = ast.parse(
+        "a = np.argwhere(np.triu(m, 1))\n"
+        "b = numpy.argwhere(numpy.triu(m != m.T, 1))[0]\n"
+        "c = argwhere(triu(x))\n"
+        "d = np.argwhere(m)\n"
+        "e = np.triu(np.argwhere(m))\n"
+        "f = np.flatnonzero(np.triu(m, 1))\n"
+        "def g():\n"
+        "    return np.argwhere(np.triu(m, k=1)).tolist()\n"
+    )
+    assert argwhere_triu_calls(tree) == [1, 2, 3, 8]
+
+
 def unnamed_definitions(trees, exported=()):
     """(name, line) of every function, method and class that no code outside
     its own body names, as a Name or an attribute, and that is not exported.

@@ -1,6 +1,6 @@
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from balanced.constructors import (
@@ -11,6 +11,7 @@ from balanced.constructors import (
 )
 from balanced.exact import Configuration, StructuralError
 from balanced.symmetry import (
+    ColoredGraph,
     PermutationGroup,
     adjacency_complement,
     automorphism_group,
@@ -33,6 +34,23 @@ def square_cycle_adjacency():
 
 
 class TestColoredGraph:
+    def test_edge_colours_are_a_read_only_array(self, c7):
+        g = colored_graph_from_config(c7)
+        assert g.edge_colors.shape == (28, 28) and g.edge_colors.dtype == np.intp
+        assert not g.edge_colors.flags.writeable
+        assert (g.edge_colors.diagonal() == -1).all()
+        assert not np.shares_memory(g.edge_colors, c7.gram.colours)
+        assert (c7.gram.colours.diagonal() == len(c7.gram.values) - 1).all()
+
+    @pytest.mark.parametrize("rows", [
+        ((-1, 0), (0,)),  # ragged
+        ((-1, 0, 1), (0, -1, 1)),  # 2 x 3
+        ((-1, 0), (0, -1), (1, 1)),  # 3 x 2
+    ])
+    def test_ragged_or_non_square_colours_rejected(self, rows):
+        with pytest.raises(StructuralError, match="edge colours"):
+            ColoredGraph(len(rows), rows)
+
     def test_color_counts(self, c7, c56):
         assert colored_graph_from_config(c7).n_edge_colors == 2
         assert colored_graph_from_config(c56).n_edge_colors == 3
@@ -40,7 +58,6 @@ class TestColoredGraph:
 
     def test_colors_sorted_by_value(self, c7):
         g = colored_graph_from_config(c7)
-        assert g.color_values == (Fraction(-1, 3), Fraction(1, 3))
         i, j = 0, 1  # labels 12 and 13 share a vertex: inner product +1/3
         assert g.edge_colors[i][j] == 1
 

@@ -437,6 +437,19 @@ def test_moved_pair_is_one_check_on_both_colour_arrays(c, rnd):
                        f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_configurations())
+def test_search_reads_tuple_and_array_graphs_alike(c):
+    """A ColoredGraph built from nested tuples holds the same array as one
+    built from the Gram colours, so the search returns the same generators."""
+    graph = colored_graph_from_config(c)
+    rows = tuple(map(tuple, graph.edge_colors.tolist()))
+    from_tuples = ColoredGraph(c.size, rows)
+    assert from_tuples.edge_colors.dtype == graph.edge_colors.dtype == np.intp
+    assert np.array_equal(from_tuples.edge_colors, graph.edge_colors)
+    assert automorphism_group(from_tuples).generators == automorphism_group(graph).generators
+
+
 def test_gram_check_rejects_wrong_degree(c7p):
     with pytest.raises(StructuralError, match="degree"):
         fixed_subspace_dim(c7p, PermutationGroup(3, [(1, 2, 0)]))
