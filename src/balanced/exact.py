@@ -13,7 +13,6 @@ import math
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
@@ -293,7 +292,7 @@ class GramMatrix:
     fixed-subspace and coordinate read-outs use.  The same pass builds the
     value table that every shell, spectrum, histogram and colouring reads:
     `values` holds the distinct entries in ascending order, and the read-only
-    integer array `colours` satisfies values[colours[i][j]] == entries[i][j].
+    integer array `colours` satisfies values[colours[i][j]] == G[i][j].
     """
 
     rows: InitVar[object]
@@ -331,11 +330,6 @@ class GramMatrix:
 
     def __hash__(self):
         return hash((self.values, self.colours.tobytes()))
-
-    @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The matrix as rows of Fractions, built from the value table on first use."""
-        return tuple(map(tuple, np.array(self.values, dtype=object)[self.colours].tolist()))
 
     @property
     def size(self) -> int:

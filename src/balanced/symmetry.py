@@ -17,6 +17,16 @@ queued: the last one's counts are its parent's minus its siblings', and both
 have refined the partition before it would be popped, so it could split
 nothing.
 
+Sibling keys skip refinements that cannot hold an automorphism.  Once a
+child of a node has failed and two or more siblings remain, one int64
+product gives each remaining sibling v, and the spine's vertex at the same
+depth, an isomorphism-invariant key (`_sibling_keys`).  A child succeeds
+only through an automorphism that maps the spine's node onto this node and
+its vertex onto v, keeping cell ordinals and colours and hence the key; so
+a sibling whose key differs counts exactly as a failed refinement, and a
+hash collision only means no skip.  Keys never refine or choose a target
+cell, so no generator, order, orbit or stabilizer changes.
+
 The group's order and the stabilizer of the first individualized vertex come
 from the search: the leftmost path is a base, and the generators found at
 each depth are a strong generating set (see `automorphism_group`).  A
@@ -50,13 +60,16 @@ Perm = tuple[int, ...]
 @dataclass(frozen=True, eq=False)
 class ColoredGraph:
     """Complete graph with edge colors: a read-only symmetric n x n intp array
-    of colour ids, -1 on the diagonal, which is no edge."""
+    of colour ids, -1 on the diagonal, which is no edge.  `copied_from` is
+    the object the colours were copied from."""
 
     size: int
     edge_colors: np.ndarray
     n_edge_colors: int = field(init=False)
+    copied_from: object = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "copied_from", self.edge_colors)
         try:
             colours = np.array(self.edge_colors, dtype=np.intp)
         except (TypeError, ValueError):  # ragged rows, or entries that are not integers
@@ -291,6 +304,9 @@ class PermutationGroup:
     # set from a complete chain, or from the search by automorphism_group
     _order: Optional[int] = None
     _first_stabilizer: Optional[tuple[int, "PermutationGroup"]] = None
+    # set by automorphism_group: the array its graph's colours were copied
+    # from, which the search has checked every generator against
+    _verified_on: object = None
 
     def __init__(self, degree: int, generators: Sequence[Perm] = ()):
         self.degree = int(degree)
@@ -429,6 +445,38 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
     return cells, invariant
 
 
+def _splitmix64(n: int) -> np.ndarray:
+    """The first n outputs of splitmix64 from seed 0 (uint64, mod 2**64)."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# the sibling keys' fixed pseudo-random weights, in 1..1024
+_KEY_WEIGHTS = (_splitmix64(2**12) % np.uint64(1024)).astype(np.int64) + 1
+
+
+def _sibling_keys(a: np.ndarray, colours: np.ndarray, n_colours: int,
+                  cell_of: np.ndarray, vertices: list[int]) -> np.ndarray:
+    """One sorted int64 row per vertex v of `vertices`: v's key under the
+    cell ordinals in the row of cell_of at the same index.
+
+    The key is the multiset over u of (cell of u, colour(v,u), s(u)), with
+    s(u) = sum_w A[colour(u,w)] B[colour(v,w), cell of w].  a[u, w] is
+    A[colour(u,w)]; B is `_KEY_WEIGHTS` at the (cell, colour) pair's code
+    past the k+1 codes of A (k edge colours), mod the table's length.  A
+    triple is one integer: the pair's code (< n (k+1)) times R, plus s(u) <
+    R = n * 1024**2 + 1.  The caller keeps n (k+1) R < 2**63: all is exact.
+    """
+    n = len(colours)
+    pair = cell_of * (n_colours + 1) + colours[vertices] + 1  # m x n, u's (cell, colour(v,u))
+    b = _KEY_WEIGHTS[(pair + n_colours + 1) % len(_KEY_WEIGHTS)]
+    keys = pair * ((n << 20) + 1) + b @ a  # a is symmetric: (b @ a)[j, u] = s(u) for v_j
+    keys.sort(axis=1)
+    return keys
+
+
 def _moved_pair(colours: np.ndarray, p: np.ndarray) -> Optional[tuple[int, int]]:
     """The first pair (i, j) in row-major order whose colour the permutation p
     changes, or None.  The diagonal holds one colour (-1 in the search, the
@@ -459,17 +507,38 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     n = graph.size
     if n == 0:
         return PermutationGroup(0)
-    colours = graph.edge_colors
-    weights, rows = _signature_table(colours, graph.n_edge_colors)
-    state = {"first_leaf": None}
+    colours, k = graph.edge_colors, graph.n_edge_colors
+    weights, rows = _signature_table(colours, k)
+    state = {"first_leaf": None, "a": None}
     gens: list[Perm] = []
     orbits = _Orbits(n)
     spine_orbits: list[int] = []  # |v_k^{H_k}|, deepest first
     invariants: dict[int, object] = {}
+    spine: dict[int, tuple[list, int]] = {}  # depth -> (cells, v_depth) on the leftmost path
+    keyed = n * (k + 1) * ((n << 20) + 1) < 2**63  # sibling keys are exact int64
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
         root = orbits.find(v)
         return any(orbits.find(u) == root for u in explored)
+
+    def cell_ordinals(cells) -> np.ndarray:
+        cell_of = np.empty(n, dtype=np.int64)
+        cell_of[list(chain.from_iterable(cells))] = np.repeat(
+            np.arange(len(cells)), [len(c) for c in cells])
+        return cell_of
+
+    def unlike_spine(cells, vertices: list[int], depth: int) -> set[int]:
+        """The vertices whose sibling key differs from the spine vertex's at
+        this depth, computed in one batch with it."""
+        if state["a"] is None:
+            state["a"] = _KEY_WEIGHTS[(colours + 1) % len(_KEY_WEIGHTS)]
+        spine_cells, spine_v = spine[depth]
+        cell_of = np.empty((len(vertices) + 1, n), dtype=np.int64)
+        cell_of[:-1] = cell_ordinals(cells)
+        cell_of[-1] = cell_ordinals(spine_cells)
+        keys = _sibling_keys(state["a"], colours, k, cell_of, vertices + [spine_v])
+        same = (keys[:-1] == keys[-1]).all(axis=1)
+        return {v for v, s in zip(vertices, same.tolist()) if not s}
 
     def search(cells, splitters, depth: int, leftmost: bool) -> bool:
         # off the spine, the spine's node at this depth sets the trace to match
@@ -498,22 +567,31 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
         target = min(s for s in sizes if s > 1)
         ti = sizes.index(target)
         cell = cells[ti]
+        if leftmost:
+            spine[depth] = (cells, cell[0])
         explored: list[int] = []
-        found = False
-        for v in cell:
+        found = failed = False
+        unlike = None
+        for i, v in enumerate(cell):
             if leftmost and explored and in_explored_orbit(v, explored):
                 continue
-            child_leftmost = leftmost and state["first_leaf"] is None
-            # only (v,) is queued: the cells of an equitable partition cannot
-            # split anything, and once (v,) has, neither can rest, whose
-            # counts are those of the old cell minus those of (v,)
-            rest = tuple(u for u in cell if u != v)
-            child = cells[:ti] + [(v,), rest] + cells[ti + 1:]
-            res = search(child, [(v,)], depth + 1, child_leftmost)
+            if unlike is None and failed and keyed and len(cell) - i >= 2:
+                unlike = unlike_spine(cells, list(cell[i:]), depth)
+            if unlike and v in unlike:
+                res = False  # no automorphism maps the spine's node onto this child
+            else:
+                child_leftmost = leftmost and state["first_leaf"] is None
+                # only (v,) is queued: the cells of an equitable partition cannot
+                # split anything, and once (v,) has, neither can rest, whose
+                # counts are those of the old cell minus those of (v,)
+                rest = tuple(u for u in cell if u != v)
+                child = cells[:ti] + [(v,), rest] + cells[ti + 1:]
+                res = search(child, [(v,)], depth + 1, child_leftmost)
             if depth == 0 and not explored:
                 state["v0"], state["stabilizer_gens"] = v, len(gens)  # H_1 = G_{v_0}
             explored.append(v)
             found = found or res
+            failed = failed or not res
             if res and not leftmost:
                 return True  # one coset representative is enough off the spine
         if leftmost:
@@ -530,7 +608,9 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     if spine_orbits:
         stab = PermutationGroup(n, gens[:state["stabilizer_gens"]])
         stab._order = math.prod(spine_orbits[:-1])
+        stab._verified_on = graph.copied_from  # its generators are some of the group's
         group._first_stabilizer = (state["v0"], stab)
+    group._verified_on = graph.copied_from
     return group
 
 
@@ -546,14 +626,19 @@ def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
     elimination (den * G = X W X^T, W a positive diagonal).  Value-table
     colours are a bijection with the Gram values, so a permutation that
     keeps every colour keeps every entry.
+
+    The check is skipped for a group the search verified on this very table:
+    its graph's colours are the table's off the diagonal, and the table's
+    diagonal is one colour, which every permutation keeps.
     """
-    for p in group.generators:
-        if len(p) != c.size:
-            raise StructuralError("permutation degree does not match configuration")
-        pair = _moved_pair(c.gram.colours, np.array(p, dtype=np.intp))
-        if pair is not None:
-            raise StructuralError(
-                f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
+    if group._verified_on is not c.gram.colours:
+        for p in group.generators:
+            if len(p) != c.size:
+                raise StructuralError("permutation degree does not match configuration")
+            pair = _moved_pair(c.gram.colours, np.array(p, dtype=np.intp))
+            if pair is not None:
+                raise StructuralError(
+                    f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
     orbs = group.orbits()
     if len(orbs) == c.size:
         # trivial action: B is a permutation matrix and rank(B X) = rank(X)

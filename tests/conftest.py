@@ -75,6 +75,11 @@ def e8_kissing():
     return kissing_configuration(bundled_lattice("e8"))
 
 
+def gram_entries(gram) -> tuple[tuple[Fraction, ...], ...]:
+    """A Gram matrix as rows of Fractions, read off its value table."""
+    return tuple(map(tuple, np.array(gram.values, dtype=object)[gram.colours].tolist()))
+
+
 def perturbed_square() -> Configuration:
     """Unit square with one vertex slid to a nearby rational circle point
     (Pythagorean parametrization of roughly 100 degrees)."""

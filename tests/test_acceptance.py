@@ -40,7 +40,7 @@ from balanced.symmetry import (
     colored_graph_from_config,
     fixed_subspace_dim,
 )
-from conftest import box_short_vectors, count_tetrahedra
+from conftest import box_short_vectors, count_tetrahedra, gram_entries
 
 
 def _verdict(name: str, ok: bool) -> bool:
@@ -238,7 +238,7 @@ def test_criterion_7_cross_module_soundness():
         t1 = theorem1_check(c, 7)
         group = automorphism_group(colored_graph_from_config(c))
         gb = check_group_balanced(c, group=group)
-        g = c.gram.entries
+        g = gram_entries(c.gram)
         preserves = all(
             g[p[i]][p[j]] == g[i][j]
             for p in group.generators

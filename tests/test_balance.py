@@ -7,6 +7,7 @@ from conftest import (
     balance_oracle,
     cross_vectors,
     cube_vectors,
+    gram_entries,
     midpoint_vectors,
     perturbed_square,
 )
@@ -80,7 +81,7 @@ class TestCheckBalanced:
         rng = random.Random(3)
         perm = list(range(c7p.size))
         rng.shuffle(perm)
-        g = c7p.gram.entries
+        g = gram_entries(c7p.gram)
         shuffled = Configuration.from_gram(
             [[g[perm[i]][perm[j]] for j in range(len(perm))] for i in range(len(perm))]
         )
@@ -88,7 +89,7 @@ class TestCheckBalanced:
 
     def test_relabeling_invariance_unbalanced(self):
         base = perturbed_square()
-        g = base.gram.entries
+        g = gram_entries(base.gram)
         perm = [2, 0, 3, 1]
         shuffled = Configuration.from_gram(
             [[g[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
@@ -112,7 +113,7 @@ class TestCheckBalanced:
         ok, bad = balance_oracle(pts)
         assert not ok and bad
         # Paulus embedding: rational model = rows of the projection itself
-        g = paulus_r.gram.entries
+        g = gram_entries(paulus_r.gram)
         ok, _ = balance_oracle(g)
         assert ok == check_balanced(paulus_r).balanced
 

@@ -22,7 +22,7 @@ from balanced.designs import design_strength, theorem1_check
 from balanced.exact import Configuration, StructuralError, inner_product_spectrum
 from balanced.numerics import CoordinateSet
 from balanced.symmetry import adjacency_complement, colored_graph_from_adjacency
-from conftest import count_tetrahedra, srg_params_loop
+from conftest import count_tetrahedra, gram_entries, srg_params_loop
 
 
 def petersen_adjacency():
@@ -177,10 +177,10 @@ class TestSpectralEmbedding:
         assert paulus_s.ambient_dim == 12
         # same two values as the r-choice, with adjacency roles swapped
         assert inner_product_spectrum(paulus_s) == (Fraction(-1, 4), Fraction(1, 6))
-        g_r, g_s = None, paulus_s.gram.entries
+        g_r, g_s = None, gram_entries(paulus_s.gram)
         from balanced.constructors import srg_spectral_embedding
 
-        g_r = srg_spectral_embedding(figure1, "r").gram.entries
+        g_r = gram_entries(srg_spectral_embedding(figure1, "r").gram)
         i, j = next(
             (a, b) for a in range(25) for b in range(25) if a != b and figure1[a][b]
         )
@@ -239,7 +239,7 @@ class TestSimplexMidpoints:
         assert inner_product_spectrum(c4) == (Fraction(-2, 3), Fraction(1, 6))
 
     def test_counts_per_row(self, c7):
-        g = c7.gram.entries
+        g = gram_entries(c7.gram)
         row = g[0]
         assert sum(1 for x in row if x == Fraction(1, 3)) == 12
         assert sum(1 for x in row if x == Fraction(-1, 3)) == 15
@@ -272,7 +272,7 @@ class TestInvertTetrahedron:
 
     def test_flip_signs(self, c7, c7p):
         tetra = set(default_distinguished_tetrahedron())
-        g, gp = c7.gram.entries, c7p.gram.entries
+        g, gp = gram_entries(c7.gram), gram_entries(c7p.gram)
         for i in range(28):
             for j in range(28):
                 sign = -1 if (i in tetra) != (j in tetra) else 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import midpoint_vectors
+from conftest import gram_entries, midpoint_vectors
 from balanced.exact import (
     Configuration,
     GramMatrix,
@@ -169,7 +169,7 @@ class TestConfiguration:
 
     def test_constructor_invariants_hold(self, c7p, paulus_r, e8_kissing):
         for c in (c7p, paulus_r, e8_kissing):
-            g = c.gram.entries
+            g = gram_entries(c.gram)
             n = len(g)
             assert all(g[i][i] == 1 for i in range(n))
             assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
@@ -200,4 +200,4 @@ class TestEntryTypes:
 
     def test_mixed_rational_types_accepted(self):
         c = Configuration.from_gram([["1", Fraction(1, 2)], [Fraction(1, 2), 1]])
-        assert c.gram.entries == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
+        assert gram_entries(c.gram) == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))

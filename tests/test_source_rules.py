@@ -28,16 +28,18 @@ def test_no_assert_statements():
     assert found == []
 
 
-TRUSTED_ORDER_SETTERS = {
-    "PermutationGroup.order",
-    "PermutationGroup.point_stabilizer",
-    "automorphism_group",
+TRUSTED_SETTERS = {
+    # an order from a complete chain, or from the search
+    "_order": {"PermutationGroup.order", "PermutationGroup.point_stabilizer",
+               "automorphism_group"},
+    # the colour table every generator was checked against, by the search
+    "_verified_on": {"automorphism_group"},
 }
 
 
-def order_assignments(tree):
+def attribute_assignments(tree, attr):
     """(enclosing function as Class.method or function, line) of every
-    assignment to an attribute `_order`."""
+    assignment to an attribute named `attr`."""
     found = []
 
     def visit(node, scope):
@@ -45,7 +47,7 @@ def order_assignments(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for sub in ast.walk(target):
-                    if isinstance(sub, ast.Attribute) and sub.attr == "_order":
+                    if isinstance(sub, ast.Attribute) and sub.attr == attr:
                         found.append((".".join(scope), node.lineno))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + [node.name]
@@ -56,17 +58,28 @@ def order_assignments(tree):
     return found
 
 
-def test_trusted_order_is_set_only_where_it_is_known():
-    """A chain told a group's order stops as soon as it reaches it, so an
-    order may be set only from a complete chain (`order`, `point_stabilizer`)
-    or from the search (`automorphism_group`)."""
+def misplaced_assignments(attr):
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} in {scope or 'module'}"
-                  for scope, line in order_assignments(tree)
-                  if scope not in TRUSTED_ORDER_SETTERS]
-    assert found == []
+                  for scope, line in attribute_assignments(tree, attr)
+                  if scope not in TRUSTED_SETTERS[attr]]
+    return found
+
+
+def test_trusted_order_is_set_only_where_it_is_known():
+    """A chain told a group's order stops as soon as it reaches it, so an
+    order may be set only from a complete chain (`order`, `point_stabilizer`)
+    or from the search (`automorphism_group`)."""
+    assert misplaced_assignments("_order") == []
+
+
+def test_verified_table_is_set_only_by_the_search():
+    """`fixed_subspace_dim` skips its Gram check for a group verified on the
+    configuration's own colour table, so only the search, which checks every
+    generator it keeps, may record that table."""
+    assert misplaced_assignments("_verified_on") == []
 
 
 def test_order_assignment_rule_sees_every_form():
@@ -78,10 +91,14 @@ def test_order_assignment_rule_sees_every_form():
         "        a.b._order += 2\n"
         "        x._order: int = 3\n"
         "        (y._order, z) = 4, 5\n"
+        "        s._verified_on = t._order = 6\n"
         "def g():\n"
-        "    grp._order = 6\n"
+        "    grp._order = 7\n"
+        "    grp._verified_on = grp._verified_on or 8\n"
     )
-    assert order_assignments(tree) == [("G.f", 4), ("G.f", 5), ("G.f", 6), ("G.f", 7), ("g", 9)]
+    assert attribute_assignments(tree, "_order") == [
+        ("G.f", 4), ("G.f", 5), ("G.f", 6), ("G.f", 7), ("G.f", 8), ("g", 10)]
+    assert attribute_assignments(tree, "_verified_on") == [("G.f", 8), ("g", 11)]
 
 
 def called_name(call):
@@ -190,3 +207,47 @@ def test_unnamed_definition_rule_sees_every_form():
     )
     assert unnamed_definitions([tree], {"exported"}) == [
         ("unused", 4), ("recursive", 6), ("method", 13)]
+
+
+def random_sources(tree):
+    """Lines that reach a random source, ascending: an import of `random` or
+    `numpy.random`, an attribute `.random`, or `default_rng` by any name."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(part in ("random", "default_rng") for name in names for part in name.split(".")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_symmetry_uses_no_random_source():
+    """The search's key weights are a fixed splitmix64 table, so every run
+    prints the same generators, and importing `symmetry` does not import
+    `numpy.random`."""
+    path = next(p for p in SOURCES if p.name == "symmetry.py")
+    assert random_sources(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_random_source_rule_sees_every_form():
+    tree = ast.parse(
+        "import random\n"
+        "import numpy.random as npr\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "x = np.random.rand(3)\n"
+        "rng = np.random.default_rng(0)\n"
+        "y = default_rng(1)\n"
+        "import numpy as np\n"
+        "z = np.arange(3)\n"
+        "w = shuffled(z)\n"
+    )
+    assert random_sources(tree) == [1, 2, 3, 4, 5, 6, 7]

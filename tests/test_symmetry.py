@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gram_entries
 from balanced.constructors import (
     cross_polytope,
     default_distinguished_tetrahedron,
@@ -106,7 +107,7 @@ class TestAutomorphismGroup:
 
     def test_generators_preserve_gram(self, c7p, paulus_r, d4_kissing):
         for c in (c7p, paulus_r, d4_kissing):
-            g = c.gram.entries
+            g = gram_entries(c.gram)
             group = automorphism_group(colored_graph_from_config(c))
             for p in group.generators:
                 for i in range(len(g)):

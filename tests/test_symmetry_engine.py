@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_symmetry as ref
+from conftest import gram_entries
 from balanced.constructors import (
     antipodal_union,
     c7_prime,
@@ -24,6 +25,7 @@ from balanced.constructors import (
     cube,
     simplex_midpoints,
 )
+from balanced import symmetry
 from balanced.exact import Configuration, InvariantError, StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.symmetry import (
@@ -48,7 +50,7 @@ def chain_levels(chain):
 def relabel(c, seed):
     perm = list(range(c.size))
     random.Random(seed).shuffle(perm)
-    g = c.gram.entries
+    g = gram_entries(c.gram)
     return Configuration.from_gram([[g[a][b] for b in perm] for a in perm])
 
 
@@ -58,6 +60,10 @@ ENGINE_CASES = {
     "paulus_r": lambda request: request.getfixturevalue("paulus_r"),
     "paulus_s": lambda request: request.getfixturevalue("paulus_s"),
     "c7p": lambda request: c7_prime(),
+    # two other tetrahedra, 12 38 47 56 and 12 38 46 57, on which sibling keys
+    # skip 19 of 71 refinements (9 of 50 on the default one)
+    "c7p-t0-17-20-22": lambda request: c7_prime((0, 17, 20, 22)),
+    "c7p-t0-17-19-23": lambda request: c7_prime((0, 17, 19, 23)),
     "c5": lambda request: simplex_midpoints(5),
     "c6": lambda request: simplex_midpoints(6),
     "c7": lambda request: simplex_midpoints(7),
@@ -334,7 +340,7 @@ def small_configurations(draw):
 
 
 def brute_force_automorphisms(c):
-    g = c.gram.entries
+    g = gram_entries(c.gram)
     n = c.size
     return [
         p for p in permutations(range(n))
@@ -453,3 +459,133 @@ def test_search_reads_tuple_and_array_graphs_alike(c):
 def test_gram_check_rejects_wrong_degree(c7p):
     with pytest.raises(StructuralError, match="degree"):
         fixed_subspace_dim(c7p, PermutationGroup(3, [(1, 2, 0)]))
+
+
+# --- sibling keys and the Gram check the search has done ----------------------
+
+
+def random_regular_edges(n, d, rnd):
+    """The edges of a random d-regular simple graph on n vertices (n d even),
+    from the configuration model by rejection."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rnd.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) * 2 == n * d:
+            return edges
+
+
+@st.composite
+def coloured_complete_graphs(draw):
+    """K_n for n <= 9 with every edge drawn from 2 or 3 colours: either
+    arbitrary colours, whose groups are mostly trivial and whose root
+    partitions are mostly discrete, or colour classes drawn as random regular
+    graphs, where refinement stalls and many siblings fail."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(2, 3))
+    colours = np.zeros((n, n), dtype=np.intp)
+    if draw(st.booleans()):
+        upper = np.triu_indices(n, 1)
+        edges = draw(st.lists(st.integers(0, k - 1), min_size=len(upper[0]),
+                              max_size=len(upper[0])))
+        colours[upper] = edges
+        colours.T[upper] = edges
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        for colour in range(1, k):
+            d = draw(st.sampled_from([d for d in range(1, min(n, 5)) if n * d % 2 == 0] or [0]))
+            for a, b in random_regular_edges(n, d, rnd):
+                colours[a, b] = colours[b, a] = colour
+    return ColoredGraph(n, colours)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_complete_graphs())
+def test_search_matches_reference_on_coloured_complete_graphs(graph):
+    """Skipped siblings count as failed refinements: the generators, the order
+    and the first stabilizer are the reference search's, which has no keys."""
+    n = graph.size
+    group = automorphism_group(graph)
+    want = ref.automorphism_generators(graph)
+    assert group.generators == want
+    assert group.order() == ref.group_order(n, want)
+    if group._first_stabilizer is None:  # a discrete root partition
+        assert group.order() == 1
+        return
+    v0, stab = group._first_stabilizer
+    assert stab.generators == tuple(g for g in want if g[v0] == v0)
+    assert stab.order() == ref.group_order(n, ref.stabilizer_generators(n, want, v0))
+
+
+@pytest.mark.parametrize("name, most", [("paulus_r", 70), ("paulus_s", 80)])
+def test_sibling_keys_cut_the_paulus_refinements(name, most, request, monkeypatch):
+    """Without sibling keys the Paulus searches refine 350 and 326 times,
+    almost all for siblings that fail; the keys skip most of those."""
+    calls = []
+    refine = symmetry._refine
+    monkeypatch.setattr(symmetry, "_refine", lambda *args: calls.append(1) or refine(*args))
+    group = automorphism_group(colored_graph_from_config(request.getfixturevalue(name)))
+    assert group.order() == 1
+    assert len(calls) <= most
+
+
+def test_sibling_keys_depend_on_colours_and_cells_only(c7p):
+    """Relabelling the graph and its partition permutes the rows of a key
+    computation and changes no key."""
+    graph = colored_graph_from_config(c7p)
+    n, k = graph.size, graph.n_edge_colors
+    perm = list(range(n))
+    random.Random(4).shuffle(perm)
+    p = np.array(perm)
+    inv = np.argsort(p)  # vertex u of the copy is vertex p[u] of graph
+    copy = ColoredGraph(n, graph.edge_colors[np.ix_(p, p)])
+    cell_of = np.array([u % 3 for u in range(n)])
+    vertices = [0, 5, 11, 27]
+    a = symmetry._KEY_WEIGHTS[graph.edge_colors + 1]
+    keys = symmetry._sibling_keys(a, graph.edge_colors, k, np.tile(cell_of, (4, 1)), vertices)
+    a_copy = symmetry._KEY_WEIGHTS[copy.edge_colors + 1]
+    keys_copy = symmetry._sibling_keys(a_copy, copy.edge_colors, k,
+                                       np.tile(cell_of[p], (4, 1)), inv[vertices].tolist())
+    assert np.array_equal(keys, keys_copy)
+    assert len({row.tobytes() for row in keys}) > 1
+
+
+def test_gram_check_skipped_only_for_the_search_on_its_own_table(c7p, monkeypatch):
+    """The search's group and its first stabilizer were checked on the colour
+    table `colored_graph_from_config` copied, so `fixed_subspace_dim` does not
+    check them again there; a chain's stabilizer, a hand-built group and an
+    equal table of another configuration are checked."""
+    group = automorphism_group(colored_graph_from_config(c7p))
+    v0, first = group._first_stabilizer
+    stab = group.point_stabilizer(v0)
+    twin = Configuration.from_gram(gram_entries(c7p.gram))
+    checked = []
+    moved_pair = symmetry._moved_pair
+    monkeypatch.setattr(symmetry, "_moved_pair", lambda *args: checked.append(1) or moved_pair(*args))
+
+    def checks(c, g):
+        checked.clear()
+        dims.append(fixed_subspace_dim(c, g))
+        return len(checked)
+
+    dims = []
+    assert checks(c7p, group) == 0
+    assert checks(c7p, first) == 0
+    assert checks(c7p, stab) == len(stab.generators) > 0
+    assert checks(c7p, PermutationGroup(c7p.size, group.generators)) == len(group.generators)
+    assert checks(twin, group) == len(group.generators)
+    assert dims == [dims[0], dims[1], dims[1], dims[0], dims[0]]
+
+
+def test_hand_built_non_automorphism_still_raises(c7p):
+    """A non-automorphism next to the search's generators, or the search's
+    group of another labelling, fails the Gram check with its message."""
+    group = automorphism_group(colored_graph_from_config(c7p))
+    swap = list(range(c7p.size))
+    swap[3], swap[5] = swap[5], swap[3]
+    with pytest.raises(StructuralError) as exc:
+        fixed_subspace_dim(c7p, PermutationGroup(c7p.size, group.generators + (tuple(swap),)))
+    assert str(exc.value) == "permutation does not preserve the Gram matrix at (3,9)"
+    other = automorphism_group(colored_graph_from_config(relabel(c7p, seed=3)))
+    with pytest.raises(StructuralError, match="does not preserve the Gram matrix at"):
+        fixed_subspace_dim(c7p, other)
