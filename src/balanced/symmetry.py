@@ -18,14 +18,15 @@ have refined the partition before it would be popped, so it could split
 nothing.
 
 Sibling keys skip refinements that cannot hold an automorphism.  Once a
-child of a node has failed and two or more siblings remain, one int64
-product gives each remaining sibling v, and the spine's vertex at the same
-depth, an isomorphism-invariant key (`_sibling_keys`).  A child succeeds
-only through an automorphism that maps the spine's node onto this node and
-its vertex onto v, keeping cell ordinals and colours and hence the key; so
-a sibling whose key differs counts exactly as a failed refinement, and a
-hash collision only means no skip.  Keys never refine or choose a target
-cell, so no generator, order, orbit or stabilizer changes.
+child of a node has failed and two or more siblings remain, a matrix
+product gives the next 16 siblings v (then 32, 64, ...), and the spine's
+vertex at the same depth, an isomorphism-invariant key (`_sibling_keys`).
+A child succeeds only through an automorphism that maps the spine's node
+onto this node and its vertex onto v, keeping cell ordinals and colours
+and hence the key; so a sibling whose key differs counts exactly as a
+failed refinement, and a hash collision only means no skip.  Keys never
+refine or choose a target cell, so no generator, order, orbit or
+stabilizer changes.
 
 The group's order and the stabilizer of the first individualized vertex come
 from the search: the leftmost path is a base, and the generators found at
@@ -453,26 +454,31 @@ def _splitmix64(n: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-# the sibling keys' fixed pseudo-random weights, in 1..1024
-_KEY_WEIGHTS = (_splitmix64(2**12) % np.uint64(1024)).astype(np.int64) + 1
+# the sibling keys' fixed pseudo-random weights, in 1..1024, as floats for BLAS
+_KEY_WEIGHTS = (_splitmix64(2**12) % np.uint64(1024) + np.uint64(1)).astype(np.float64)
 
 
 def _sibling_keys(a: np.ndarray, colours: np.ndarray, n_colours: int,
                   cell_of: np.ndarray, vertices: list[int]) -> np.ndarray:
-    """One sorted int64 row per vertex v of `vertices`: v's key under the
+    """One sorted uint64 row per vertex v of `vertices`: v's key under the
     cell ordinals in the row of cell_of at the same index.
 
     The key is the multiset over u of (cell of u, colour(v,u), s(u)), with
     s(u) = sum_w A[colour(u,w)] B[colour(v,w), cell of w].  a[u, w] is
     A[colour(u,w)]; B is `_KEY_WEIGHTS` at the (cell, colour) pair's code
-    past the k+1 codes of A (k edge colours), mod the table's length.  A
-    triple is one integer: the pair's code (< n (k+1)) times R, plus s(u) <
-    R = n * 1024**2 + 1.  The caller keeps n (k+1) R < 2**63: all is exact.
+    past the k+1 codes of A (k edge colours), mod the table's length.  s(u)
+    is an integer below n 2**20, so the float product is exact in any order
+    of summation (n < 2**33 holds for any n x n colour table in memory).  A
+    triple is one integer mod 2**64: the pair's code times n 2**20 + 1, plus
+    s(u).  A multiset of such integers is as invariant as the triples; a
+    wrapped code can only make two keys collide, and a collision only means
+    no skip.
     """
     n = len(colours)
     pair = cell_of * (n_colours + 1) + colours[vertices] + 1  # m x n, u's (cell, colour(v,u))
     b = _KEY_WEIGHTS[(pair + n_colours + 1) % len(_KEY_WEIGHTS)]
-    keys = pair * ((n << 20) + 1) + b @ a  # a is symmetric: (b @ a)[j, u] = s(u) for v_j
+    s = (b @ a).astype(np.uint64)  # a is symmetric: (b @ a)[j, u] = s(u) for v_j
+    keys = pair.astype(np.uint64) * np.uint64((n << 20) + 1) + s
     keys.sort(axis=1)
     return keys
 
@@ -515,7 +521,6 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     spine_orbits: list[int] = []  # |v_k^{H_k}|, deepest first
     invariants: dict[int, object] = {}
     spine: dict[int, tuple[list, int]] = {}  # depth -> (cells, v_depth) on the leftmost path
-    keyed = n * (k + 1) * ((n << 20) + 1) < 2**63  # sibling keys are exact int64
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
         root = orbits.find(v)
@@ -571,13 +576,17 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             spine[depth] = (cells, cell[0])
         explored: list[int] = []
         found = failed = False
-        unlike = None
+        # keys are compared in batches of 16, 32, ... siblings: a success or
+        # the orbits often end the loop early, and a key row costs n**2
+        unlike: set[int] = set()
+        keyed, width = 0, 16  # cell[:keyed] has been compared
         for i, v in enumerate(cell):
             if leftmost and explored and in_explored_orbit(v, explored):
                 continue
-            if unlike is None and failed and keyed and len(cell) - i >= 2:
-                unlike = unlike_spine(cells, list(cell[i:]), depth)
-            if unlike and v in unlike:
+            if failed and i >= keyed and len(cell) - i >= 2:
+                unlike = unlike_spine(cells, list(cell[i:i + width]), depth)
+                keyed, width = i + width, 2 * width
+            if v in unlike:
                 res = False  # no automorphism maps the spine's node onto this child
             else:
                 child_leftmost = leftmost and state["first_leaf"] is None

@@ -529,17 +529,20 @@ def test_sibling_keys_cut_the_paulus_refinements(name, most, request, monkeypatc
     assert len(calls) <= most
 
 
-def test_sibling_keys_depend_on_colours_and_cells_only(c7p):
+@pytest.mark.parametrize("wide", [False, True], ids=["exact", "wrapped"])
+def test_sibling_keys_depend_on_colours_and_cells_only(c7p, wide):
     """Relabelling the graph and its partition permutes the rows of a key
-    computation and changes no key."""
+    computation and changes no key, also when the packed codes wrap mod
+    2**64 (an edge colour count of 2**40 stands in for a huge input)."""
     graph = colored_graph_from_config(c7p)
-    n, k = graph.size, graph.n_edge_colors
+    n, k = graph.size, 2**40 if wide else graph.n_edge_colors
     perm = list(range(n))
     random.Random(4).shuffle(perm)
     p = np.array(perm)
     inv = np.argsort(p)  # vertex u of the copy is vertex p[u] of graph
     copy = ColoredGraph(n, graph.edge_colors[np.ix_(p, p)])
     cell_of = np.array([u % 3 for u in range(n)])
+    assert (2 * (k + 1) * ((n << 20) + 1) >= 2**64) == wide  # cell 2's codes wrap
     vertices = [0, 5, 11, 27]
     a = symmetry._KEY_WEIGHTS[graph.edge_colors + 1]
     keys = symmetry._sibling_keys(a, graph.edge_colors, k, np.tile(cell_of, (4, 1)), vertices)
