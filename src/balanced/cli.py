@@ -3,7 +3,9 @@
 Exit codes: 0 = pass, 1 = checked property is false, 2 = malformed input,
 3 = resource limit (use --allow-slow), 4 = an internal soundness check
 failed (a defect in this library; no verdict is given).  Reports go to
-stdout as JSON with a fixed key order; diagnostics go to stderr.
+stdout as JSON with a fixed key order; diagnostics go to stderr.  The
+mapping from library errors to exit codes 2 and 4 is applied once, at the
+group, so it covers every command.
 """
 
 from __future__ import annotations
@@ -49,8 +51,14 @@ def main():
     """Construct, verify and analyze balanced spherical point configurations."""
 
 
-def _write_output(c: Configuration, out) -> None:
-    text = files.write_configuration(c, out)
+main.invoke = input_errors(main.invoke)
+
+
+def _write_output(built: Configuration | CoordinateSet, out) -> None:
+    if isinstance(built, CoordinateSet):
+        text = files.write_coordinates(built, out)
+    else:
+        text = files.write_configuration(built, out)
     if out is None:
         click.echo(text.rstrip("\n"))
 
@@ -69,7 +77,6 @@ _out_option = click.option("-o", "--output", type=click.Path(dir_okay=False), de
 @construct.command("simplex-midpoints")
 @click.argument("n", type=int)
 @_out_option
-@input_errors
 def construct_simplex_midpoints(n, output):
     _write_output(constructors.simplex_midpoints(n), output)
 
@@ -77,7 +84,6 @@ def construct_simplex_midpoints(n, output):
 @construct.command("c7prime")
 @click.option("--tetra", default=None, help="Four point indices, comma separated.")
 @_out_option
-@input_errors
 def construct_c7prime(tetra, output):
     indices = None
     if tetra is not None:
@@ -93,7 +99,6 @@ def construct_c7prime(tetra, output):
 @click.option("--eigen", type=click.Choice(["r", "s"]), default="r", show_default=True)
 @click.option("--complement", is_flag=True, help="Embed the complement graph instead.")
 @_out_option
-@input_errors
 def construct_srg_embedding(graph, eigen, complement, output):
     if graph == "figure1":
         adjacency = constructors.figure1_adjacency()
@@ -108,7 +113,6 @@ def construct_srg_embedding(graph, eigen, complement, output):
 @click.argument("lattice")
 @click.option("--allow-slow", is_flag=True)
 @_out_option
-@input_errors
 def construct_kissing(lattice, allow_slow, output):
     gram = files.read_lattice(lattice)
     if gram.dim >= SLOW_LATTICE_DIM and not allow_slow:
@@ -123,7 +127,6 @@ def construct_kissing(lattice, allow_slow, output):
 @construct.command("antipodal-union")
 @click.argument("file", type=click.Path(exists=False))
 @_out_option
-@input_errors
 def construct_antipodal_union(file, output):
     _write_output(constructors.antipodal_union(files.read_configuration(file)), output)
 
@@ -133,15 +136,8 @@ def construct_antipodal_union(file, output):
 @click.option("-n", "dim", type=int, default=None, help="Dimension, where required.")
 @click.option("-k", "ring", type=int, default=None, help="Ring size for poles-and-ring.")
 @_out_option
-@input_errors
 def construct_polytope(name, dim, ring, output):
-    built = constructors.standard_polytope(name, n=dim, k=ring)
-    if isinstance(built, CoordinateSet):
-        text = files.write_coordinates(built, output)
-        if output is None:
-            click.echo(text.rstrip("\n"))
-    else:
-        _write_output(built, output)
+    _write_output(constructors.standard_polytope(name, n=dim, k=ring), output)
 
 
 # --- check -------------------------------------------------------------------
@@ -194,7 +190,6 @@ def _load_points(file, tol):
 @check.command("balanced")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Float mode only.")
-@input_errors
 def check_balanced_cmd(file, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
@@ -209,7 +204,6 @@ def check_balanced_cmd(file, tol):
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@input_errors
 def check_design_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
@@ -227,7 +221,6 @@ def check_design_cmd(file, cap, tol):
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@input_errors
 def check_theorem1_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
@@ -243,7 +236,6 @@ def check_theorem1_cmd(file, cap, tol):
 
 @check.command("group-balanced")
 @click.argument("file", type=click.Path(exists=False))
-@input_errors
 def check_group_balanced_cmd(file):
     c = files.read_configuration(file)
     verdict = symmetry.check_group_balanced(c)
@@ -258,7 +250,6 @@ def check_group_balanced_cmd(file):
 
 @check.command("euclidean")
 @click.argument("file", type=click.Path(exists=False))
-@input_errors
 def check_euclidean_cmd(file):
     points, period, cutoff = files.read_euclidean(file)
     rep = balance.check_balanced_euclidean(points, period=period, cutoff=cutoff)
@@ -273,17 +264,15 @@ def check_euclidean_cmd(file):
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--orbits", "show_orbits", is_flag=True)
 @click.option("--stabilizer", type=int, default=None, help="Point index.")
-@input_errors
 def symmetry_cmd(file, show_orbits, stabilizer):
     c = files.read_configuration(file)
     group = symmetry.automorphism_group(symmetry.colored_graph_from_config(c))
     doc = {
         "order": str(group.order()),
         "generators": [list(g) for g in group.generators],
-        "orbits": [list(o) for o in group.orbits()],
     }
-    if not show_orbits:
-        del doc["orbits"]
+    if show_orbits:
+        doc["orbits"] = [list(o) for o in group.orbits()]
     if stabilizer is not None:
         stab = group.point_stabilizer(stabilizer)
         doc["stabilizer"] = {
@@ -305,7 +294,6 @@ def _coordinates_for(file) -> CoordinateSet:
 @main.command("energy")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("-s", "exponent", type=float, required=True)
-@input_errors
 def energy_cmd(file, exponent):
     p = _coordinates_for(file)
     _echo({"s": exponent, "energy": numerics.energy(p, exponent)})
@@ -314,7 +302,6 @@ def energy_cmd(file, exponent):
 @main.command("force")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("-s", "exponent", type=float, required=True)
-@input_errors
 def force_cmd(file, exponent):
     p = _coordinates_for(file)
     rep = numerics.tangential_force(p, exponent)
@@ -330,15 +317,11 @@ def force_cmd(file, exponent):
 @main.command("saddle-demo")
 @click.option("-s", "exponent", type=float, default=1.0, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=64, show_default=True)
-@input_errors
 def saddle_demo_cmd(exponent, samples):
     """Rotate a cube facet: the energy is critical at 0 yet drops inside."""
     e0 = numerics.cube_facet_rotation(0.0, exponent)
     h = 1e-6
-    slope0 = (
-        numerics.cube_facet_rotation(h, exponent)
-        - numerics.cube_facet_rotation(0.0, exponent)
-    ) / h
+    slope0 = (numerics.cube_facet_rotation(h, exponent) - e0) / h
     best_theta, best_e = 0.0, e0
     for i in range(1, samples + 1):
         theta = (math.pi / 4) * i / samples
@@ -362,7 +345,6 @@ def saddle_demo_cmd(exponent, samples):
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@input_errors
 def report_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):

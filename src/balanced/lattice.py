@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -54,6 +55,10 @@ class LatticeGram:
     label: Optional[str] = None
 
     def __post_init__(self):
+        for i, row in enumerate(self.entries):
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                    raise StructuralError(f"gram[{i}][{j}] = {x!r} is not an integer")
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
         if not rows:
             raise StructuralError("lattice Gram matrix is empty")

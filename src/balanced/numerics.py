@@ -127,15 +127,16 @@ def _require_distinct(p: CoordinateSet, tol: float) -> None:
         raise StructuralError("points %d and %d coincide (inner product >= 1 - %g)" % (*pair, tol))
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+def _pairwise(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The differences p_i - p_j and the distances |p_i - p_j|, N x N."""
     diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    return diff, np.sqrt((diff**2).sum(axis=2))
 
 
 def energy(p: CoordinateSet, s: float) -> float:
     """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s."""
     _require_positive("exponent s", s)
-    d = _pairwise_distances(p.points)
+    _, d = _pairwise(p.points)
     iu = np.triu_indices(p.size, k=1)
     pair = d[iu]
     if (pair == 0).any():
@@ -158,11 +159,8 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     the negative gradient of the pair energy.
     """
     _require_positive("exponent s", s)
-    pts = p.points
-    n = p.size
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    off = ~np.eye(n, dtype=bool)
+    diff, dist = _pairwise(p.points)
+    off = ~np.eye(p.size, dtype=bool)
     if (dist[off] == 0).any():
         raise StructuralError("coincident points")
     with np.errstate(divide="ignore"):

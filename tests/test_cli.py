@@ -8,14 +8,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from balanced.cli import main
+from balanced.cli import check, main
 from balanced.designs import TheoremOneVerdict
+from balanced.exact import InvariantError, StructuralError
 from balanced.files import (
+    InputError,
     read_configuration,
     read_graph,
     write_configuration,
     write_json,
 )
+from balanced.numerics import AmbiguousShellError
 from conftest import gram_entries, perturbed_square
 
 import balanced
@@ -187,6 +190,30 @@ class TestExitCodes:
         assert res.exit_code == 4
         assert res.stdout == ""
         assert "internal invariant violated" in res.stderr
+
+    @pytest.mark.parametrize("group", [main, check], ids=["main", "check"])
+    @pytest.mark.parametrize("error, code, line", [
+        (InputError("bad file"), 2, "error: bad file"),
+        (StructuralError("not symmetric"), 2, "error: not symmetric"),
+        (AmbiguousShellError("ambiguous shells"), 2, "error: ambiguous shells"),
+        (InvariantError("broken"), 4, "error: internal invariant violated: broken"),
+    ], ids=["input", "structural", "ambiguous", "invariant"])
+    def test_every_command_maps_library_errors(self, runner, group, error, code, line):
+        """The mapping sits on the top group, so a command added later, at
+        any depth, needs nothing of its own to get its exit code."""
+
+        @group.command("raise-for-test")
+        def raise_for_test():
+            raise error
+
+        argv = ["raise-for-test"] if group is main else ["check", "raise-for-test"]
+        try:
+            res = invoke(runner, argv)
+        finally:
+            del group.commands["raise-for-test"]
+        assert res.exit_code == code
+        assert res.stdout == ""
+        assert res.stderr == line + "\n"
 
     def test_missing_file(self, runner):
         assert invoke(runner, ["check", "balanced", "/nonexistent.json"]).exit_code == 2

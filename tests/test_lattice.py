@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import box_short_vectors, gram_entries
@@ -23,6 +24,24 @@ class TestLatticeGram:
             LatticeGram(entries=((1, 2), (2, 1)))
         with pytest.raises(StructuralError, match="definite"):
             LatticeGram(entries=((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("x", [2.7, 2.0, True, "3", Fraction(3)])
+    def test_entries_must_be_integers(self, x):
+        # once truncated: ((2.7, 1), (1, 2)) was A2, and "3" and True were 3 and 1
+        with pytest.raises(StructuralError) as exc:
+            LatticeGram(entries=((x, 1), (1, 2)))
+        assert str(exc.value) == f"gram[0][0] = {x!r} is not an integer"
+
+    def test_integer_check_comes_first_in_row_major_order(self):
+        # not symmetric either, and not definite: the type is reported first
+        with pytest.raises(StructuralError) as exc:
+            LatticeGram(entries=((0, 1), (0.5, True)))
+        assert str(exc.value) == "gram[1][0] = 0.5 is not an integer"
+
+    def test_numpy_integers_are_integers(self):
+        lat = LatticeGram(entries=tuple(tuple(np.int64(x) for x in row) for row in ((2, 1), (1, 2))))
+        assert lat.entries == ((2, 1), (1, 2))
+        assert all(type(x) is int for row in lat.entries for x in row)
 
     def test_bundled_names(self):
         assert bundled_lattice("z5").dim == 5

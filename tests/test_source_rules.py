@@ -251,3 +251,50 @@ def test_random_source_rule_sees_every_form():
         "w = shuffled(z)\n"
     )
     assert random_sources(tree) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def input_errors_applications(tree):
+    """(lines of every call of `input_errors`, lines of every definition it
+    decorates), the decorator bare or called, by name or as an attribute."""
+    def name(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and called_name(node) == "input_errors"]
+    decorated = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and any(name(dec) == "input_errors" for dec in node.decorator_list)]
+    return sorted(calls), sorted(decorated)
+
+
+def test_error_mapping_is_applied_once_at_the_group():
+    """`cli.input_errors` maps library errors to exit codes 2 and 4.  Applied
+    once, to the top group's `invoke`, it covers every command, including
+    one added later; a decorator on a single command would be a second owner."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    calls, decorated = input_errors_applications(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(calls) == 1
+    assert decorated == []
+
+
+def test_input_errors_rule_sees_every_form():
+    tree = ast.parse(
+        "main.invoke = input_errors(main.invoke)\n"
+        "@input_errors\n"
+        "def a():\n"
+        "    pass\n"
+        "@cli.input_errors\n"
+        "def b():\n"
+        "    pass\n"
+        "@click.command()\n"
+        "@input_errors()\n"
+        "class C:\n"
+        "    pass\n"
+        "wrapped = cli.input_errors(f)\n"
+        "alias = input_errors\n"
+        "@other\n"
+        "def d():\n"
+        "    return other_errors(d)\n"
+    )
+    assert input_errors_applications(tree) == ([1, 9, 12], [3, 6, 10])
