@@ -22,12 +22,16 @@ of x" by "centroid x".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import lattice
 from .exact import Configuration, StructuralError, rational
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
@@ -157,79 +161,107 @@ def check_balanced_euclidean(
     For periodic input, `period` lists independent basis vectors and shells
     are gathered over all translates within the cutoff radius; one
     representative per translation class is checked.
+
+    Points and period are scaled once by S, the lcm of their coordinate
+    denominators, so every translate, squared distance and shell sum is a
+    Python int and the cutoff becomes the integer bound floor(r^2 S^2); a
+    Fraction is made only for a reported violation.
     """
     pts = _as_points(points)
     if cutoff is not None and rational(cutoff) < 0:
         raise StructuralError(f"cutoff radius {cutoff} is negative")
     r2 = None if cutoff is None else rational(cutoff) ** 2
-    if period is None:
-        shells = _finite_shells(pts, r2)
-    elif r2 is None:
+    if period is not None and r2 is None:
         raise StructuralError("periodic input requires a cutoff radius")
+    basis = None if period is None else _period_basis(period, len(pts[0]))
+    s = math.lcm(*(x.denominator for p in chain(pts, basis or ()) for x in p))
+    scaled = _scaled(pts, s)
+    bound = None if r2 is None else r2.numerator * s * s // r2.denominator
+    if basis is None:
+        shells = _finite_shells(scaled, bound)
     else:
-        shells = _periodic_shells(pts, _as_points(period), r2)
+        shells = _periodic_shells(scaled, _scaled(basis, s), bound)
     violations = []
     any_shell = False
     for i, buckets in enumerate(shells):
         any_shell = any_shell or bool(buckets)
-        violations += _centroid_violations(i, pts[i], buckets)
+        violations += _centroid_violations(i, buckets, s)
     if r2 is not None and not any_shell and (period is not None or len(pts) > 1):
         raise StructuralError("cutoff is below the minimal inter-point distance")
     return BalanceReport(balanced=not violations, violations=tuple(violations))
 
 
-def _centroid_violations(i: int, x, buckets: dict) -> list[Violation]:
-    """Distance shells {d2: member points} of point i whose centroid is not x."""
-    out = []
-    for d2 in sorted(buckets):
-        members = buckets[d2]
-        deviation = tuple(
-            sum(y[m] for y in members) - len(members) * x[m] for m in range(len(x))
-        )
-        if any(deviation):
-            out.append(Violation(point=i, shell_value=d2, deviation=deviation))
-    return out
+def _period_basis(period, dim: int) -> list[tuple[Fraction, ...]]:
+    if not period:
+        raise StructuralError("period basis is empty")
+    basis = [tuple(rational(x) for x in b) for b in period]
+    if any(len(b) != dim for b in basis):
+        raise StructuralError("period basis dimension does not match points")
+    return basis
 
 
-def _finite_shells(pts, r2):
-    """Per point, its distance shells {d2: member points} within the cutoff."""
+def _scaled(rows, s: int) -> list[list[int]]:
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows]
+
+
+def _into_shell(buckets: dict, d2, diff) -> None:
+    """Add the difference vector y - x of one member to its shell's sum."""
+    acc = buckets.get(d2)
+    buckets[d2] = list(diff) if acc is None else list(map(add, acc, diff))
+
+
+def _centroid_violations(i: int, buckets: dict, s: int) -> list[Violation]:
+    """Distance shells {S^2 d2: sum of S (y - x)} of point i whose centroid
+    is not x, ascending."""
+    return [
+        Violation(point=i, shell_value=Fraction(d2, s * s),
+                  deviation=tuple(Fraction(v, s) for v in dev))
+        for d2, dev in sorted(buckets.items()) if any(dev)
+    ]
+
+
+def _finite_shells(pts, bound):
+    """Per point, its distance shells within the integer bound, as sums."""
     for i, x in enumerate(pts):
-        buckets: dict[Fraction, list[tuple[Fraction, ...]]] = {}
+        buckets: dict[int, list[int]] = {}
         for j, y in enumerate(pts):
             if j == i:
                 continue
-            d2 = sum((a - b) ** 2 for a, b in zip(x, y))
+            diff = [b - a for a, b in zip(x, y)]
+            d2 = sum(map(mul, diff, diff))
             if d2 == 0:
                 raise StructuralError(f"points {i} and {j} coincide")
-            if r2 is None or d2 <= r2:
-                buckets.setdefault(d2, []).append(y)
+            if bound is None or d2 <= bound:
+                _into_shell(buckets, d2, diff)
         yield buckets
 
 
-def _periodic_shells(pts, basis, r2):
-    """Per point, its distance shells over all translates within the cutoff."""
-    from .lattice import enumerate_quadratic  # shared Fincke-Pohst core
-
-    dim = len(pts[0])
-    if any(len(b) != dim for b in basis):
-        raise StructuralError("period basis dimension does not match points")
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+def _periodic_shells(pts, basis, bound):
+    """Per point, its distance shells over all translates within the integer
+    bound, as sums.  One QuadraticForm of the basis Gram B B^T serves every
+    pair of points; the pair (a, b) adds lin = B (P_b - P_a) and
+    const = |P_b - P_a|^2."""
+    try:
+        form = lattice.QuadraticForm([[sum(map(mul, u, v)) for v in basis] for u in basis])
+    except StructuralError:  # B B^T is positive definite iff B has independent rows
+        raise StructuralError("period basis is not linearly independent") from None
     for a, x in enumerate(pts):
-        buckets: dict[Fraction, list[tuple[Fraction, ...]]] = {}
+        buckets: dict[int, list[int]] = {}
         for b, p in enumerate(pts):
-            delta = tuple(pb - xa for pb, xa in zip(p, x))
-            lin = [sum(bv * dv for bv, dv in zip(bvec, delta)) for bvec in basis]
-            const = sum(d * d for d in delta)
-            for t, d2 in enumerate_quadratic(gram, lin, const, r2):
+            delta = [pb - xa for pb, xa in zip(p, x)]
+            lin = [sum(map(mul, v, delta)) for v in basis]
+            const = sum(map(mul, delta, delta))
+            for t, value in lattice.enumerate_quadratic(form, lin, const, bound):
+                d2 = value.numerator  # an integer: so is every term of the form
                 if d2 == 0:
-                    if b == a and all(v == 0 for v in t):
+                    if b == a and not any(t):
                         continue
                     raise StructuralError(
                         f"points {a} and {b} coincide modulo the period lattice"
                     )
-                y = tuple(
-                    p[m] + sum(tk * bk[m] for tk, bk in zip(t, basis))
-                    for m in range(dim)
-                )
-                buckets.setdefault(d2, []).append(y)
+                diff = delta
+                for tk, v in zip(t, basis):
+                    if tk:
+                        diff = [y + tk * w for y, w in zip(diff, v)]
+                _into_shell(buckets, d2, diff)
         yield buckets

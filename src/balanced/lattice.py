@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
@@ -70,53 +70,104 @@ class LatticeGram:
         return len(self.entries)
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticForm:
+    """A positive definite rational Gram matrix G, validated and eliminated once.
+
+    With den the common denominator of G, A = den * G is an integer matrix;
+    `pivots` holds its Bareiss pivots p_k and `below[k]` the minors a_jk
+    (j > k) under pivot k.  `enumerate_quadratic` accepts a QuadraticForm in
+    place of G's rows, so that many affine terms share one elimination.
+    """
+
+    rows: InitVar[object]
+    den: int = field(init=False)
+    pivots: tuple[int, ...] = field(init=False)
+    below: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self, rows):
+        g = [[rational(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for x in chain.from_iterable(g)))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+        d = len(a)
+        pivots, minors = _definite_minors(a, d, "quadratic form") if d else ([], [])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "below", tuple(
+            tuple(minors[j][k] for j in range(k + 1, d)) for k in range(d)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+
+def _exact(x):
+    """An int as it is, anything else as a Fraction: both have a numerator
+    and a denominator, and ints need no parsing."""
+    return x if type(x) is int else rational(x)
+
+
 def enumerate_quadratic(
-    gram: Sequence[Sequence],
+    gram,
     lin: Sequence,
     const,
     bound,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All integer z with z^T G z + 2 lin.z + const <= bound, with values.
 
-    G must be positive definite.  Yields (z, value) pairs; the order follows
-    the enumeration tree (last coordinate outermost, ascending).
+    G must be positive definite, given as rows or as a QuadraticForm.  Yields
+    (z, value) pairs; the order follows the enumeration tree (last coordinate
+    outermost, ascending).
 
     Everything is scaled by the common denominator s to integers A, b, c and
-    B, and the symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the
+    B.  The symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the
     pivots p_k of A (p_{-1} = 1), the minors a_jk below them, beta_k = the
-    eliminated b_k, and e = the eliminated c = p_{d-1} (c - b^T A^-1 b).  With
-    t_k = p_k z_k + beta_k + sum_{j>k} a_jk z_j the form equals
-    sum_k t_k^2 / (p_k p_{k-1}) + e / p_{d-1}, so after multiplying by a
-    common multiple D of the p_k p_{k-1} every level tests an integer
-    w_k t_k^2 against an integer budget, and the interval of z_k follows from
-    math.isqrt.
+    eliminated b_k, and e = the eliminated c = p_{d-1} (c - b^T A^-1 b).  The
+    first d steps never touch the border, so A's pivots and minors come from
+    the QuadraticForm (scaled by m^(k+1) at step k when s = m * den) and only
+    the last row is finished per call: beta_k is that row's entry k after k
+    steps, step k replacing each later entry r_j by
+    (p_k r_j - beta_k a_jk) / p_{k-1} (with a_dk = beta_k), and e is its last
+    entry after d steps.  With t_k = p_k z_k + beta_k + sum_{j>k} a_jk z_j
+    the form equals sum_k t_k^2 / (p_k p_{k-1}) + e / p_{d-1}, so after
+    multiplying by a common multiple D of the p_k p_{k-1} every level tests
+    an integer w_k t_k^2 against an integer budget, and the interval of z_k
+    follows from math.isqrt.
     """
-    g = [[rational(x) for x in row] for row in gram]
-    d = len(g)
-    lin = [rational(x) for x in lin]
-    const = rational(const)
-    bound = rational(bound)
+    form = gram if isinstance(gram, QuadraticForm) else None
+    rows = [[rational(x) for x in row] for row in gram] if form is None else None
+    lin = [_exact(x) for x in lin]
+    const, bound = _exact(const), _exact(bound)
+    d = len(rows) if form is None else form.dim
     if len(lin) != d:
         raise StructuralError("linear term has wrong dimension")
     if d == 0:
         if const <= bound:
-            yield (), const
+            yield (), rational(const)
         return
-    s = math.lcm(*(x.denominator for x in chain(chain.from_iterable(g), lin, (const, bound))))
+    if form is None:
+        form = QuadraticForm(rows)
+    s = math.lcm(form.den, *(x.denominator for x in (*lin, const, bound)))
 
-    def scale(x: Fraction) -> int:
+    def scale(x) -> int:
         return x.numerator * (s // x.denominator)
 
-    b = [scale(x) for x in lin]
-    rows = [[scale(x) for x in row] + [bk] for row, bk in zip(g, b)]
-    pivots, minors = _definite_minors(rows + [b + [scale(const)]], d, "quadratic form")
-    below = [[minors[j][k] for j in range(k + 1, d)] for k in range(d)]
-    beta = minors[d][:d]
+    pivots, below = list(form.pivots), form.below
+    m = s // form.den
+    if m > 1:  # the minors of order k + 1 of m * A
+        pivots = [p * m ** (k + 1) for k, p in enumerate(pivots)]
+        below = [[a * m ** (k + 1) for a in col] for k, col in enumerate(below)]
     prev = [1] + pivots[:-1]
+    row = [scale(x) for x in lin] + [scale(const)]  # the border, finished in place
+    beta = []
+    for k, (p, q, col) in enumerate(zip(pivots, prev, below)):
+        f = row[k]
+        beta.append(f)
+        row[k + 1:] = [(p * r - f * a) // q for r, a in zip(row[k + 1:], (*col, f))]
     delta = math.lcm(*(p * q for p, q in zip(pivots, prev)))
     weight = [delta // (p * q) for p, q in zip(pivots, prev)]
     top = delta * scale(bound)
-    budget = top - delta // pivots[-1] * minors[d][d]
+    budget = top - delta // pivots[-1] * row[d]
     if budget < 0:
         return
     z = [0] * d

@@ -1,4 +1,5 @@
-"""The Gram-row shell scan, kept as a reference for `balanced.balance`.
+"""The Gram-row shell scan and the Fraction Euclidean check, kept as
+references for `balanced.balance`.
 
 These are the earlier implementations of the spherical balance test.  They
 read the scaled Gram matrix M = den * gram itself: the shell of point i with
@@ -9,13 +10,16 @@ n x n x n int64 product per shell value and is exact while n den^2 < 2^62;
 library's coordinate test must report the same (point, shell value) pairs.
 `witnesses` builds each violation's deviation from its own shell's rows, the
 way the library did before it summed all shells of a colour in one product.
+`check_balanced_euclidean` is the Euclidean check in Fractions (see below).
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from balanced.balance import Violation
+import reference_elimination
+from balanced.balance import BalanceReport, Violation, _as_points
+from balanced.exact import StructuralError, rational
 
 INT64_BUDGET = 2**62
 
@@ -87,3 +91,89 @@ def witnesses(c):
         out.append(Violation(point=i, shell_value=u,
                              deviation=tuple(Fraction(x, den * den) for x in deviation)))
     return tuple(out)
+
+
+# --- Euclidean mode -------------------------------------------------------
+#
+# The Fraction implementation of `balanced.balance.check_balanced_euclidean`:
+# every translate, squared distance and shell sum is a Fraction, and each
+# pair of motif points gets its own enumeration of the period Gram, here
+# from the recursive Fraction enumerator of `reference_elimination`.  The
+# library must return the same BalanceReport, or raise the same exception
+# with the same message.
+
+
+def check_balanced_euclidean(points, period=None, cutoff=None):
+    pts = _as_points(points)
+    if cutoff is not None and rational(cutoff) < 0:
+        raise StructuralError(f"cutoff radius {cutoff} is negative")
+    r2 = None if cutoff is None else rational(cutoff) ** 2
+    if period is None:
+        shells = _finite_shells(pts, r2)
+    elif r2 is None:
+        raise StructuralError("periodic input requires a cutoff radius")
+    else:
+        shells = _periodic_shells(pts, _as_points(period), r2)
+    violations = []
+    any_shell = False
+    for i, buckets in enumerate(shells):
+        any_shell = any_shell or bool(buckets)
+        violations += _centroid_violations(i, pts[i], buckets)
+    if r2 is not None and not any_shell and (period is not None or len(pts) > 1):
+        raise StructuralError("cutoff is below the minimal inter-point distance")
+    return BalanceReport(balanced=not violations, violations=tuple(violations))
+
+
+def _centroid_violations(i, x, buckets):
+    """Distance shells {d2: member points} of point i whose centroid is not x."""
+    out = []
+    for d2 in sorted(buckets):
+        members = buckets[d2]
+        deviation = tuple(
+            sum(y[m] for y in members) - len(members) * x[m] for m in range(len(x))
+        )
+        if any(deviation):
+            out.append(Violation(point=i, shell_value=d2, deviation=deviation))
+    return out
+
+
+def _finite_shells(pts, r2):
+    """Per point, its distance shells {d2: member points} within the cutoff."""
+    for i, x in enumerate(pts):
+        buckets = {}
+        for j, y in enumerate(pts):
+            if j == i:
+                continue
+            d2 = sum((a - b) ** 2 for a, b in zip(x, y))
+            if d2 == 0:
+                raise StructuralError(f"points {i} and {j} coincide")
+            if r2 is None or d2 <= r2:
+                buckets.setdefault(d2, []).append(y)
+        yield buckets
+
+
+def _periodic_shells(pts, basis, r2):
+    """Per point, its distance shells over all translates within the cutoff."""
+    dim = len(pts[0])
+    if any(len(b) != dim for b in basis):
+        raise StructuralError("period basis dimension does not match points")
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    for a, x in enumerate(pts):
+        buckets = {}
+        for b, p in enumerate(pts):
+            delta = tuple(pb - xa for pb, xa in zip(p, x))
+            lin = [sum(bv * dv for bv, dv in zip(bvec, delta)) for bvec in basis]
+            const = sum(d * d for d in delta)
+            for t, d2 in reference_elimination.enumerate_quadratic(gram, lin, const, r2):
+                if d2 == 0:
+                    if b == a and all(v == 0 for v in t):
+                        continue
+                    raise StructuralError(
+                        f"points {a} and {b} coincide modulo the period lattice"
+                    )
+                y = tuple(
+                    p[m] + sum(tk * bk[m] for tk, bk in zip(t, basis))
+                    for m in range(dim)
+                )
+                buckets.setdefault(d2, []).append(y)
+        yield buckets

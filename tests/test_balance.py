@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     balance_oracle,
@@ -181,3 +184,114 @@ class TestEuclidean:
     def test_periodic_requires_cutoff(self):
         with pytest.raises(StructuralError, match="cutoff"):
             check_balanced_euclidean([[0, 0]], period=[[1, 0], [0, 1]])
+
+
+# --- the integer Euclidean check against the Fraction reference ---------------
+
+coordinates = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6]))
+
+
+def rational_sqrt(q):
+    """The rational square root of q >= 0, or None."""
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(a, b) if a * a == q.numerator and b * b == q.denominator else None
+
+
+@st.composite
+def period_bases(draw, dim):
+    """A rational basis of full rank: lower triangular with a nonzero
+    diagonal of size >= 1, its rows then mixed by transvections."""
+    diagonal = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-4, 3),
+                                Fraction(2), Fraction(5, 4)])
+    rows = [[draw(diagonal) if j == i else draw(coordinates) / 4 if j < i else Fraction(0)
+             for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, dim))):
+        i, j = draw(st.permutations(range(dim)))[:2] if dim > 1 else (0, 0)
+        sign = draw(st.sampled_from([1, -1]))
+        if i != j:
+            rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def squared_distances(points, basis):
+    """Squared distances between the points, over translates by combinations
+    of the basis with coefficients in {-1, 0, 1}."""
+    dim = len(points[0])
+    shifts = [[sum(t * b[m] for t, b in zip(ts, basis)) for m in range(dim)]
+              for ts in product((-1, 0, 1), repeat=len(basis))] if basis else [[0] * dim]
+    return sorted({sum((y + s - x) ** 2 for x, y, s in zip(p, q, sh))
+                   for p in points for q in points for sh in shifts} - {0})
+
+
+def translates_estimate(points, basis, cutoff):
+    """A rough count of the translates the periodic check enumerates: pairs
+    times the cells that meet a ball of radius cutoff + half the basis."""
+    dim = len(basis)
+    det = abs(float(np.linalg.det(np.array(basis, dtype=float))))
+    reach = float(cutoff) + sum(math.sqrt(sum(x * x for x in b)) for b in basis) / 2
+    return len(points) ** 2 * (2, math.pi, 4 * math.pi / 3)[dim - 1] * reach ** dim / det
+
+
+@st.composite
+def euclidean_inputs(draw):
+    """(points, period, cutoff) in 1-3 dimensions, finite or periodic, with
+    mixed denominators, sometimes a coincident point, and a cutoff at, just
+    above or just below a distance of the set, or anywhere in [0, 3]."""
+    dim = draw(st.integers(1, 3))
+    basis = draw(period_bases(dim)) if draw(st.booleans()) else None
+    n = draw(st.integers(1, 3 if basis else 5))
+    points = [[draw(coordinates) / 2 for _ in range(dim)] for _ in range(n)]
+    if draw(st.integers(0, 5)) == 0:  # a coincident point, or one a period away
+        p = draw(st.sampled_from(points))
+        shift = draw(st.sampled_from(basis)) if basis else [0] * dim
+        points.append([x + s for x, s in zip(p, shift)])
+    exact = [r for r in map(rational_sqrt, squared_distances(points, basis)) if r is not None]
+    choices = [st.builds(Fraction, st.integers(0, 30), st.just(10))]
+    if exact:
+        at = st.sampled_from(exact[:3])
+        choices += [at, at.map(lambda r: r + Fraction(1, 7)),
+                    at.map(lambda r: max(r - Fraction(1, 7), Fraction(0)))]
+    if basis is None:
+        choices.append(st.none())
+    cutoff = draw(st.one_of(choices))
+    if basis is not None:
+        assume(translates_estimate(points, basis, cutoff) < 2000)
+    if draw(st.booleans()):  # the parser takes strings too
+        points = [[str(x) for x in p] for p in points]
+    return points, basis, cutoff
+
+
+def outcome(check, points, period, cutoff):
+    try:
+        return check(points, period=period, cutoff=cutoff)
+    except StructuralError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(euclidean_inputs())
+def test_euclidean_check_matches_fraction_reference(case):
+    """Same report (violation order, shell values, deviations) or the same
+    error as the Fraction implementation."""
+    import reference_balance as ref
+
+    got = outcome(check_balanced_euclidean, *case)
+    assert got == outcome(ref.check_balanced_euclidean, *case)
+    if not isinstance(got, tuple):
+        assert all(type(v.shell_value) is Fraction for v in got.violations)
+        assert all(type(x) is Fraction for v in got.violations for x in v.deviation)
+
+
+@pytest.mark.parametrize("points, period, cutoff", [
+    ([[0, 0], ["1/3", 0]], [[2, 0], [0, 2]], 1),
+    ([[0, 0, 0], ["1/2", "1/2", "1/2"]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "3/2"),
+    ([[0, 0], ["1/3", "1/3"]], [["1/2", 0], ["1/4", "2/3"]], "5/4"),
+    ([["-1"], ["0"], ["1"]], None, None),
+    ([["-1/2"], ["0"], ["1/3"], ["5/6"]], None, "1/2"),
+    ([[0, 0], [1, 0], ["1/2", "1/2"]], None, 1),
+])
+def test_euclidean_examples_match_fraction_reference(points, period, cutoff):
+    import reference_balance as ref
+
+    got = outcome(check_balanced_euclidean, points, period, cutoff)
+    assert got == outcome(ref.check_balanced_euclidean, points, period, cutoff)

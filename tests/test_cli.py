@@ -255,6 +255,20 @@ class TestEuclideanCommand:
         )
         assert invoke(runner, ["check", "euclidean", str(f)]).exit_code == 2
 
+    @pytest.mark.parametrize("period, message", [
+        ([], "period basis is empty"),
+        ([["1", "0"], ["2", "0"]], "period basis is not linearly independent"),
+        ([["0", "0"], ["0", "1"]], "period basis is not linearly independent"),
+        ([["1", "0"], ["0", "1"], ["1", "1"]], "period basis is not linearly independent"),
+        ([["1", "0"], ["0"]], "period basis dimension does not match points"),
+    ], ids=["empty", "dependent", "zero", "too-many", "ragged"])
+    def test_bad_period_is_named(self, runner, tmp_path, period, message):
+        f = tmp_path / "period.json"
+        write_json({"points": [["0", "0"]], "period": period, "cutoff": "2"}, f)
+        res = invoke(runner, ["check", "euclidean", str(f)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("doc", [
         {"points": [["0"], ["1"], ["-1"]], "cutoff": "-1"},
         {"points": [["0", "0"]], "period": [["1", "0"], ["0", "1"]], "cutoff": "-3"},

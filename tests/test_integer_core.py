@@ -23,12 +23,19 @@ from balanced.balance import check_balanced
 from balanced.exact import (
     Configuration,
     IndefinitePivotError,
+    StructuralError,
     _bareiss,
     _eliminate,
     _encode,
     _tabulate,
 )
-from balanced.lattice import LatticeGram, bundled_lattice, enumerate_quadratic, minimal_norm
+from balanced.lattice import (
+    LatticeGram,
+    QuadraticForm,
+    bundled_lattice,
+    enumerate_quadratic,
+    minimal_norm,
+)
 
 # --- elimination --------------------------------------------------------------
 
@@ -176,20 +183,30 @@ def near_minimum(gram, lin, const):
     return Fraction(float(const) - float(b @ np.linalg.solve(g, b))).limit_denominator(12)
 
 
-@st.composite
-def affine_forms(draw):
-    """(G, lin, const, bound): G = (B^T B + I) / q positive definite, d <= 5,
-    bound a little above the minimum so that a box around it stays small."""
+def draw_gram(draw):
+    """G = (B^T B + I) / q positive definite, d <= 5."""
     d = draw(st.integers(1, 5))
     b = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     q = draw(st.integers(1, 4))
-    gram = [[Fraction(sum(row[i] * row[j] for row in b) + (i == j), q) for j in range(d)]
+    return [[Fraction(sum(row[i] * row[j] for row in b) + (i == j), q) for j in range(d)]
             for i in range(d)]
+
+
+def draw_affine(draw, gram):
+    """(lin, const, bound) with the bound a little above the minimum, so that
+    a box around it stays small."""
     small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
-    lin = [draw(small_rationals) for _ in range(d)]
+    lin = [draw(small_rationals) for _ in range(len(gram))]
     const = draw(small_rationals)
     extra = draw(st.builds(Fraction, st.integers(-2, 10), st.integers(1, 3)))
-    return gram, lin, const, near_minimum(gram, lin, const) + extra
+    return lin, const, near_minimum(gram, lin, const) + extra
+
+
+@st.composite
+def affine_forms(draw):
+    """(G, lin, const, bound) as drawn by draw_gram and draw_affine."""
+    gram = draw_gram(draw)
+    return (gram, *draw_affine(draw, gram))
 
 
 def box_brute_force(gram, lin, const, bound):
@@ -217,6 +234,54 @@ def box_brute_force(gram, lin, const, bound):
 def test_affine_forms_match_reference_and_box(form):
     got = check_enumeration(*form)
     assert dict(got) == box_brute_force(*form)
+
+
+def check_prepared(gram, affine_terms):
+    """One QuadraticForm of gram, enumerated with every (lin, const, bound),
+    yields what the reference and the rows entry point yield."""
+    form = QuadraticForm(gram)
+    for lin, const, bound in affine_terms:
+        got = list(enumerate_quadratic(form, lin, const, bound))
+        assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
+        assert got == list(enumerate_quadratic(gram, lin, const, bound))
+        assert all(type(x) is int for z, _ in got for x in z)
+        assert all(type(v) is Fraction for _, v in got)
+
+
+@st.composite
+def prepared_forms(draw):
+    """(G, [(lin, const, bound), ...]): several affine terms on one form."""
+    gram = draw_gram(draw)
+    return gram, [draw_affine(draw, gram) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(prepared_forms())
+def test_prepared_form_matches_reference(case):
+    check_prepared(*case)
+
+
+@pytest.mark.parametrize("name, bound", [("d4", 3), ("e8", 3), ("z3", 4)])
+def test_prepared_bundled_form_with_affine_terms(name, bound):
+    """Half-integral and thirds in the affine terms scale the form's minors
+    by powers of the extra denominator; integer terms leave them as they are."""
+    gram = [list(row) for row in bundled_lattice(name).entries]
+    d = len(gram)
+    rng = random.Random(name)
+    terms = [([0] * d, 0, 2)]
+    for den in (1, 2, 3, 6):
+        lin = [Fraction(rng.randint(-3, 3), den) for _ in range(d)]
+        terms.append((lin, Fraction(rng.randint(0, 4), den), near_minimum(gram, lin, 0) + bound))
+    check_prepared(gram, terms)
+
+
+def test_prepared_form_rejects_wrong_dimension():
+    form = QuadraticForm([[2, 1], [1, 2]])
+    assert form.dim == 2 and form.pivots == (2, 3) and form.below == ((1,), ())
+    with pytest.raises(StructuralError, match="linear term has wrong dimension"):
+        list(enumerate_quadratic(form, [0, 0, 0], 0, 4))
+    with pytest.raises(StructuralError, match="quadratic form is not positive definite"):
+        QuadraticForm([[1, 2], [2, 1]])
 
 
 def test_zero_budget_and_empty_ellipsoid():
