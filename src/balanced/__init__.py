@@ -5,18 +5,14 @@ configurations."""
 
 from .balance import (
     BalanceReport,
-    ShellDecomposition,
     Violation,
     check_balanced,
     check_balanced_euclidean,
-    shell_decomposition,
 )
 from .designs import (
     DesignVerdict,
     TheoremOneVerdict,
     design_strength,
-    gegenbauer_eval,
-    sphere_monomial_average,
     theorem1_check,
 )
 from .exact import (
@@ -43,7 +39,6 @@ from .numerics import (
     coordinates_from_gram,
     cube_facet_rotation,
     energy,
-    gradient_check,
     tangential_force,
 )
 from .report import AnalysisReport, build_report, build_report_float
@@ -55,7 +50,6 @@ from .symmetry import (
     colored_graph_from_adjacency,
     colored_graph_from_config,
     fixed_subspace_dim,
-    point_stabilizer,
 )
 
 __all__ = [
@@ -69,7 +63,6 @@ __all__ = [
     "InvariantError",
     "LatticeGram",
     "PermutationGroup",
-    "ShellDecomposition",
     "ShortVectorSet",
     "StructuralError",
     "TheoremOneVerdict",
@@ -89,18 +82,13 @@ __all__ = [
     "design_strength",
     "energy",
     "fixed_subspace_dim",
-    "gegenbauer_eval",
-    "gradient_check",
     "gram_rank",
     "inner_product_spectrum",
     "kissing_configuration",
     "ldl_decompose",
     "minimal_norm",
-    "point_stabilizer",
     "rational",
-    "shell_decomposition",
     "short_vectors",
-    "sphere_monomial_average",
     "tangential_force",
     "theorem1_check",
 ]

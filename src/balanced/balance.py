@@ -39,17 +39,6 @@ _INT64 = 2**63
 
 
 @dataclass(frozen=True)
-class ShellDecomposition:
-    """Partition of the other points by exact inner product with a base point."""
-
-    base_index: int
-    shells: tuple[tuple[Fraction, tuple[int, ...]], ...]  # ascending shell value
-
-    def sizes(self) -> dict[Fraction, int]:
-        return {u: len(members) for u, members in self.shells}
-
-
-@dataclass(frozen=True)
 class Violation:
     point: int
     shell_value: Fraction  # inner product u, or squared distance in Euclidean mode
@@ -60,13 +49,6 @@ class Violation:
 class BalanceReport:
     balanced: bool
     violations: tuple[Violation, ...]
-
-
-def shell_decomposition(c: Configuration, i: int) -> ShellDecomposition:
-    n = c.size
-    if not 0 <= i < n:
-        raise StructuralError(f"point index {i} out of range for {n} points")
-    return ShellDecomposition(base_index=i, shells=c.gram.shells(i))
 
 
 def _violations(c: Configuration, bad: list[list[int]]) -> tuple[Violation, ...]:

@@ -22,19 +22,6 @@ import numpy as np
 from .exact import Configuration, StructuralError
 
 
-def gegenbauer_eval(n: int, k: int, u: Fraction) -> Fraction:
-    """Degree-k ultraspherical polynomial for dimension n, with G_k(1) = 1.
-
-    Three-term recurrence: G_0 = 1, G_1 = u,
-    G_k = ((2k+n-4) u G_{k-1} - (k-1) G_{k-2}) / (k+n-3).
-    """
-    if n < 2:
-        raise StructuralError(f"dimension {n} < 2")
-    if k < 0:
-        raise StructuralError(f"negative degree {k}")
-    return list(_zonal_series(n, k, Fraction(u)))[k]
-
-
 def _zonal_series(n: int, cap: int, u):
     """G_0(u), ..., G_cap(u) for dimension n, yielded in one pass of the
     recurrence, which holds two terms at a time.  u is a Fraction, or a float
@@ -84,30 +71,6 @@ def _moments(n: int, cap: int, den: int, scaled: list, mults: list) -> list[Frac
         d *= k + n - 3
         out.append(Fraction(sum(map(mul, mults, h)), d * den**k))
     return out + [Fraction(0)] * (cap - len(out))
-
-
-def sphere_monomial_average(n: int, alpha) -> Fraction:
-    """Average of the monomial x^alpha over the unit sphere in R^n.
-
-    Zero when any exponent is odd; otherwise
-    prod_i (alpha_i - 1)!!  /  (n (n+2) ... (n + |alpha| - 2)).
-    """
-    if n < 1:
-        raise StructuralError(f"dimension {n} < 1")
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise StructuralError("negative exponent")
-    if any(a % 2 for a in alpha):
-        return Fraction(0)
-    total = sum(alpha)
-    num = 1
-    for a in alpha:
-        for odd in range(1, a, 2):
-            num *= odd
-    den = 1
-    for k in range(n, n + total - 1, 2):
-        den *= k
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -339,18 +339,6 @@ class GramMatrix:
     def rank(self) -> int:
         return self.elimination.rank
 
-    def shells(self, i: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-        """The points other than i grouped by inner product with i, ascending:
-        (value, members) pairs."""
-        order = np.argsort(self.colours[i], kind="stable")
-        order = order[order != i]
-        keys = self.colours[i][order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()  # one per shell
-        return tuple(
-            (self.values[keys[a]], tuple(order[a:b].tolist()))
-            for a, b in zip(starts, starts[1:] + [len(order)])
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.values[self.colours[i, j]]

@@ -15,7 +15,6 @@ import numbers
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import chain
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -27,7 +26,7 @@ from .exact import (
     InvariantError,
     Scaled,
     StructuralError,
-    _bareiss,
+    _Elimination,
     _encode,
     _tabulate,
     rational,
@@ -35,24 +34,48 @@ from .exact import (
 )
 
 
-def _definite_minors(rows, d: int, what: str) -> tuple[list[int], list[list[int]]]:
-    """Pivots and Bareiss minors of a symmetric integer matrix whose leading
-    d x d block must be positive definite: d positive pivots, natural order."""
-    try:
-        perm, pivots, a = _bareiss(_tabulate(_encode(rows))[2].copy())
-    except IndefinitePivotError:
-        perm, pivots = [], []
-    if len(pivots) < d or not all(p > 0 for p in pivots[:d]) or perm[:d] != list(range(d)):
-        raise StructuralError(f"{what} is not positive definite")
-    return pivots[:d], a.tolist()
+@dataclass(frozen=True, eq=False)
+class QuadraticForm:
+    """A positive definite rational Gram matrix G, validated and eliminated once.
+
+    A = den * G is coded and eliminated as a GramMatrix is: `pivots` holds its
+    Bareiss pivots p_k and `below[k]` the minors a_jk (j > k) under pivot k,
+    as Python ints.  Full rank with every pivot positive makes A positive
+    definite, so no pivot was moved.
+    """
+
+    rows: InitVar[object]
+    den: int = field(init=False)
+    pivots: tuple[int, ...] = field(init=False)
+    below: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self, rows):
+        enc = _encode(rows)
+        try:
+            elim = _Elimination.of(enc[0], _tabulate(enc)[2])
+        except IndefinitePivotError:
+            elim = None
+        d = len(enc[2])
+        if elim is None or elim.rank < d or not elim.psd:
+            raise StructuralError("quadratic form is not positive definite")
+        columns = elim.x.T.tolist()
+        object.__setattr__(self, "den", elim.den)
+        object.__setattr__(self, "pivots", elim.pivots)
+        object.__setattr__(self, "below", tuple(tuple(c[k + 1:]) for k, c in enumerate(columns)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
 
 
 @dataclass(frozen=True)
 class LatticeGram:
-    """Positive definite symmetric integer Gram matrix of a lattice basis."""
+    """Positive definite symmetric integer Gram matrix of a lattice basis,
+    with the QuadraticForm `form` that every enumeration on it reads."""
 
     entries: tuple[tuple[int, ...], ...]
     label: Optional[str] = None
+    form: QuadraticForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, row in enumerate(self.entries):
@@ -62,43 +85,12 @@ class LatticeGram:
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
         if not rows:
             raise StructuralError("lattice Gram matrix is empty")
-        _definite_minors(rows, len(rows), "lattice Gram matrix")
+        object.__setattr__(self, "form", QuadraticForm(rows))
         object.__setattr__(self, "entries", rows)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    """A positive definite rational Gram matrix G, validated and eliminated once.
-
-    With den the common denominator of G, A = den * G is an integer matrix;
-    `pivots` holds its Bareiss pivots p_k and `below[k]` the minors a_jk
-    (j > k) under pivot k.  `enumerate_quadratic` accepts a QuadraticForm in
-    place of G's rows, so that many affine terms share one elimination.
-    """
-
-    rows: InitVar[object]
-    den: int = field(init=False)
-    pivots: tuple[int, ...] = field(init=False)
-    below: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self, rows):
-        g = [[rational(x) for x in row] for row in rows]
-        den = math.lcm(*(x.denominator for x in chain.from_iterable(g)))
-        a = [[x.numerator * (den // x.denominator) for x in row] for row in g]
-        d = len(a)
-        pivots, minors = _definite_minors(a, d, "quadratic form") if d else ([], [])
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "below", tuple(
-            tuple(minors[j][k] for j in range(k + 1, d)) for k in range(d)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
 
 
 def _exact(x):
@@ -108,16 +100,16 @@ def _exact(x):
 
 
 def enumerate_quadratic(
-    gram,
+    form: QuadraticForm,
     lin: Sequence,
     const,
     bound,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All integer z with z^T G z + 2 lin.z + const <= bound, with values.
 
-    G must be positive definite, given as rows or as a QuadraticForm.  Yields
-    (z, value) pairs; the order follows the enumeration tree (last coordinate
-    outermost, ascending).
+    G is given as its QuadraticForm, so many affine terms share one
+    elimination.  Yields (z, value) pairs; the order follows the enumeration
+    tree (last coordinate outermost, ascending).
 
     Everything is scaled by the common denominator s to integers A, b, c and
     B.  The symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the
@@ -134,19 +126,15 @@ def enumerate_quadratic(
     an integer w_k t_k^2 against an integer budget, and the interval of z_k
     follows from math.isqrt.
     """
-    form = gram if isinstance(gram, QuadraticForm) else None
-    rows = [[rational(x) for x in row] for row in gram] if form is None else None
     lin = [_exact(x) for x in lin]
     const, bound = _exact(const), _exact(bound)
-    d = len(rows) if form is None else form.dim
+    d = form.dim
     if len(lin) != d:
         raise StructuralError("linear term has wrong dimension")
     if d == 0:
         if const <= bound:
             yield (), rational(const)
         return
-    if form is None:
-        form = QuadraticForm(rows)
     s = math.lcm(form.den, *(x.denominator for x in (*lin, const, bound)))
 
     def scale(x) -> int:
@@ -239,7 +227,7 @@ def _minimal_vectors(g: LatticeGram) -> tuple[int, list[tuple[int, ...]]]:
     one enumeration below the smallest diagonal entry."""
     bound = min(g.entries[i][i] for i in range(g.dim))
     best, found = None, []
-    for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, bound):
+    for vec, value in enumerate_quadratic(g.form, [0] * g.dim, 0, bound):
         if any(vec) and (best is None or value <= best):
             if best is None or value < best:
                 best, found = value, []
@@ -260,7 +248,7 @@ def short_vectors(g: LatticeGram, m: int) -> ShortVectorSet:
     if m < 1:
         raise StructuralError(f"norm {m} < 1")
     found = sorted(
-        vec for vec, value in enumerate_quadratic(g.entries, [0] * g.dim, 0, m) if value == m
+        vec for vec, value in enumerate_quadratic(g.form, [0] * g.dim, 0, m) if value == m
     )
     _confirmed(g, found, m)
     return ShortVectorSet(norm=m, vectors=tuple(found))

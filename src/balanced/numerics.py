@@ -174,32 +174,6 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     )
 
 
-def gradient_check(p: CoordinateSet, s: float, directions: int = 4, seed: int = 7) -> float:
-    """Max relative error of tangential_force against central finite
-    differences of the energy along random tangent directions (step 1e-6)."""
-    rng = np.random.default_rng(seed)
-    step = 1e-6
-    pts = p.points
-    radial = p.unit
-    report = tangential_force(p, s)
-    worst = 0.0
-    for _ in range(directions):
-        eta = rng.normal(size=pts.shape)
-        eta -= (eta * radial).sum(axis=1, keepdims=True) * radial
-        eta /= np.linalg.norm(eta)
-
-        def retracted(t):
-            moved = pts + t * eta
-            moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
-            return CoordinateSet(points=moved)
-
-        fd = (energy(retracted(step), s) - energy(retracted(-step), s)) / (2 * step)
-        analytic = -(report.tangential * eta).sum()
-        err = abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
-        worst = max(worst, err)
-    return worst
-
-
 def cube_coordinates(theta: float = 0.0) -> CoordinateSet:
     """Unit cube vertices with the top facet rotated by theta about the axis."""
     a = 1.0 / math.sqrt(3.0)

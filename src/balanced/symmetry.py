@@ -359,10 +359,6 @@ class PermutationGroup:
         return stab
 
 
-def point_stabilizer(group: PermutationGroup, i: int) -> PermutationGroup:
-    return group.point_stabilizer(i)
-
-
 # --- automorphism search ----------------------------------------------------
 
 

@@ -223,7 +223,7 @@ def exact_monomial_design_strength(vectors, cap) -> int:
     S_alpha / (N * M^{|alpha|/2}); odd-degree monomials must sum to zero and
     even-degree ones must match the closed-form sphere moment.
     """
-    from balanced.designs import sphere_monomial_average
+    from reference_designs import sphere_monomial_average
 
     vecs = [[Fraction(x) for x in v] for v in vectors]
     n_pts = len(vecs)
@@ -253,7 +253,7 @@ def exact_monomial_design_strength(vectors, cap) -> int:
 
 def float_monomial_design_strength(coords: np.ndarray, cap, tol=1e-9) -> int:
     """Same oracle in floats, for span-dimension unit coordinates."""
-    from balanced.designs import sphere_monomial_average
+    from reference_designs import sphere_monomial_average
 
     n_pts, dim = coords.shape
     strength = 0

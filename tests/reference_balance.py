@@ -11,8 +11,11 @@ library's coordinate test must report the same (point, shell value) pairs.
 `witnesses` builds each violation's deviation from its own shell's rows, the
 way the library did before it summed all shells of a colour in one product.
 `check_balanced_euclidean` is the Euclidean check in Fractions (see below).
+`shell_decomposition` groups the other points by inner product with one
+point, read off the Gram value table.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -177,3 +180,32 @@ def _periodic_shells(pts, basis, r2):
                 )
                 buckets.setdefault(d2, []).append(y)
         yield buckets
+
+
+@dataclass(frozen=True)
+class ShellDecomposition:
+    """Partition of the other points by exact inner product with a base point."""
+
+    base_index: int
+    shells: tuple[tuple[Fraction, tuple[int, ...]], ...]  # ascending shell value
+
+    def sizes(self) -> dict[Fraction, int]:
+        return {u: len(members) for u, members in self.shells}
+
+
+def shell_decomposition(c, i: int) -> ShellDecomposition:
+    """The points other than i grouped by inner product with i, ascending:
+    (value, members) pairs."""
+    n = c.size
+    if not 0 <= i < n:
+        raise StructuralError(f"point index {i} out of range for {n} points")
+    colours, values = c.gram.colours[i], c.gram.values
+    order = np.argsort(colours, kind="stable")
+    order = order[order != i]
+    keys = colours[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()  # one per shell
+    shells = tuple(
+        (values[keys[a]], tuple(order[a:b].tolist()))
+        for a, b in zip(starts, starts[1:] + [len(order)])
+    )
+    return ShellDecomposition(base_index=i, shells=shells)

@@ -8,16 +8,21 @@ of floats is compensated.  Every function reads `p.gram` and `p.unit`, so a
 test may replace the Gram matrix of a CoordinateSet and both sides see it.
 `float_gegenbauer_moments` is the float recurrence `design_strength_float`
 ran before it shared `designs._zonal_series` with exact mode.
+`gradient_check` compares `tangential_force` with finite differences of
+`energy`.
 """
 
 import numpy as np
 
 from balanced.numerics import (
     AmbiguousShellError,
+    CoordinateSet,
     FloatBalanceReport,
     FloatViolation,
     _split,
     design_strength_float,
+    energy,
+    tangential_force,
 )
 
 
@@ -120,3 +125,29 @@ def reconstruction_residual(p, c):
     gram = p.points @ p.points.T
     exact = np.array([float(u) for u in c.gram.values])[c.gram.colours]
     return float(np.abs(gram - exact).max())
+
+
+def gradient_check(p: CoordinateSet, s: float, directions: int = 4, seed: int = 7) -> float:
+    """Max relative error of tangential_force against central finite
+    differences of the energy along random tangent directions (step 1e-6)."""
+    rng = np.random.default_rng(seed)
+    step = 1e-6
+    pts = p.points
+    radial = p.unit
+    report = tangential_force(p, s)
+    worst = 0.0
+    for _ in range(directions):
+        eta = rng.normal(size=pts.shape)
+        eta -= (eta * radial).sum(axis=1, keepdims=True) * radial
+        eta /= np.linalg.norm(eta)
+
+        def retracted(t):
+            moved = pts + t * eta
+            moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+            return CoordinateSet(points=moved)
+
+        fd = (energy(retracted(step), s) - energy(retracted(-step), s)) / (2 * step)
+        analytic = -(report.tangential * eta).sum()
+        err = abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
+        worst = max(worst, err)
+    return worst

@@ -28,7 +28,6 @@ from balanced.numerics import (
     check_balanced_float,
     coordinates_from_gram,
     cube_facet_rotation,
-    gradient_check,
     poles_and_ring_coordinates,
     tangential_force,
     theorem1_check_float,
@@ -41,6 +40,7 @@ from balanced.symmetry import (
     fixed_subspace_dim,
 )
 from conftest import box_short_vectors, count_tetrahedra, gram_entries
+from reference_numerics import gradient_check
 
 
 def _verdict(name: str, ok: bool) -> bool:

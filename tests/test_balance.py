@@ -14,14 +14,11 @@ from conftest import (
     midpoint_vectors,
     perturbed_square,
 )
-from balanced.balance import (
-    check_balanced,
-    check_balanced_euclidean,
-    shell_decomposition,
-)
+from balanced.balance import check_balanced, check_balanced_euclidean
 from balanced.constructors import antipodal_union
 from balanced.exact import Configuration, StructuralError
 from balanced.numerics import CoordinateSet, tangential_force
+from reference_balance import shell_decomposition
 import numpy as np
 
 
@@ -155,10 +152,10 @@ class TestEuclidean:
 
     def test_z2_shell_counts(self):
         # shells at squared distances 1,2,4,5,8,9 inside radius 3
-        from balanced.lattice import enumerate_quadratic
+        from balanced.lattice import QuadraticForm, enumerate_quadratic
 
         hits = {}
-        for v, q in enumerate_quadratic([[1, 0], [0, 1]], [0, 0], 0, 9):
+        for v, q in enumerate_quadratic(QuadraticForm([[1, 0], [0, 1]]), [0, 0], 0, 9):
             if any(v):
                 hits[q] = hits.get(q, 0) + 1
         assert hits[Fraction(1)] == 4 and hits[Fraction(2)] == 4

@@ -14,14 +14,10 @@ from conftest import (
 )
 from balanced.balance import check_balanced
 from balanced.constructors import cross_polytope, simplex, simplex_midpoints
-from balanced.designs import (
-    design_strength,
-    gegenbauer_eval,
-    sphere_monomial_average,
-    theorem1_check,
-)
+from balanced.designs import design_strength, theorem1_check
 from balanced.exact import Configuration, StructuralError
 from balanced.numerics import coordinates_from_gram
+from reference_designs import gegenbauer_eval, sphere_monomial_average
 
 
 class TestGegenbauer:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_elimination as ref
 from conftest import balance_oracle, cube_vectors, midpoint_vectors
-from balanced import balance
+from balanced import balance, exact
 from balanced.balance import check_balanced
 from balanced.exact import (
     Configuration,
@@ -34,7 +34,9 @@ from balanced.lattice import (
     QuadraticForm,
     bundled_lattice,
     enumerate_quadratic,
+    kissing_configuration,
     minimal_norm,
+    short_vectors,
 )
 
 # --- elimination --------------------------------------------------------------
@@ -128,7 +130,7 @@ def test_denominator_past_int64(den):
 
 
 def check_enumeration(gram, lin, const, bound):
-    got = list(enumerate_quadratic(gram, lin, const, bound))
+    got = list(enumerate_quadratic(QuadraticForm(gram), lin, const, bound))
     assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
     assert all(type(x) is int for z, _ in got for x in z)
     assert all(type(v) is Fraction for _, v in got)
@@ -238,12 +240,11 @@ def test_affine_forms_match_reference_and_box(form):
 
 def check_prepared(gram, affine_terms):
     """One QuadraticForm of gram, enumerated with every (lin, const, bound),
-    yields what the reference and the rows entry point yield."""
+    yields what the reference yields."""
     form = QuadraticForm(gram)
     for lin, const, bound in affine_terms:
         got = list(enumerate_quadratic(form, lin, const, bound))
         assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
-        assert got == list(enumerate_quadratic(gram, lin, const, bound))
         assert all(type(x) is int for z, _ in got for x in z)
         assert all(type(v) is Fraction for _, v in got)
 
@@ -290,6 +291,87 @@ def test_zero_budget_and_empty_ellipsoid():
     assert check_enumeration(gram, lin, 0, -1) == []
     assert check_enumeration(gram, lin, 0, Fraction(-1, 3)) == []
     assert check_enumeration(gram, lin, 0, 1) == [((-1,), Fraction(1)), ((0,), Fraction(0))]
+
+
+# --- one elimination per form -------------------------------------------------
+
+
+def check_form(gram, form):
+    """The QuadraticForm of gram holds den, the pivots and the minors under
+    them of the reference elimination, which moved no pivot, as Python ints."""
+    den, rows = ref.scaled(gram)
+    perm, pivots, columns = ref.elimination(rows)
+    d = len(gram)
+    assert perm == tuple(range(d))
+    assert (form.dim, form.den, form.pivots) == (d, den, pivots)
+    assert form.below == tuple(tuple(columns[j][k] for j in range(k + 1, d)) for k in range(d))
+    assert all(type(x) is int for x in form.pivots + sum(form.below, ()))
+
+
+@st.composite
+def definite_forms(draw):
+    """draw_gram's forms, or B^T B + I with entries near 2^43, whose
+    elimination runs in Python ints from its first step."""
+    if draw(st.booleans()):
+        return draw_gram(draw)
+    d = draw(st.integers(1, 6))
+    b = [[draw(st.integers(-2**20, 2**20)) for _ in range(d)] for _ in range(d)]
+    return [[sum(row[i] * row[j] for row in b) + (i == j) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_forms())
+def test_form_matches_reference_elimination(gram):
+    check_form(gram, QuadraticForm(gram))
+
+
+@pytest.mark.parametrize("name", ["d4", "e8", "k12", "leech"])
+def test_bundled_forms_match_reference_elimination(name):
+    # the Leech enumeration budget has 113 bits: pivots must not be int64
+    lattice = bundled_lattice(name)
+    check_form(lattice.entries, lattice.form)
+
+
+def test_empty_form():
+    form = QuadraticForm([])
+    assert (form.dim, form.den, form.pivots, form.below) == (0, 1, (), ())
+    assert list(enumerate_quadratic(form, [], 1, 2)) == [((), Fraction(1))]
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [[[1, 1], [1, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 1]], [[0, 0], [0, 0]]],
+    ids=["singular", "pivot-swap", "zero"],
+)
+def test_form_rejects_what_is_not_definite(gram):
+    for build in (QuadraticForm, LatticeGram):
+        with pytest.raises(StructuralError, match="^quadratic form is not positive definite$"):
+            build(tuple(map(tuple, gram)))
+
+
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """The sizes of the matrices `exact._bareiss` eliminates, in call order."""
+    sizes = []
+    real = exact._bareiss
+
+    def spy(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(exact, "_bareiss", spy)
+    return sizes
+
+
+def test_e8_kissing_eliminates_each_matrix_once(eliminations):
+    # the 8 x 8 lattice Gram when it is built, the 240 x 240 kissing Gram once
+    kissing_configuration(bundled_lattice("e8"))
+    assert eliminations == [8, 240]
+
+
+def test_short_vectors_enumerate_the_lattice_form(eliminations):
+    short_vectors(bundled_lattice("d4"), 2)
+    assert eliminations == [4]
 
 
 # --- the bigint shell scan on stored arrays ------------------------------------

@@ -7,6 +7,7 @@ from conftest import box_short_vectors, gram_entries
 from balanced.exact import StructuralError, inner_product_spectrum
 from balanced.lattice import (
     LatticeGram,
+    QuadraticForm,
     ShortVectorSet,
     bundled_lattice,
     enumerate_quadratic,
@@ -122,7 +123,7 @@ class TestEnumerateQuadratic:
         lin = [Fraction(1, 2), Fraction(-1)]
         const = Fraction(3, 4)
         bound = Fraction(6)
-        got = {v: q for v, q in enumerate_quadratic(gram, lin, const, bound)}
+        got = {v: q for v, q in enumerate_quadratic(QuadraticForm(gram), lin, const, bound)}
         want = {}
         for a in range(-6, 7):
             for b in range(-6, 7):
@@ -135,13 +136,13 @@ class TestEnumerateQuadratic:
         assert got == want
 
     def test_zero_dimensional(self):
-        assert list(enumerate_quadratic([], [], Fraction(1), Fraction(2))) == [
+        assert list(enumerate_quadratic(QuadraticForm([]), [], Fraction(1), Fraction(2))) == [
             ((), Fraction(1))
         ]
 
     def test_rejects_indefinite(self):
         with pytest.raises(StructuralError):
-            list(enumerate_quadratic([[1, 2], [2, 1]], [0, 0], 0, 4))
+            QuadraticForm([[1, 2], [2, 1]])
 
 
 class TestKissingConfiguration:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed_square
-from reference_numerics import reconstruction_residual
+from reference_numerics import gradient_check, reconstruction_residual
 from balanced.balance import check_balanced
 from balanced.constructors import (
     antipodal_union,
@@ -29,7 +29,6 @@ from balanced.numerics import (
     cube_facet_rotation,
     design_strength_float,
     energy,
-    gradient_check,
     poles_and_ring_coordinates,
     spectrum_float,
     tangential_force,

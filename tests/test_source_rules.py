@@ -137,6 +137,53 @@ def test_argwhere_triu_rule_sees_every_form():
     assert argwhere_triu_calls(tree) == [1, 2, 3, 8]
 
 
+def bareiss_names(tree):
+    """Lines that name `_bareiss`, ascending: a use, an attribute, a
+    definition or an import, under its own name or an alias."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [name for alias in node.names for name in (alias.name, alias.asname)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        if "_bareiss" in names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_exact_runs_the_elimination():
+    """`exact._bareiss` runs behind `_Elimination` and `integer_rank`.  A module
+    that called it on its own would be a second encode and eliminate pipeline,
+    and a matrix it held could be eliminated twice."""
+    found = []
+    for path in SOURCES:
+        if path.name != "exact.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{line}" for line in bareiss_names(tree)]
+    assert found == []
+
+
+def test_bareiss_rule_sees_every_form():
+    tree = ast.parse(
+        "from .exact import _bareiss\n"
+        "from .exact import _bareiss as eliminate\n"
+        "perm, pivots, a = exact._bareiss(m)\n"
+        "f = _bareiss\n"
+        "def _bareiss(a):\n"
+        "    return a\n"
+        "bareiss(m)\n"
+        "x = exact._bareiss_rows(m)\n"
+        "y = '_bareiss'\n"
+    )
+    assert bareiss_names(tree) == [1, 2, 3, 4, 5]
+
+
 def unnamed_definitions(trees, exported=()):
     """(name, line) of every function, method and class that no code outside
     its own body names, as a Name or an attribute, and that is not exported.

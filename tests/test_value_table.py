@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gram_entries
-from balanced.balance import Violation, check_balanced, shell_decomposition
+from balanced.balance import Violation, check_balanced
 from balanced.constructors import (
     antipodal_union,
     cross_polytope,
@@ -24,12 +24,7 @@ from balanced.constructors import (
     simplex,
     simplex_midpoints,
 )
-from balanced.designs import (
-    design_strength,
-    gegenbauer_eval,
-    gram_value_counts,
-    theorem1_check,
-)
+from balanced.designs import design_strength, gram_value_counts, theorem1_check
 from balanced.exact import Configuration, inner_product_spectrum
 from balanced.files import configuration_from_dict, configuration_to_dict
 from balanced.numerics import (
@@ -43,6 +38,8 @@ from balanced.numerics import (
     theorem1_check_float,
 )
 from balanced.symmetry import ColoredGraph, colored_graph_from_adjacency, colored_graph_from_config
+from reference_balance import shell_decomposition
+from reference_designs import gegenbauer_eval
 from reference_numerics import split_one_row
 
 # --- exact references -------------------------------------------------------

@@ -325,7 +325,7 @@ def verify_and_write(name, label, gram, expect_det, expect_min, expect_kissing, 
     assert all(gram[i][i] % 2 == 0 for i in range(len(gram))), f"{name}: not even"
     t0 = time.time()
     if name == "leech" and not full:
-        hits = [v for v, q in enumerate_quadratic(gram, [0] * 24, 0, 2) if any(v)]
+        hits = [v for v, q in enumerate_quadratic(lat.form, [0] * 24, 0, 2) if any(v)]
         assert not hits, f"{name}: found vectors of norm <= 2"
         print(f"  {name}: det {d}, even, no roots of norm <= 2 "
               f"({time.time() - t0:.1f}s); kissing check skipped (use --full)")
