@@ -10,12 +10,6 @@ S_i[m] X_i[f] == S_i[f] X_i[m] for every m, f being the first nonzero
 component of X_i.  A violation is reported in Gram form, as the deviation
 sum_j gram[j] - <sum_j x_j, x_i> gram[i] over the shell.
 
-Every test is exact.  A shell sum is an integer of size at most n max|X| and
-a cross product at most n max|X|^2: the sums use float64 BLAS only while
-n max|X| < 2^53, so that every partial sum is an exact integer, and the
-products int64 only while n max|X|^2 < 2^63.  Past either bound that stage
-runs on Python ints (object dtype).
-
 The Euclidean analogue replaces shells by equal-distance sets and "multiple
 of x" by "centroid x".
 """
@@ -32,10 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lattice
-from .exact import Configuration, StructuralError, rational
-
-_FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
-_INT64 = 2**63
+from .exact import Configuration, StructuralError, int_dtype, int_product, rational
 
 
 @dataclass(frozen=True)
@@ -57,28 +48,20 @@ def _violations(c: Configuration, bad: list[list[int]]) -> tuple[Violation, ...]
     With M = den * gram, point i's deviation over its shell S is
     (den sum_{j in S} M[j] - (sum_{j in S} M[j, i]) M[i]) / den^2.  One
     indicator-matrix product per colour sums the shells of all its violating
-    points.  A shell sum is at most n max|M| and a deviation at most
-    n max|M| (den + max|M|): the sums use float64 BLAS only while
-    n max|M| < 2^53, the deviations int64 only while the second bound is
-    below 2^63, and past either bound that stage runs on Python ints.
+    points.
     """
     if not bad:
         return ()
     den, m, colours = c.gram.den, c.gram.scaled, c.gram.colours
-    n, top = len(m), int(np.abs(m).max())
-    sums = np.float64 if n * top < _FLOAT_EXACT else object
-    deviations = np.int64 if n * top * (den + top) < _INT64 else object
-    ms = m.astype(sums)
+    top = int(np.abs(m).max())
+    deviations = int_dtype(len(m) * top * (den + top))  # bounds every deviation
     by_colour: dict[int, list[int]] = {}
     for i, k in bad:
         by_colour.setdefault(k, []).append(i)
     rows = {}
     for k, pts in by_colour.items():
-        s = (colours[pts] == k).astype(sums) @ ms
-        if sums is np.float64:
-            s = s.astype(np.int64)  # exact: every sum is an integer below 2^53
-        s = s.astype(deviations)
-        d = den * s - s[np.arange(len(pts)), pts][:, None] * m[pts].astype(deviations)
+        s = int_product(colours[pts] == k, m).astype(deviations, copy=False)
+        d = den * s - s[np.arange(len(pts)), pts][:, None] * m[pts].astype(deviations, copy=False)
         rows.update(zip(((i, k) for i in pts), d.tolist()))
     den2 = den * den
     fractions = {v: Fraction(v, den2) for v in set().union(*rows.values())}
@@ -92,30 +75,22 @@ def _violations(c: Configuration, bad: list[list[int]]) -> tuple[Violation, ...]
 
 def check_balanced(c: Configuration) -> BalanceReport:
     """Exact shell-sum test on the integer coordinates X of the elimination."""
-    x = c.gram.elimination.x
-    n, top = len(x), int(np.abs(x).max())
-    sums = np.float64 if n * top < _FLOAT_EXACT else object
-    cross = np.int64 if n * top * top < _INT64 else object
     # the largest value, 1, is the diagonal's and colours no shell
-    bad = _not_radial(c.gram.colours, len(c.gram.values) - 1, x, sums, cross)
+    bad = _not_radial(c.gram.colours, len(c.gram.values) - 1, c.gram.elimination.x)
     violations = _violations(c, bad)
     return BalanceReport(balanced=not violations, violations=violations)
 
 
-def _not_radial(colours, shells, x, sums, cross) -> list[list[int]]:
+def _not_radial(colours, shells, x) -> list[list[int]]:
     """The (point i, colour k < shells) pairs, ascending, whose shell sum
-    S_i = sum of x[j] over colours[i, j] == k is not parallel to x[i].  The
-    sums run in dtype `sums`, the cross products in dtype `cross`."""
+    S_i = sum of x[j] over colours[i, j] == k is not parallel to x[i]."""
     rows = np.arange(len(x))
     lead = (x != 0).argmax(axis=1)  # no row is zero: every point has norm 1
-    xs, xc = x.astype(sums), x.astype(cross)
+    xc = x.astype(int_dtype(len(x) * int(np.abs(x).max()) ** 2), copy=False)  # cross products
     x_lead = xc[rows, lead][:, None]
     bad = np.zeros((len(x), shells), dtype=bool)
     for k in range(shells):
-        s = (colours == k).astype(sums) @ xs
-        if sums is np.float64:
-            s = s.astype(np.int64)  # exact: every sum is an integer below 2^53
-        s = s.astype(cross)
+        s = int_product(colours == k, x)  # int64 promotes to Python ints with xc
         bad[:, k] = (s * x_lead != s[rows, lead][:, None] * xc).any(axis=1)
     return np.argwhere(bad).tolist()
 

@@ -178,12 +178,9 @@ def _balance_report_dict(rep) -> dict:
 
 
 def _load_points(file, tol):
-    """The configuration or coordinates in file; then --tol, in either mode,
-    must be positive and finite, and no two float points may coincide at it."""
+    """The configuration or coordinates in file, with --tol positive and finite."""
     loaded = files.load_point_input(file)
     numerics._require_positive("tolerance", tol)
-    if isinstance(loaded, numerics.CoordinateSet):
-        numerics._require_distinct(loaded, tol)
     return loaded
 
 

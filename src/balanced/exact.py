@@ -1,10 +1,23 @@
 """Exact rational core: scalars, symmetric matrix elimination, configurations.
 
 Everything here is exact.  A matrix is stored as (den, M): a positive common
-denominator and the symmetric integer numpy array M = den * m, int64 when
-every entry fits and Python ints (object dtype) otherwise.  Eliminations run
-on M, so no floating point and no Fraction arithmetic enters their inner
+denominator and the symmetric integer numpy array M = den * m.  Eliminations
+run on M, so no floating point and no Fraction arithmetic enters their inner
 loops; Fractions appear in the value table and at the interface only.
+
+One rule, in this module alone, picks the arithmetic of every integer array
+from a bound its site proves on every |entry|: `int_dtype` gives int64 below
+2^63, Python ints (object dtype) past it; `int_product` bounds a @ b by
+k max|a| max|b| (k the inner dimension) and runs in float64 BLAS below 2^53,
+every partial sum an exact integer, else in `int_dtype`.  The other sites:
+
+    exact._tabulate                 max(den, max|M|)
+    exact._bareiss, each step       2 max|block|^2
+    balance._not_radial             n max|X|^2, the cross products
+    balance._violations             n max|M| (den + max|M|), the deviations
+    lattice._confirmed              2 d^2 max|G| max|W|^2
+    symmetry._signature_table       n^k, for k edge colours
+    symmetry.fixed_subspace_dim     n max|X|, the orbit sums
 """
 
 from __future__ import annotations
@@ -20,7 +33,8 @@ import numpy as np
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_INT64 = 2**63
+_INT64 = 2**63  # int64 holds every integer of absolute value below this
+_FLOAT_EXACT = 2**53  # float64 holds every integer of absolute value up to this
 # entry types the coder accepts; a float or bool would share a code with an
 # equal int and so slip past rational()
 _RATIONAL_TYPES = frozenset((str, int, Fraction))
@@ -66,6 +80,23 @@ def rational(value) -> Fraction:
     if isinstance(value, float):
         raise StructuralError(f"{value!r} is a float; exact input carries rationals as strings")
     raise StructuralError(f"not a rational: {value!r}")
+
+
+def int_dtype(bound: int) -> type:
+    """int64 for integers of absolute value at most bound < 2^63, else object."""
+    return np.int64 if bound < _INT64 else object
+
+
+def int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product a @ b of integer or boolean arrays: int64, or Python
+    ints when k max|a| max|b| reaches 2^63.  Below 2^53 it runs in float64."""
+    bound = a.shape[-1]
+    for x in (a, b):  # a boolean array's max is 1, by its dtype
+        bound *= 1 if x.dtype == bool else int(np.abs(x).max(initial=0))
+    if bound < _FLOAT_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = int_dtype(bound)
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def _first_pair(mask: np.ndarray) -> Optional[tuple[int, int]]:
@@ -141,11 +172,10 @@ def _encode_scaled(den: int, m) -> _Encoded:
 def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distinct, colours, M) of a coded matrix, which must be symmetric: its
     distinct scaled entries ascending, the read-only colour of every entry and
-    the read-only integer matrix M = distinct[colours].  Arrays are int64 when den and every
-    entry fit, else Python ints: left to itself numpy stores integers in
-    [2^63, 2^64) as uint64 and larger ones as float64."""
+    the read-only integer matrix M = distinct[colours], in `int_dtype`: left to
+    itself numpy stores integers in [2^63, 2^64) as uint64, larger as float64."""
     den, table, codes = enc
-    dtype = np.int64 if max(max(map(abs, table), default=0), den) < _INT64 else object
+    dtype = int_dtype(max(max(map(abs, table), default=0), den))
     distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
     colours = inverse.reshape(-1)[codes]
     asymmetric = _first_pair(colours != colours.T)
@@ -165,11 +195,9 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
     first nonzero remaining diagonal entry, moved to k by a symmetric
     transposition.  Each step updates the whole remaining block and divides
     exactly by the previous pivot, so every entry stays a minor of the input
-    and grows linearly in bit length.  An int64 block is checked before each
-    step: while 2 max|a|^2 < 2^63 the update cannot overflow, and past that
-    the remaining steps run in Python ints.  The loop stops once the remaining
-    diagonal vanishes; the remaining block must then be zero, else
-    IndefinitePivotError.
+    and grows linearly in bit length; once past int64 it stays in Python ints.
+    The loop stops once the remaining diagonal vanishes; the remaining block
+    must then be zero, else IndefinitePivotError.
 
     Returns (perm, pivots, a): pivots[k] is the determinant of the leading
     (k+1)-block of the permuted matrix, and a[i][k] (k < i, k < len(pivots))
@@ -193,8 +221,8 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
             a[[k, q]] = a[[q, k]]
             a[:, [k, q]] = a[:, [q, k]]
             perm[k], perm[q] = perm[q], perm[k]
-        if a.dtype != object and 2 * int(np.abs(a[k:, k:]).max()) ** 2 >= _INT64:
-            a = a.astype(object)
+        if a.dtype != object:  # |p a - c c^T| <= 2 max|a|^2
+            a = a.astype(int_dtype(2 * int(np.abs(a[k:, k:]).max()) ** 2), copy=False)
         p = int(a[k, k])
         col = a[k + 1:, k]
         a[k + 1:, k + 1:] = (p * a[k + 1:, k + 1:] - np.outer(col, col)) // prev
@@ -257,9 +285,7 @@ def integer_rank(a: np.ndarray) -> int:
     """
     if len(a) > a.shape[1]:
         a = a.T
-    if a.shape[1] * int(np.abs(a).max(initial=0)) ** 2 >= _INT64:
-        a = a.astype(object)  # A A^T would overflow int64
-    return len(_bareiss(a @ a.T)[1])
+    return len(_bareiss(int_product(a, a.T))[1])
 
 
 def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:

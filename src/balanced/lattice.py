@@ -29,6 +29,8 @@ from .exact import (
     _Elimination,
     _encode,
     _tabulate,
+    int_dtype,
+    int_product,
     rational,
     require,
 )
@@ -209,13 +211,12 @@ class ShortVectorSet:
 
 def _confirmed(g: LatticeGram, vectors, m: int) -> tuple[np.ndarray, np.ndarray]:
     """W and G W^T as arrays, once integer arithmetic independent of the
-    enumeration has confirmed that every vector has norm m.  Entries of
-    W G W^T stay below 2^62 in int64 and are Python ints past that."""
+    enumeration has confirmed that every vector has norm m."""
     peak = max((abs(x) for v in vectors for x in v), default=0) ** 2 * g.dim * g.dim
     peak *= max(abs(x) for row in g.entries for x in row)
-    dtype = np.int64 if peak < 2**62 else object
+    dtype = int_dtype(2 * peak)  # peak bounds every entry of W G W^T
     w = np.array(vectors, dtype=dtype).reshape(len(vectors), g.dim)
-    gw = np.array(g.entries, dtype=dtype) @ w.T
+    gw = int_product(np.array(g.entries, dtype=dtype), w.T)
     wrong = np.flatnonzero((w * gw.T).sum(axis=1) != m)
     if wrong.size:
         raise InvariantError(f"enumerated vector {vectors[wrong[0]]} does not have norm {m}")
@@ -264,7 +265,8 @@ def kissing_configuration(g: LatticeGram) -> Configuration:
     w, gw = _confirmed(g, vecs.vectors, m)
     labels = tuple(",".join(str(x) for x in v) for v in vecs.vectors)
     name = g.label or "lattice"
-    return Configuration.from_gram(Scaled(m, w @ gw), label=f"kissing({name})", point_labels=labels)
+    gram = Scaled(m, int_product(w, gw))
+    return Configuration.from_gram(gram, label=f"kissing({name})", point_labels=labels)
 
 
 _BUNDLED = ("z2", "z3", "d4", "e8", "k12", "leech")

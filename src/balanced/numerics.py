@@ -48,6 +48,7 @@ class CoordinateSet:
     points: np.ndarray
     label: Optional[str] = None
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _distinct_at: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -118,13 +119,16 @@ def _require_positive(what: str, x: float) -> None:
         raise StructuralError(f"{what} must be positive and finite, got {x}")
 
 
-def _require_distinct(p: CoordinateSet, tol: float) -> None:
-    """No two points may coincide: two unit vectors whose inner product is
-    within tol of 1 coincide, as two points at inner product 1 do in exact
-    mode."""
+def _require_tolerance(p: CoordinateSet, tol: float) -> None:
+    """tol must be positive and finite, and no two unit vectors may be within
+    tol of inner product 1 (exact mode's coincidence), checked once per tol."""
+    if tol in p._distinct_at:
+        return
+    _require_positive("tolerance", tol)
     pair = _first_pair(p.gram >= 1.0 - tol)
     if pair is not None:
         raise StructuralError("points %d and %d coincide (inner product >= 1 - %g)" % (*pair, tol))
+    p._distinct_at.add(tol)
 
 
 def _pairwise(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +377,7 @@ class FloatBalanceReport:
 
 def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
     """Shell-sum proportionality with tolerance-based shell grouping."""
-    _require_positive("tolerance", tol)
+    _require_tolerance(p, tol)
     t = p.shell_table(tol)
     unit = p.unit
     near = _near_threshold(t, unit, tol)
@@ -391,7 +395,7 @@ def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceRep
 
 def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     """Clustered distinct off-diagonal inner products."""
-    _require_positive("tolerance", tol)
+    _require_tolerance(p, tol)
     row = p.off_diagonal.reshape(1, -1)
     return tuple(_split(np.sort(row), row, tol)[0].tolist())
 
@@ -400,7 +404,7 @@ def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(strength, moments) in float mode; zero test scaled by N^2."""
     if cap < 1:
         raise StructuralError(f"cap {cap} < 1")
-    _require_positive("tolerance", tol)
+    _require_tolerance(p, tol)
     gram = np.clip(p.gram, -1.0, 1.0)
     moments = [float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None)]
     threshold = tol * p.size * p.size
@@ -414,7 +418,7 @@ def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     Distances at inner product 1 and -1 (the point itself and its antipode)
     are excluded, as in the exact check.
     """
-    _require_positive("tolerance", tol)
+    _require_tolerance(p, tol)
     t = p.shell_table(tol)
     counted = (np.abs(t.values - 1.0) > tol) & (np.abs(t.values + 1.0) > tol)
     per_point = np.bincount(t.row[counted], minlength=p.size).tolist()

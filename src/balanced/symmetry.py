@@ -38,8 +38,7 @@ the group's order.
 
 A vertex's signature against a splitter, its count vector of splitter edge
 colours, is one base-n integer (n vertices, k edge colours): the sum over
-the splitter of n ** (k-1 - colour).  These integers are int64 while
-n**k < 2**63 and Python ints past that.
+the splitter of n ** (k-1 - colour).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, _first_pair, integer_rank, require
+from .exact import Configuration, StructuralError, _first_pair, int_dtype, integer_rank, require
 
 Perm = tuple[int, ...]
 
@@ -369,14 +368,12 @@ def _signature_table(colours: np.ndarray, n_colours: int) -> tuple[np.ndarray, l
     edge colours on n vertices.  Summed over a splitter, column v is v's
     count vector of splitter colours read as base-n digits, most significant
     first; a count is at most n-1, so equal sums are equal count vectors, and
-    sums order as the vectors do.  A sum is below n**k, so weights are int64
-    while n**k < 2**63 and Python ints (object dtype) past that.  rows[u] is
-    weights[u] as a list whose entries are shared among the k powers.
+    sums order as the vectors do; a sum is below n**k.  rows[u] is weights[u]
+    as a list whose entries are shared among the k powers.
     """
     n = len(colours)
     powers = [n ** (n_colours - 1 - c) for c in range(n_colours)] + [0]  # [-1]: diagonal
-    dtype = np.int64 if n**n_colours < 2**63 else object
-    weights = np.array(powers, dtype=dtype)[colours]
+    weights = np.array(powers, dtype=int_dtype(n**n_colours))[colours]
     rows = [list(map(powers.__getitem__, row)) for row in colours.tolist()]
     return weights, rows
 
@@ -646,8 +643,7 @@ def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
         # trivial action: B is a permutation matrix and rank(B X) = rank(X)
         return c.ambient_dim
     x = c.gram.elimination.x
-    if c.size * int(np.abs(x).max()) >= 2**63:  # bounds every orbit sum
-        x = x.astype(object)
+    x = x.astype(int_dtype(c.size * int(np.abs(x).max())), copy=False)  # bounds every orbit sum
     order = np.concatenate([np.asarray(o, dtype=np.intp) for o in orbs])
     starts = np.cumsum([0] + [len(o) for o in orbs[:-1]])
     return integer_rank(np.add.reduceat(x[order], starts, axis=0))

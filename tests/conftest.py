@@ -75,6 +75,37 @@ def e8_kissing():
     return kissing_configuration(bundled_lattice("e8"))
 
 
+def recorded(b: np.ndarray, stages: list) -> np.ndarray:
+    """A view of b that appends to `stages` the dtype of every matrix product
+    it, or an array cast from it, enters."""
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = tuple(np.asarray(x) for x in inputs)
+            if ufunc is np.matmul:
+                stages.append(inputs[0].dtype)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return b.view(Recorded)
+
+
+def spy_arithmetic(monkeypatch, module) -> tuple[list, list]:
+    """Spy on the arithmetic `module` takes from `balanced.exact`: returns
+    (stages, dtypes), in call order the dtype each `int_product` call
+    multiplied in (float64, int64 or object) and each dtype `int_dtype`
+    returned."""
+    stages, dtypes = [], []
+    product, dtype = module.int_product, module.int_dtype
+
+    def chosen(bound):
+        dtypes.append(dtype(bound))
+        return dtypes[-1]
+
+    monkeypatch.setattr(module, "int_product", lambda a, b: product(a, recorded(b, stages)))
+    monkeypatch.setattr(module, "int_dtype", chosen)
+    return stages, dtypes
+
+
 def gram_entries(gram) -> tuple[tuple[Fraction, ...], ...]:
     """A Gram matrix as rows of Fractions, read off its value table."""
     return tuple(map(tuple, np.array(gram.values, dtype=object)[gram.colours].tolist()))

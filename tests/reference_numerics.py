@@ -9,11 +9,13 @@ test may replace the Gram matrix of a CoordinateSet and both sides see it.
 `float_gegenbauer_moments` is the float recurrence `design_strength_float`
 ran before it shared `designs._zonal_series` with exact mode.
 `gradient_check` compares `tangential_force` with finite differences of
-`energy`.
+`energy`.  Like the library, the checks and the spectrum first reject two
+points at an inner product within tol of 1, naming the first such pair.
 """
 
 import numpy as np
 
+from balanced.exact import StructuralError
 from balanced.numerics import (
     AmbiguousShellError,
     CoordinateSet,
@@ -77,7 +79,16 @@ def shells(p, tol):
     return tuple(row_shells(row, i, tol) for i, row in enumerate(p.gram))
 
 
+def require_distinct(p, tol):
+    for i in range(p.size):
+        for j in range(i + 1, p.size):
+            if p.gram[i, j] >= 1.0 - tol:
+                raise StructuralError(
+                    "points %d and %d coincide (inner product >= 1 - %g)" % (i, j, tol))
+
+
 def check_balanced_float(p, tol):
+    require_distinct(p, tol)
     unit = p.unit
     violations = []
     for i, row in enumerate(shells(p, tol)):
@@ -94,11 +105,13 @@ def check_balanced_float(p, tol):
 
 
 def spectrum_float(p, tol):
+    require_distinct(p, tol)
     off = ~np.eye(p.size, dtype=bool)
     return tuple(cluster(p.gram[off].tolist(), tol))
 
 
 def theorem1_check_float(p, cap, tol):
+    require_distinct(p, tol)
     per_point = [
         sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in row)
         for row in shells(p, tol)

@@ -1,8 +1,8 @@
 """The float shell table against the per-row, per-shell pipeline in
 `reference_numerics`: the same shell values and members, the same verdicts
 and deviations, the same spectrum and theorem-1 counts, bit for bit (-0.0
-included), and the same AmbiguousShellError message when a tolerance is
-ambiguous."""
+included), the same AmbiguousShellError message when a tolerance is
+ambiguous, and the same StructuralError when two points coincide at it."""
 
 import dataclasses
 import functools
@@ -24,6 +24,7 @@ from balanced.constructors import (
     simplex_midpoints,
     srg_spectral_embedding,
 )
+from balanced.exact import StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.numerics import (
     AmbiguousShellError,
@@ -56,8 +57,8 @@ def exact(x):
 def outcome(fn):
     try:
         return exact(fn())
-    except AmbiguousShellError as exc:
-        return "AmbiguousShellError", str(exc)
+    except (AmbiguousShellError, StructuralError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 PAIRS = [

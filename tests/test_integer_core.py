@@ -17,17 +17,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_elimination as ref
-from conftest import balance_oracle, cube_vectors, midpoint_vectors
+from conftest import (
+    balance_oracle,
+    cube_vectors,
+    gram_entries,
+    midpoint_vectors,
+    recorded,
+    spy_arithmetic,
+)
 from balanced import balance, exact
 from balanced.balance import check_balanced
+from balanced.constructors import (
+    antipodal_union,
+    c7_prime,
+    figure1_adjacency,
+    simplex_midpoints,
+    srg_spectral_embedding,
+)
 from balanced.exact import (
     Configuration,
+    GramMatrix,
     IndefinitePivotError,
+    Scaled,
     StructuralError,
     _bareiss,
     _eliminate,
     _encode,
     _tabulate,
+    gram_rank,
 )
 from balanced.lattice import (
     LatticeGram,
@@ -37,6 +54,12 @@ from balanced.lattice import (
     kissing_configuration,
     minimal_norm,
     short_vectors,
+)
+from balanced.symmetry import (
+    automorphism_group,
+    check_group_balanced,
+    colored_graph_from_config,
+    fixed_subspace_dim,
 )
 
 # --- elimination --------------------------------------------------------------
@@ -388,12 +411,15 @@ def configuration_of(vectors):
 def bigint_calls(monkeypatch):
     """The coordinate scans that ran with Python-int sums and cross products."""
     calls = []
+    sums, cross = spy_arithmetic(monkeypatch, balance)
     real = balance._not_radial
 
-    def spy(colours, shells, x, sums, cross):
-        if sums is object and cross is object:
+    def spy(colours, shells, x):
+        del sums[:], cross[:]
+        bad = real(colours, shells, x)
+        if sums and cross and all(d == object for d in sums + cross):
             calls.append(x)
-        return real(colours, shells, x, sums, cross)
+        return bad
 
     monkeypatch.setattr(balance, "_not_radial", spy)
     return calls
@@ -422,12 +448,79 @@ def test_bigint_scan_unbalanced_rectangle(bigint_calls):
     "vectors", [cube_vectors(), midpoint_vectors(7, flip=(0, 13, 22, 27))], ids=["cube", "c7p"]
 )
 def test_bigint_scan_balanced(bigint_calls, monkeypatch, vectors):
-    # no balanced configuration here has coordinates past int64, so the bounds are lowered
-    monkeypatch.setattr(balance, "_FLOAT_EXACT", 0)
-    monkeypatch.setattr(balance, "_INT64", 0)
+    # no balanced configuration here has coordinates past int64, so the limits
+    # are lowered once the configuration is built
     c, _ = configuration_of(vectors)
     assert c.gram.scaled.dtype == np.int64
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 0)
+    monkeypatch.setattr(exact, "_INT64", 0)
     report = check_balanced(c)
     assert len(bigint_calls) == 1
     assert report.balanced is balance_oracle(vectors)[0] is True
 
+
+# --- one arithmetic rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound, dtype", [(2**63 - 1, np.int64), (2**63, object)])
+def test_int_dtype_at_its_limit(bound, dtype):
+    assert exact.int_dtype(bound) is dtype
+    held = np.array([bound, -bound], dtype=exact.int_dtype(bound))
+    assert held.tolist() == [bound, -bound]
+
+
+# (a, b, dtype the product must run in): k max|a| max|b| on either side of
+# 2^53 and of 2^63, with integer operands and with a boolean one, whose max
+# is 1 by its dtype
+AT_LIMITS = [
+    ([[2**53 - 1]], [[1]], np.float64),
+    ([[2**52]], [[-2]], np.int64),
+    ([[2**63 - 1]], [[-1]], np.int64),
+    ([[2**62]], [[-2]], object),
+    (np.ones((1, 3), bool), [[(2**53 - 1) // 3]] * 3, np.float64),
+    (np.ones((1, 2), bool), [[2**52]] * 2, np.int64),
+    (np.ones((1, 7), bool), [[(2**63 - 1) // 7]] * 7, np.int64),
+    (np.ones((1, 8), bool), [[2**60]] * 8, object),
+]
+
+
+@pytest.mark.parametrize("a, b, stage", AT_LIMITS)
+def test_int_product_at_its_limits(a, b, stage):
+    a, b = np.array(a), np.array(b, dtype=np.int64)
+    stages = []
+    got = exact.int_product(a, recorded(b, stages))
+    assert stages == [stage]
+    assert got.dtype == (object if stage is object else np.int64)
+    expected = [[sum(int(x) * int(y) for x, y in zip(a[0].tolist(), b[:, 0].tolist()))]]
+    assert got.tolist() == expected
+
+
+def rule_sites():
+    """The result of every site of the arithmetic rule, on inputs built anew."""
+    rng = random.Random(5)
+    c7p, e8 = c7_prime(), kissing_configuration(bundled_lattice("e8"))
+    results = [check_balanced(c7p), e8, gram_rank(gram_entries(c7p.gram))]
+    for c, keep in ((c7p, 20), (e8, 200)):
+        idx = sorted(rng.sample(range(c.size), keep))
+        sub = Configuration(gram=GramMatrix(Scaled(c.gram.den, c.gram.scaled[np.ix_(idx, idx)])))
+        results.append(check_balanced(sub))
+    results.append(automorphism_group(colored_graph_from_config(c7p)).generators)
+    for c in (srg_spectral_embedding(figure1_adjacency(), "r"),
+              antipodal_union(simplex_midpoints(7))):
+        group = automorphism_group(colored_graph_from_config(c))
+        results += [fixed_subspace_dim(c, group), fixed_subspace_dim(c, group.point_stabilizer(1)),
+                    check_group_balanced(c, group)]
+    results.append(short_vectors(bundled_lattice("d4"), 2))
+    return results, e8
+
+
+def test_every_site_gives_the_same_result_on_python_ints(monkeypatch):
+    """With both limits lowered to 0, every site of the rule takes Python
+    ints, the products included, and answers as it does by default."""
+    expected, _ = rule_sites()
+    assert not any(r.balanced for r in expected[3:5])
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 0)
+    monkeypatch.setattr(exact, "_INT64", 0)
+    got, e8 = rule_sites()
+    assert e8.gram.scaled.dtype == e8.gram.elimination.x.dtype == object
+    assert got == expected

@@ -19,6 +19,7 @@ from balanced.constructors import (
     srg_spectral_embedding,
 )
 from balanced.exact import Configuration, Scaled, StructuralError
+from balanced import numerics
 from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.numerics import (
     AmbiguousShellError,
@@ -34,6 +35,7 @@ from balanced.numerics import (
     tangential_force,
     theorem1_check_float,
 )
+from balanced.report import build_report_float
 
 # every configuration the constructors build, up to K12 kissing
 CONSTRUCTED = {
@@ -228,6 +230,37 @@ class TestFloatBalance:
         base[1] = [math.sin(eps), math.cos(eps)]
         with pytest.raises(AmbiguousShellError):
             check_balanced_float(CoordinateSet(points=base), tol)
+
+    @pytest.mark.parametrize("call", [
+        check_balanced_float,
+        spectrum_float,
+        lambda p, tol: design_strength_float(p, 6, tol),
+        lambda p, tol: theorem1_check_float(p, 6, tol),
+        lambda p, tol: build_report_float(p, 6, tol),
+    ], ids=["balanced", "spectrum", "design", "theorem1", "report"])
+    def test_coincident_points_rejected(self, call):
+        # points 0 and 1 are one point; at tol 1e-3, so are a point and its
+        # neighbour 1e-2 radians away
+        p = CoordinateSet(points=[[1.0, 0.0], [3.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(StructuralError) as err:
+            call(p, 1e-9)
+        assert str(err.value) == "points 0 and 1 coincide (inner product >= 1 - 1e-09)"
+        t = 1e-2
+        p = CoordinateSet(points=[[-1.0, 0.0], [1.0, 0.0], [math.cos(t), math.sin(t)]])
+        with pytest.raises(StructuralError) as err:
+            call(p, 1e-3)
+        assert str(err.value) == "points 1 and 2 coincide (inner product >= 1 - 0.001)"
+
+    def test_coincidence_checked_once_per_tolerance(self, monkeypatch):
+        calls = []
+        real = numerics._first_pair
+        monkeypatch.setattr(numerics, "_first_pair", lambda mask: calls.append(1) or real(mask))
+        p = poles_and_ring_coordinates(5)
+        build_report_float(p, 6, 1e-9)
+        build_report_float(p, 6, 1e-9)
+        assert len(calls) == 1
+        check_balanced_float(p, 1e-6)
+        assert len(calls) == 2
 
 
 class TestFloatDesigns:

@@ -184,6 +184,60 @@ def test_bareiss_rule_sees_every_form():
     assert bareiss_names(tree) == [1, 2, 3, 4, 5]
 
 
+def is_object(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "object"
+
+
+def arithmetic_switches(tree):
+    """Lines, ascending, that name an int64 or float64 limit or pick a dtype
+    inline: a power 2**53, 2**62 or 2**63 or a shift 1 << 53, 62 or 63, a
+    call `.astype(object)`, or a conditional expression with `object` as a
+    branch."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) \
+                and isinstance(node.right, ast.Constant) and node.right.value in (53, 62, 63):
+            if (node.left.value, type(node.op)) in ((2, ast.Pow), (1, ast.LShift)):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and called_name(node) == "astype":
+            if any(map(is_object, [*node.args, *(k.value for k in node.keywords)])):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.IfExp) and (is_object(node.body) or is_object(node.orelse)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_exact_alone_picks_the_arithmetic():
+    """`exact.int_dtype` and `exact.int_product` make every choice between
+    float64, int64 and Python ints, from a bound the caller proves, and
+    `exact` alone holds the limits: lowering them in a test forces every
+    site at once."""
+    found = []
+    for path in SOURCES:
+        if path.name != "exact.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{line}" for line in arithmetic_switches(tree)]
+    assert found == []
+
+
+def test_arithmetic_switch_rule_sees_every_form():
+    tree = ast.parse(
+        "a = 2**63\n"
+        "b = x < 2 ** 62 * n\n"
+        "c = 1 << 63\n"
+        "d = m.astype(object)\n"
+        "e = np.int64 if n < k else object\n"
+        "f = object if big else np.float64\n"
+        "g = 2**64 + (1 << 20)\n"
+        "h = m.astype(np.int64)\n"
+        "i = np.array(v, dtype=object)\n"
+        "j = 2**53 - 1\n"
+        "k = m.astype(dtype=object, copy=False)\n"
+        "l = 3**63\n"
+    )
+    assert arithmetic_switches(tree) == [1, 2, 3, 4, 5, 6, 10, 11]
+
+
 def unnamed_definitions(trees, exported=()):
     """(name, line) of every function, method and class that no code outside
     its own body names, as a Name or an attribute, and that is not exported.

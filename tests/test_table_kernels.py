@@ -2,8 +2,8 @@
 
 - `check_balanced` tests shell sums on the integer coordinates X of the Gram
   elimination; `reference_balance` keeps the Gram-row scan.  Both must report
-  the same (point, shell value) pairs on every arithmetic path: float64 or
-  Python-int sums, int64 or Python-int cross products.  The violations'
+  the same (point, shell value) pairs on every arithmetic path: float64,
+  int64 or Python-int sums, int64 or Python-int cross products.  The violations'
   deviations must equal the ones summed shell by shell, on every path.
 - `write_json` must write exactly `json.dumps(doc, indent=2) + "\\n"`.
 - `design_strength` runs the Gegenbauer recurrence on integers; its moments
@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_balance as ref
-from conftest import balance_oracle
-from balanced import balance
+from conftest import balance_oracle, spy_arithmetic
+from balanced import balance, exact
 from balanced.balance import check_balanced
 from balanced.constructors import (
     antipodal_union,
@@ -37,35 +37,31 @@ from balanced.lattice import bundled_lattice, kissing_configuration
 
 # --- the coordinate scan against the Gram-row scan ------------------------------
 
-# (bounds lowered to 0, arithmetic the scan must then use)
+# (limits in `exact` lowered to 0, (sums, cross) dtypes the scan must then
+# use).  A sum is at most a cross product, so with only the float64 limit
+# lowered the sums run in int64, not in Python ints.
 PATHS = {
     "float-int64": ((), (np.float64, np.int64)),
     "float-object": (("_INT64",), (np.float64, object)),
-    "object-int64": (("_FLOAT_EXACT",), (object, np.int64)),
+    "object-int64": (("_FLOAT_EXACT",), (np.int64, np.int64)),
     "object-object": (("_FLOAT_EXACT", "_INT64"), (object, object)),
 }
 
 
 @pytest.fixture(params=list(PATHS))
 def path(request, monkeypatch):
-    """Force one arithmetic path by lowering its bounds to 0.  Yields the list
-    of (sums, cross) dtypes each scan used, and the path's own pair."""
+    """Force one arithmetic path by lowering its limits to 0.  Yields the
+    lists of dtypes the scans' sums and cross products used, and the path's
+    own pair."""
     lowered, expected = PATHS[request.param]
     for name in lowered:
-        monkeypatch.setattr(balance, name, 0)
-    used = []
-    real = balance._not_radial
-
-    def spy(colours, shells, x, sums, cross):
-        used.append((sums, cross))
-        return real(colours, shells, x, sums, cross)
-
-    monkeypatch.setattr(balance, "_not_radial", spy)
-    yield used, expected
-    # a lowered bound forces Python ints; large coordinates may force them anyway
-    assert used
-    assert all(sums is object for sums, _ in used) or "_FLOAT_EXACT" not in lowered
-    assert all(cross is object for _, cross in used) or "_INT64" not in lowered
+        monkeypatch.setattr(exact, name, 0)
+    sums, cross = spy_arithmetic(monkeypatch, balance)
+    yield (sums, cross), expected
+    # a lowered limit forces Python ints; large coordinates may force them anyway
+    assert sums and cross
+    assert all(s != np.float64 for s in sums) or "_FLOAT_EXACT" not in lowered
+    assert all(d != np.int64 for d in sums + cross) or "_INT64" not in lowered
 
 
 def violation_pairs(c):
@@ -119,8 +115,8 @@ def test_every_path_matches_reference(path, seed):
     expected = ref.violations(c)
     assert expected  # a random subset of the shell is unbalanced
     assert violation_pairs(c) == expected
-    used, pair = path
-    assert used == [pair]
+    (sums, cross), pair = path
+    assert all(s == pair[0] for s in sums) and all(d == pair[1] for d in cross)
 
 
 def deleted(c, rng, keep):
@@ -175,8 +171,8 @@ def test_lattice_subset_witnesses_match_reference(e8_kissing, k12_kissing):
 
 
 def test_object_path_on_e8_subset(e8_kissing, monkeypatch):
-    monkeypatch.setattr(balance, "_FLOAT_EXACT", 0)
-    monkeypatch.setattr(balance, "_INT64", 0)
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 0)
+    monkeypatch.setattr(exact, "_INT64", 0)
     sub = deleted(e8_kissing, random.Random(31), 236)
     assert violation_pairs(sub) == ref.violations(sub)
 
