@@ -17,15 +17,20 @@ queued: the last one's counts are its parent's minus its siblings', and both
 have refined the partition before it would be popped, so it could split
 nothing.
 
-Sibling keys skip refinements that cannot hold an automorphism.  Once a
-child of a node has failed and two or more siblings remain, a matrix
-product gives the next 16 siblings v (then 32, 64, ...), and the spine's
-vertex at the same depth, an isomorphism-invariant key (`_sibling_keys`).
-A child succeeds only through an automorphism that maps the spine's node
-onto this node and its vertex onto v, keeping cell ordinals and colours
-and hence the key; so a sibling whose key differs counts exactly as a
-failed refinement, and a hash collision only means no skip.  Keys never
-refine or choose a target cell, so no generator, order, orbit or
+Sibling keys skip refinements that cannot hold an automorphism, and off the
+leftmost path whole nodes.  A child succeeds only through an automorphism
+that maps the spine's node at its parent's depth onto its parent and the
+spine's vertex onto the child's, keeping cell ordinals and colours and
+hence an isomorphism-invariant key (`_sibling_keys`); so a sibling whose key
+differs counts exactly as a failed refinement.  That automorphism also maps
+the spine node's target cell onto the parent's, so the two cells hold equal
+multisets of keys.  Once a child has failed and two or more siblings remain,
+a matrix product keys them: on the spine, the next 16 siblings (then 32,
+64, ...) and the spine's vertex; off it, the node's whole target cell,
+whose sorted rows must equal the spine node's at the same depth (keyed once
+per depth), or the node fails as it would after trying every child.  A hash
+collision only means no skip or cut.  Keys never refine or choose a target cell,
+and a cut node has no side effect to miss, so no generator, order, orbit or
 stabilizer changes.
 
 The group's order and the stabilizer of the first individualized vertex come
@@ -454,7 +459,7 @@ _KEY_WEIGHTS = (_splitmix64(2**12) % np.uint64(1024) + np.uint64(1)).astype(np.f
 def _sibling_keys(a: np.ndarray, colours: np.ndarray, n_colours: int,
                   cell_of: np.ndarray, vertices: list[int]) -> np.ndarray:
     """One sorted uint64 row per vertex v of `vertices`: v's key under the
-    cell ordinals in the row of cell_of at the same index.
+    cell ordinals cell_of, one row for every vertex or one row each.
 
     The key is the multiset over u of (cell of u, colour(v,u), s(u)), with
     s(u) = sum_w A[colour(u,w)] B[colour(v,w), cell of w].  a[u, w] is
@@ -465,7 +470,7 @@ def _sibling_keys(a: np.ndarray, colours: np.ndarray, n_colours: int,
     triple is one integer mod 2**64: the pair's code times n 2**20 + 1, plus
     s(u).  A multiset of such integers is as invariant as the triples; a
     wrapped code can only make two keys collide, and a collision only means
-    no skip.
+    no skip or cut.
     """
     n = len(colours)
     pair = cell_of * (n_colours + 1) + colours[vertices] + 1  # m x n, u's (cell, colour(v,u))
@@ -513,29 +518,37 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     orbits = _Orbits(n)
     spine_orbits: list[int] = []  # |v_k^{H_k}|, deepest first
     invariants: dict[int, object] = {}
-    spine: dict[int, tuple[list, int]] = {}  # depth -> (cells, v_depth) on the leftmost path
+    spine: dict[int, tuple[list, tuple]] = {}  # depth -> (cells, target cell) on the leftmost path
+    spine_keys: dict[int, tuple[list, np.ndarray]] = {}  # depth -> (sorted key rows, v_depth's)
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
         root = orbits.find(v)
         return any(orbits.find(u) == root for u in explored)
 
-    def cell_ordinals(cells) -> np.ndarray:
+    def keys(cells, vertices: list[int]) -> np.ndarray:
+        if state["a"] is None:
+            state["a"] = _KEY_WEIGHTS[(colours + 1) % len(_KEY_WEIGHTS)]
         cell_of = np.empty(n, dtype=np.int64)
         cell_of[list(chain.from_iterable(cells))] = np.repeat(
             np.arange(len(cells)), [len(c) for c in cells])
-        return cell_of
+        return _sibling_keys(state["a"], colours, k, cell_of, vertices)
 
-    def unlike_spine(cells, vertices: list[int], depth: int) -> set[int]:
+    def unlike_spine(cells, vertices: list[int], depth: int, leftmost: bool) -> Optional[set[int]]:
         """The vertices whose sibling key differs from the spine vertex's at
-        this depth, computed in one batch with it."""
-        if state["a"] is None:
-            state["a"] = _KEY_WEIGHTS[(colours + 1) % len(_KEY_WEIGHTS)]
-        spine_cells, spine_v = spine[depth]
-        cell_of = np.empty((len(vertices) + 1, n), dtype=np.int64)
-        cell_of[:-1] = cell_ordinals(cells)
-        cell_of[-1] = cell_ordinals(spine_cells)
-        keys = _sibling_keys(state["a"], colours, k, cell_of, vertices + [spine_v])
-        same = (keys[:-1] == keys[-1]).all(axis=1)
+        this depth.  Off the spine, `vertices` is the node's whole target
+        cell, and None means its multiset of keys is not the spine node's."""
+        if leftmost:  # the spine's own node: v_depth is its target cell's first vertex
+            rows = keys(cells, vertices + [spine[depth][1][0]])
+            rows, spine_row = rows[:-1], rows[-1]
+        else:
+            if depth not in spine_keys:
+                spine_rows = keys(spine[depth][0], list(spine[depth][1]))
+                spine_keys[depth] = (sorted(r.tobytes() for r in spine_rows), spine_rows[0])
+            multiset, spine_row = spine_keys[depth]
+            rows = keys(cells, vertices)
+            if sorted(r.tobytes() for r in rows) != multiset:
+                return None
+        same = (rows == spine_row).all(axis=1)
         return {v for v, s in zip(vertices, same.tolist()) if not s}
 
     def search(cells, splitters, depth: int, leftmost: bool) -> bool:
@@ -566,19 +579,23 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
         ti = sizes.index(target)
         cell = cells[ti]
         if leftmost:
-            spine[depth] = (cells, cell[0])
+            spine[depth] = (cells, cell)
         explored: list[int] = []
         found = failed = False
-        # keys are compared in batches of 16, 32, ... siblings: a success or
-        # the orbits often end the loop early, and a key row costs n**2
-        unlike: set[int] = set()
+        # on the spine, keys are compared in batches of 16, 32, ... siblings: a
+        # success or the orbits often end the loop early, and a key row costs
+        # n**2; off it, the whole cell is keyed at once, to prune the node
+        unlike: Optional[set[int]] = set()
         keyed, width = 0, 16  # cell[:keyed] has been compared
         for i, v in enumerate(cell):
             if leftmost and explored and in_explored_orbit(v, explored):
                 continue
             if failed and i >= keyed and len(cell) - i >= 2:
-                unlike = unlike_spine(cells, list(cell[i:i + width]), depth)
-                keyed, width = i + width, 2 * width
+                batch = list(cell[i:i + width] if leftmost else cell)
+                unlike = unlike_spine(cells, batch, depth, leftmost)
+                if unlike is None:
+                    return False  # no automorphism maps the spine's node onto this one
+                keyed, width = i + len(batch), 2 * width
             if v in unlike:
                 res = False  # no automorphism maps the spine's node onto this child
             else:

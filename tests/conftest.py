@@ -5,8 +5,10 @@ re-checked from literal coordinate vectors, design strength from monomial
 averages, and short vectors from a plain coefficient box.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -89,19 +91,33 @@ def recorded(b: np.ndarray, stages: list) -> np.ndarray:
     return b.view(Recorded)
 
 
-def spy_arithmetic(monkeypatch, module) -> tuple[list, list]:
+def spy_arithmetic(monkeypatch, module, sites: Optional[dict] = None) -> tuple[list, list]:
     """Spy on the arithmetic `module` takes from `balanced.exact`: returns
     (stages, dtypes), in call order the dtype each `int_product` call
     multiplied in (float64, int64 or object) and each dtype `int_dtype`
-    returned."""
+    returned.  Given `sites`, it also maps every function that made such a
+    call, as "module.function", to the set of those dtypes it got."""
     stages, dtypes = [], []
-    product, dtype = module.int_product, module.int_dtype
+    product, dtype = getattr(module, "int_product", None), module.int_dtype
+    name = module.__name__.rpartition(".")[2]
+
+    def at_site(chosen):
+        if sites is not None:  # frame 1 is the spy, frame 2 its caller
+            site = f"{name}.{sys._getframe(2).f_code.co_name}"
+            sites.setdefault(site, set()).add(np.dtype(chosen))
+        return chosen
+
+    def multiplied(a, b):
+        out = product(a, recorded(b, stages))
+        at_site(stages[-1])
+        return out
 
     def chosen(bound):
         dtypes.append(dtype(bound))
-        return dtypes[-1]
+        return at_site(dtypes[-1])
 
-    monkeypatch.setattr(module, "int_product", lambda a, b: product(a, recorded(b, stages)))
+    if product is not None:
+        monkeypatch.setattr(module, "int_product", multiplied)
     monkeypatch.setattr(module, "int_dtype", chosen)
     return stages, dtypes
 

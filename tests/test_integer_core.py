@@ -25,7 +25,7 @@ from conftest import (
     recorded,
     spy_arithmetic,
 )
-from balanced import balance, exact
+from balanced import balance, exact, lattice, symmetry
 from balanced.balance import check_balanced
 from balanced.constructors import (
     antipodal_union,
@@ -514,6 +514,17 @@ def rule_sites():
     return results, e8
 
 
+# every site of the rule in `exact`'s table but `_bareiss`, which never asks
+# when its input is in Python ints already; every caller of `int_product`; and
+# `int_product` itself, which asks past 2^53
+FORCED_SITES = {
+    "exact._tabulate", "exact.int_product", "exact.integer_rank",
+    "balance._not_radial", "balance._violations",
+    "lattice._confirmed", "lattice.kissing_configuration",
+    "symmetry._signature_table", "symmetry.fixed_subspace_dim",
+}
+
+
 def test_every_site_gives_the_same_result_on_python_ints(monkeypatch):
     """With both limits lowered to 0, every site of the rule takes Python
     ints, the products included, and answers as it does by default."""
@@ -521,6 +532,10 @@ def test_every_site_gives_the_same_result_on_python_ints(monkeypatch):
     assert not any(r.balanced for r in expected[3:5])
     monkeypatch.setattr(exact, "_FLOAT_EXACT", 0)
     monkeypatch.setattr(exact, "_INT64", 0)
+    sites = {}
+    for module in (exact, balance, lattice, symmetry):
+        spy_arithmetic(monkeypatch, module, sites)
     got, e8 = rule_sites()
     assert e8.gram.scaled.dtype == e8.gram.elimination.x.dtype == object
     assert got == expected
+    assert sites == {site: {np.dtype(object)} for site in FORCED_SITES}

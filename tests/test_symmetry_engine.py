@@ -61,7 +61,7 @@ ENGINE_CASES = {
     "paulus_s": lambda request: request.getfixturevalue("paulus_s"),
     "c7p": lambda request: c7_prime(),
     # two other tetrahedra, 12 38 47 56 and 12 38 46 57, on which sibling keys
-    # skip 19 of 71 refinements (9 of 50 on the default one)
+    # save 40 of 71 refinements (23 of 50 on the default one)
     "c7p-t0-17-20-22": lambda request: c7_prime((0, 17, 20, 22)),
     "c7p-t0-17-19-23": lambda request: c7_prime((0, 17, 19, 23)),
     "c5": lambda request: simplex_midpoints(5),
@@ -502,13 +502,44 @@ def coloured_complete_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(coloured_complete_graphs())
 def test_search_matches_reference_on_coloured_complete_graphs(graph):
-    """Skipped siblings count as failed refinements: the generators, the order
-    and the first stabilizer are the reference search's, which has no keys."""
+    """Skipped siblings count as failed refinements and cut nodes as failed
+    nodes: the search returns what the reference search, with no keys, does."""
+    check_search_against_reference(graph)
+
+
+def counted_refinements(monkeypatch) -> list:
+    calls = []
+    refine = symmetry._refine
+    monkeypatch.setattr(symmetry, "_refine", lambda *args: calls.append(1) or refine(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", ["paulus_r", "paulus_s"])
+def test_sibling_keys_cut_the_paulus_refinements(name, seed, request, monkeypatch):
+    """Without sibling keys the Paulus searches refine 350 and 326 times,
+    almost all for siblings that fail; the keys skip most of those.  The
+    relabelled copies refine 113 and 116 times when only children are
+    skipped: their off-spine nodes at depth 1 pass the trace check, and only
+    the node check cuts them before their children."""
+    c = request.getfixturevalue(name)
+    if seed is not None:
+        c = relabel(c, seed)
+    calls = counted_refinements(monkeypatch)
+    group = automorphism_group(colored_graph_from_config(c))
+    assert group.order() == 1
+    assert len(calls) <= 60
+
+
+def check_search_against_reference(graph):
+    """Generators, order, orbits and first stabilizer of the search equal
+    the reference search's, which has no keys."""
     n = graph.size
     group = automorphism_group(graph)
     want = ref.automorphism_generators(graph)
     assert group.generators == want
     assert group.order() == ref.group_order(n, want)
+    assert group.orbits() == ref.orbits(n, want)
     if group._first_stabilizer is None:  # a discrete root partition
         assert group.order() == 1
         return
@@ -517,16 +548,32 @@ def test_search_matches_reference_on_coloured_complete_graphs(graph):
     assert stab.order() == ref.group_order(n, ref.stabilizer_generators(n, want, v0))
 
 
-@pytest.mark.parametrize("name, most", [("paulus_r", 70), ("paulus_s", 80)])
-def test_sibling_keys_cut_the_paulus_refinements(name, most, request, monkeypatch):
-    """Without sibling keys the Paulus searches refine 350 and 326 times,
-    almost all for siblings that fail; the keys skip most of those."""
-    calls = []
-    refine = symmetry._refine
-    monkeypatch.setattr(symmetry, "_refine", lambda *args: calls.append(1) or refine(*args))
-    group = automorphism_group(colored_graph_from_config(request.getfixturevalue(name)))
-    assert group.order() == 1
-    assert len(calls) <= most
+PRUNED_CASES = ["paulus_r", "paulus_s", "c7p"]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("name", PRUNED_CASES)
+def test_node_keys_keep_the_reference_search(name, seed, request):
+    """Off-spine nodes whose target cell's key multiset is not the spine's
+    are cut whole; on seeded relabellings nothing the search returns moves."""
+    check_search_against_reference(colored_graph_from_config(
+        relabel(ENGINE_CASES[name](request), seed)))
+
+
+@pytest.mark.parametrize("name", PRUNED_CASES)
+def test_colliding_keys_change_nothing(name, request, monkeypatch):
+    """With every key row equal, no node is cut and no sibling skipped: the
+    search refines as it would without keys and returns the same group."""
+    graph = colored_graph_from_config(relabel(ENGINE_CASES[name](request), 11))
+    calls = counted_refinements(monkeypatch)
+    automorphism_group(graph)
+    keyed = len(calls)
+    monkeypatch.setattr(symmetry, "_sibling_keys",
+                        lambda a, colours, k, cell_of, vertices:
+                        np.zeros((len(vertices), len(colours)), dtype=np.uint64))
+    calls.clear()
+    check_search_against_reference(graph)
+    assert len(calls) > keyed
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["exact", "wrapped"])
