@@ -54,8 +54,16 @@ def _gram_rows(doc: dict, where: str) -> list:
     return gram
 
 
+def _label(doc: dict, where: str):
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"{where}: 'label' must be a string")
+    return label
+
+
 def configuration_from_dict(doc: dict, where: str = "configuration") -> Configuration:
     gram = _gram_rows(doc, where)
+    label = _label(doc, where)
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
@@ -64,7 +72,7 @@ def configuration_from_dict(doc: dict, where: str = "configuration") -> Configur
     try:
         return Configuration.from_gram(
             gram,
-            label=doc.get("label"),
+            label=label,
             point_labels=tuple(labels) if labels is not None else None,
         )
     except StructuralError as exc:
@@ -138,15 +146,23 @@ def write_coordinates(p: CoordinateSet, path=None) -> str:
     return write_json(doc, path)
 
 
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a boolean is not one
+
+
 def load_point_input(path) -> Union[Configuration, CoordinateSet]:
     """Dispatch on file content: 'gram' (exact) or 'coords' (float)."""
     doc = _load_json(path)
     if "gram" in doc:
         return configuration_from_dict(doc, where=str(path))
     if "coords" in doc:
+        label, rows = _label(doc, str(path)), doc["coords"]
+        for i, row in enumerate(rows if isinstance(rows, list) else ()):
+            if isinstance(row, list) and not _NUMBER_TYPES.issuperset(map(type, row)):
+                j = next(j for j, x in enumerate(row) if type(x) not in _NUMBER_TYPES)
+                raise InputError(f"{path}: coords[{i}][{j}] is not a number")
         try:
-            pts = np.array(doc["coords"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            pts = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
         if pts.ndim != 2:
             raise InputError(f"{path}: 'coords' must be a rectangular N x r array")
@@ -155,7 +171,7 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
             i = int(np.argmin(finite & nonzero))  # the first bad point
             problem = "is the zero vector" if finite[i] else "is not finite"
             raise InputError(f"{path}: coords[{i}] {problem}")
-        return CoordinateSet(points=pts, label=doc.get("label"))
+        return CoordinateSet(points=pts, label=label)
     raise InputError(f"{path}: expected a 'gram' or 'coords' field")
 
 
@@ -182,9 +198,9 @@ def read_lattice(spec: str) -> LatticeGram:
         except StructuralError as exc:
             raise InputError(str(exc)) from exc
     doc = _load_json(spec)
-    gram = _gram_rows(doc, spec)
+    gram, label = _gram_rows(doc, spec), _label(doc, spec)
     try:
-        return LatticeGram(entries=tuple(map(tuple, gram)), label=doc.get("label"))
+        return LatticeGram(entries=tuple(map(tuple, gram)), label=label)
     except StructuralError as exc:
         raise InputError(f"{spec}: {exc}") from exc
 

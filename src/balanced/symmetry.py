@@ -10,12 +10,12 @@ The automorphism search is deterministic individualization-refinement:
 refine to the coarsest equitable partition, branch on the least vertex of
 the first smallest non-singleton cell, compare leaves against the first
 leaf, prune siblings by orbits of the group found so far (on the leftmost
-path) and by refinement invariants elsewhere; a refinement off the leftmost
-path stops at the first split that departs from the leftmost path's trace
-at the same depth.  When a cell splits, every subcell but the last is
-queued: the last one's counts are its parent's minus its siblings', and both
-have refined the partition before it would be popped, so it could split
-nothing.
+path) and by refinement traces elsewhere.  The trace is a node's invariant:
+a refinement off the leftmost path fails at the first split that departs
+from the leftmost path's trace at the same depth, or if it ends short of it.
+When a cell splits, every subcell but the last is queued: the last one's
+counts are its parent's minus its siblings', and both have refined the
+partition before it would be popped, so it could split nothing.
 
 Sibling keys skip refinements that cannot hold an automorphism, and off the
 leftmost path whole nodes.  A child succeeds only through an automorphism
@@ -25,13 +25,12 @@ hence an isomorphism-invariant key (`_sibling_keys`); so a sibling whose key
 differs counts exactly as a failed refinement.  That automorphism also maps
 the spine node's target cell onto the parent's, so the two cells hold equal
 multisets of keys.  Once a child has failed and two or more siblings remain,
-a matrix product keys them: on the spine, the next 16 siblings (then 32,
-64, ...) and the spine's vertex; off it, the node's whole target cell,
-whose sorted rows must equal the spine node's at the same depth (keyed once
-per depth), or the node fails as it would after trying every child.  A hash
-collision only means no skip or cut.  Keys never refine or choose a target cell,
-and a cut node has no side effect to miss, so no generator, order, orbit or
-stabilizer changes.
+a node keys its whole target cell in one matrix product.  The spine node's
+rows are kept for its depth (and keyed there only if it never keyed); an
+off-spine node whose sorted rows differ from them fails as it would after
+trying every child.  A hash collision only means no skip or cut.  Keys never
+refine or choose a target cell, and a cut node has no side effect to miss,
+so no generator, order, orbit or stabilizer changes.
 
 The group's order and the stabilizer of the first individualized vertex come
 from the search: the leftmost path is a base, and the generators found at
@@ -366,32 +365,31 @@ class PermutationGroup:
 # --- automorphism search ----------------------------------------------------
 
 
-def _signature_table(colours: np.ndarray, n_colours: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Splitter signatures as base-n integers: (weights, rows).
+def _signature_table(colours: np.ndarray, n_colours: int) -> np.ndarray:
+    """Splitter signatures as base-n integers: weights[u, v] = n ** (k-1 -
+    colour of edge uv), 0 on the diagonal, for k edge colours on n vertices.
 
-    weights[u, v] = n ** (k-1 - colour of edge uv), 0 on the diagonal, for k
-    edge colours on n vertices.  Summed over a splitter, column v is v's
-    count vector of splitter colours read as base-n digits, most significant
-    first; a count is at most n-1, so equal sums are equal count vectors, and
-    sums order as the vectors do; a sum is below n**k.  rows[u] is weights[u]
-    as a list whose entries are shared among the k powers.
+    Summed over a splitter, column v is v's count vector of splitter colours
+    read as base-n digits, most significant first; a count is at most n-1, so
+    equal sums are equal count vectors, and sums order as the vectors do; a
+    sum is below n**k.
     """
     n = len(colours)
     powers = [n ** (n_colours - 1 - c) for c in range(n_colours)] + [0]  # [-1]: diagonal
-    weights = np.array(powers, dtype=int_dtype(n**n_colours))[colours]
-    rows = [list(map(powers.__getitem__, row)) for row in colours.tolist()]
-    return weights, rows
+    return np.array(powers, dtype=int_dtype(n**n_colours))[colours]
 
 
-def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, ...]],
-            splitters, expected: Optional[tuple] = None):
+def _refine(weights: np.ndarray, cells: list[tuple[int, ...]], splitters,
+            expected: Optional[tuple] = None):
     """Equitable refinement of cells against the queued splitters and every
-    subcell split off on the way; returns (cells, invariant).
+    subcell split off on the way; returns (cells, trace).
 
     Subcells replace their parent in signature order, so the cell sequence
-    and the recorded trace are isomorphism-invariant.  Given the trace
-    expected at this depth, it returns None as soon as its own trace departs
-    from it, since the invariants can then no longer match.
+    and the trace are isomorphism-invariant.  Given the trace expected at
+    this depth, it returns None as soon as its own trace departs from it, or
+    if it ends short of it.  The trace is the node's invariant: it records
+    every split's cell and subcell sizes, so from equal cell sizes equal
+    traces give equal cell sizes.
 
     A split queues every subcell but the last: against any vertex, its count
     is its parent's minus its siblings'.  The queue is FIFO, so before the
@@ -410,7 +408,7 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
     while queue and wide:
         splitter = queue.popleft()
         if len(splitter) == 1:
-            signature = rows[splitter[0]]
+            signature = weights[splitter[0]].tolist()
         else:
             signature = weights.take(splitter, axis=0).sum(axis=0).tolist()
         splits = []
@@ -440,8 +438,9 @@ def _refine(weights: np.ndarray, rows: list[list[int]], cells: list[tuple[int, .
                 last = ci + 1
             cells = newcells + cells[last:]
             wide = [(ci, itemgetter(*cell)) for ci, cell in enumerate(cells) if len(cell) > 1]
-    invariant = (tuple(len(c) for c in cells), tuple(trace))
-    return cells, invariant
+    if expected is not None and len(trace) < len(expected):
+        return None
+    return cells, tuple(trace)
 
 
 def _splitmix64(n: int) -> np.ndarray:
@@ -512,56 +511,53 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     if n == 0:
         return PermutationGroup(0)
     colours, k = graph.edge_colors, graph.n_edge_colors
-    weights, rows = _signature_table(colours, k)
+    weights = _signature_table(colours, k)
     state = {"first_leaf": None, "a": None}
     gens: list[Perm] = []
     orbits = _Orbits(n)
     spine_orbits: list[int] = []  # |v_k^{H_k}|, deepest first
-    invariants: dict[int, object] = {}
+    invariants: dict[int, tuple] = {}  # depth -> the spine node's trace
     spine: dict[int, tuple[list, tuple]] = {}  # depth -> (cells, target cell) on the leftmost path
-    spine_keys: dict[int, tuple[list, np.ndarray]] = {}  # depth -> (sorted key rows, v_depth's)
+    spine_keys: dict[int, tuple[np.ndarray, list]] = {}  # depth -> (key rows, sorted multiset)
 
     def in_explored_orbit(v: int, explored: list[int]) -> bool:
         root = orbits.find(v)
         return any(orbits.find(u) == root for u in explored)
 
-    def keys(cells, vertices: list[int]) -> np.ndarray:
+    def keys(cells, cell) -> tuple[np.ndarray, list[bytes]]:
+        """The key rows of the target cell's vertices, in cell order, and
+        their sorted multiset."""
         if state["a"] is None:
             state["a"] = _KEY_WEIGHTS[(colours + 1) % len(_KEY_WEIGHTS)]
         cell_of = np.empty(n, dtype=np.int64)
         cell_of[list(chain.from_iterable(cells))] = np.repeat(
             np.arange(len(cells)), [len(c) for c in cells])
-        return _sibling_keys(state["a"], colours, k, cell_of, vertices)
+        rows = _sibling_keys(state["a"], colours, k, cell_of, list(cell))
+        return rows, sorted(r.tobytes() for r in rows)
 
-    def unlike_spine(cells, vertices: list[int], depth: int, leftmost: bool) -> Optional[set[int]]:
-        """The vertices whose sibling key differs from the spine vertex's at
-        this depth.  Off the spine, `vertices` is the node's whole target
-        cell, and None means its multiset of keys is not the spine node's."""
-        if leftmost:  # the spine's own node: v_depth is its target cell's first vertex
-            rows = keys(cells, vertices + [spine[depth][1][0]])
-            rows, spine_row = rows[:-1], rows[-1]
-        else:
-            if depth not in spine_keys:
-                spine_rows = keys(spine[depth][0], list(spine[depth][1]))
-                spine_keys[depth] = (sorted(r.tobytes() for r in spine_rows), spine_rows[0])
-            multiset, spine_row = spine_keys[depth]
-            rows = keys(cells, vertices)
-            if sorted(r.tobytes() for r in rows) != multiset:
-                return None
-        same = (rows == spine_row).all(axis=1)
-        return {v for v, s in zip(vertices, same.tolist()) if not s}
+    def unlike_spine(cells, cell, depth: int, leftmost: bool) -> Optional[set[int]]:
+        """The vertices of the target cell whose sibling key differs from
+        v_depth's, the first of the spine node's target cell; None if the
+        cell's multiset of keys is not the spine node's."""
+        rows, multiset = keys(cells, cell)
+        if leftmost:
+            spine_keys[depth] = rows, multiset
+        elif depth not in spine_keys:  # the spine node never keyed
+            spine_keys[depth] = keys(*spine[depth])
+        spine_rows, spine_multiset = spine_keys[depth]
+        if multiset != spine_multiset:
+            return None
+        same = (rows == spine_rows[0]).all(axis=1)
+        return {v for v, s in zip(cell, same.tolist()) if not s}
 
     def search(cells, splitters, depth: int, leftmost: bool) -> bool:
         # off the spine, the spine's node at this depth sets the trace to match
-        expected = None if leftmost else invariants[depth][1]
-        refined = _refine(weights, rows, cells, splitters, expected)
+        refined = _refine(weights, cells, splitters, None if leftmost else invariants[depth])
         if refined is None:
             return False
-        cells, inv = refined
+        cells, trace = refined
         if leftmost:
-            invariants[depth] = inv
-        elif invariants.get(depth) != inv:
-            return False
+            invariants[depth] = trace
         if len(cells) == n:
             leaf = np.array([c[0] for c in cells], dtype=np.intp)
             if state["first_leaf"] is None:
@@ -582,21 +578,15 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
             spine[depth] = (cells, cell)
         explored: list[int] = []
         found = failed = False
-        # on the spine, keys are compared in batches of 16, 32, ... siblings: a
-        # success or the orbits often end the loop early, and a key row costs
-        # n**2; off it, the whole cell is keyed at once, to prune the node
-        unlike: Optional[set[int]] = set()
-        keyed, width = 0, 16  # cell[:keyed] has been compared
+        unlike: Optional[set[int]] = None  # None until the cell is keyed
         for i, v in enumerate(cell):
             if leftmost and explored and in_explored_orbit(v, explored):
                 continue
-            if failed and i >= keyed and len(cell) - i >= 2:
-                batch = list(cell[i:i + width] if leftmost else cell)
-                unlike = unlike_spine(cells, batch, depth, leftmost)
+            if failed and unlike is None and len(cell) - i >= 2:
+                unlike = unlike_spine(cells, cell, depth, leftmost)
                 if unlike is None:
                     return False  # no automorphism maps the spine's node onto this one
-                keyed, width = i + len(batch), 2 * width
-            if v in unlike:
+            if unlike and v in unlike:
                 res = False  # no automorphism maps the spine's node onto this child
             else:
                 child_leftmost = leftmost and state["first_leaf"] is None

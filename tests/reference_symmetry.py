@@ -234,10 +234,11 @@ def refine(graph, cells):
 
 
 def base_n_signatures(result, n, n_colours):
-    """A `refine` result with every count vector in its trace read as a
-    base-n integer, most significant digit first: the form the array engine
-    records."""
+    """A `refine` result in the form the array engine returns, (cells, trace),
+    with every count vector in the trace read as a base-n integer, most
+    significant digit first.  The sizes it drops must be the cells'."""
     cells, (sizes, trace) = result
+    assert sizes == tuple(len(c) for c in cells)
 
     def encode(counts):
         assert len(counts) == n_colours
@@ -250,7 +251,7 @@ def base_n_signatures(result, n, n_colours):
     trace = tuple(
         (ci, tuple((encode(sig), size) for sig, size in parts)) for ci, parts in trace
     )
-    return cells, (sizes, trace)
+    return cells, trace
 
 
 def _individualize(cells, v):

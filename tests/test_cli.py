@@ -551,6 +551,12 @@ def test_single_float_point_is_balanced(runner, tmp_path):
         ("[[1, 0], [NaN, 1], [0, 0]]", "coords[1] is not finite"),
         ("[[1, 0], [0, 1], [1, -Infinity]]", "coords[2] is not finite"),
         ("[[]]", "coords[0] is the zero vector"),
+        ("[[true, false], [false, true]]", "coords[0][0] is not a number"),
+        ('[[1, 0], [0, "1e0"]]', "coords[1][1] is not a number"),
+        ('[[1, 0], ["a", "b"]]', "coords[1][0] is not a number"),
+        ("[[1, 0], [0, 1], [1, null]]", "coords[2][1] is not a number"),
+        pytest.param(f"[[1{'0' * 400}, 0], [0, 1]]",
+                     "bad 'coords' array: int too large to convert to float", id="huge-int"),
     ],
 )
 def test_coordinate_checks_name_the_first_bad_point(runner, tmp_path, coords, problem):
@@ -559,6 +565,22 @@ def test_coordinate_checks_name_the_first_bad_point(runner, tmp_path, coords, pr
     res = invoke(runner, ["check", "balanced", str(f)])
     assert res.exit_code == 2
     assert res.stderr == f"error: {f}: {problem}\n"
+
+
+@pytest.mark.parametrize("label", [7, True, ["C7"], {"name": "C7"}])
+@pytest.mark.parametrize("command, doc", [
+    (["report"], {"gram": [["1", "0"], ["0", "1"]]}),
+    (["report"], {"coords": [[1, 0], [0, 1]]}),
+    (["construct", "antipodal-union"], {"gram": [["1", "0"], ["0", "1"]]}),
+    (["construct", "kissing"], {"gram": [["2", "1"], ["1", "2"]]}),
+], ids=["gram", "coords", "antipodal-union", "lattice"])
+def test_a_label_that_is_not_a_string_exits_2(runner, tmp_path, command, doc, label):
+    f = tmp_path / "labelled.json"
+    f.write_text(json.dumps({"label": label, **doc}))
+    res = invoke(runner, [*command, str(f)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {f}: 'label' must be a string\n"
 
 
 TWICE = [[1, 0], [0, 1], [1, 0], [-1, 0], [0, -1]]  # points 0 and 2 coincide

@@ -10,6 +10,7 @@ against all N! permutations.
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -111,13 +112,13 @@ def test_child_refinement_queues_only_the_individualized_vertex(name, request):
     search visits."""
     graph = colored_graph_from_config(ENGINE_CASES[name](request))
     n, k = graph.size, graph.n_edge_colors
-    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    weights = _signature_table(np.array(graph.edge_colors), k)
     refinements = []
     ref.automorphism_generators(graph, refinements)
     assert any(new is not None for _, new, _ in refinements)
     for cells, new, want in refinements:
         splitters = cells if new is None else new[:1]
-        got = _refine(weights, rows, cells, splitters)
+        got = _refine(weights, cells, splitters)
         assert got == ref.base_n_signatures(want, n, k)
 
 
@@ -125,9 +126,9 @@ def test_root_refinement_matches_reference(paulus_r):
     graph = colored_graph_from_config(paulus_r)
     cells = [tuple(range(graph.size))]
     n, k = graph.size, graph.n_edge_colors
-    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    weights = _signature_table(np.array(graph.edge_colors), k)
     want = ref.base_n_signatures(ref.refine(graph, cells), n, k)
-    assert _refine(weights, rows, cells, cells) == want
+    assert _refine(weights, cells, cells) == want
 
 
 @pytest.mark.parametrize("name", ["c9", "e8"])
@@ -138,13 +139,13 @@ def test_last_subcell_rule_matches_full_queue_on_larger_searches(name, request):
     c = simplex_midpoints(9) if name == "c9" else request.getfixturevalue("e8_kissing")
     graph = colored_graph_from_config(c)
     n, k = graph.size, graph.n_edge_colors
-    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    weights = _signature_table(np.array(graph.edge_colors), k)
     refinements = []
     ref.automorphism_generators(graph, refinements)
     assert sum(new is not None for _, new, _ in refinements) > 10
     for cells, new, want in refinements:
         splitters = cells if new is None else new[:1]
-        assert _refine(weights, rows, cells, splitters) == ref.base_n_signatures(want, n, k)
+        assert _refine(weights, cells, splitters) == ref.base_n_signatures(want, n, k)
 
 
 # --- known-order chains -------------------------------------------------------
@@ -272,9 +273,8 @@ SIGNATURE_DTYPES = [(10, 18, np.int64), (10, 19, object), (8, 20, np.int64), (8,
 @pytest.mark.parametrize("n, k, dtype", SIGNATURE_DTYPES)
 def test_signature_table_dtype_and_exact_sums(n, k, dtype):
     graph = folded_orbit_graph(n, k, seed=n * k)
-    weights, rows = _signature_table(np.array(graph.edge_colors), k)
+    weights = _signature_table(np.array(graph.edge_colors), k)
     assert weights.dtype == dtype
-    assert rows == weights.tolist()
     # the whole vertex set as splitter: the largest sums the search can form
     sums = weights.take(range(n), axis=0).sum(axis=0).tolist()
     for v in range(n):
@@ -529,6 +529,69 @@ def test_sibling_keys_cut_the_paulus_refinements(name, seed, request, monkeypatc
     group = automorphism_group(colored_graph_from_config(c))
     assert group.order() == 1
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", ["paulus_r", "paulus_s"])
+def test_each_vertex_keyed_once_per_partition(name, seed, request, monkeypatch):
+    """A search keys a vertex at most once under one partition: a node keys
+    its target cell once, and the spine node's rows serve every off-spine
+    node at its depth."""
+    c = request.getfixturevalue(name)
+    if seed is not None:
+        c = relabel(c, seed)
+    keyed = []
+    sibling_keys = symmetry._sibling_keys
+
+    def spy(a, colours, k, cell_of, vertices):
+        keyed.extend((cell_of.tobytes(), v) for v in vertices)
+        return sibling_keys(a, colours, k, cell_of, vertices)
+
+    monkeypatch.setattr(symmetry, "_sibling_keys", spy)
+    automorphism_group(colored_graph_from_config(c))
+    rekeyed = len(keyed) - len(set(keyed))
+    assert keyed and rekeyed == 0
+
+
+def test_refine_fails_a_trace_it_ends_short_of(paulus_r):
+    """Matched step by step, a trace one step short of the expected one
+    still fails, as does one step past it."""
+    graph = colored_graph_from_config(paulus_r)
+    weights = _signature_table(graph.edge_colors, graph.n_edge_colors)
+    rest = tuple(range(1, graph.size))
+    cells, trace = _refine(weights, [(0,), rest], [(0,)])
+    assert trace
+    assert _refine(weights, [(0,), rest], [(0,)], trace) == (cells, trace)
+    assert _refine(weights, [(0,), rest], [(0,)], trace + trace[-1:]) is None
+    assert _refine(weights, [(0,), rest], [(0,)], trace[:-1]) is None
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_the_trace_fixes_the_cell_sizes(name, relabelled, request, monkeypatch):
+    """Every off-spine refinement that keeps the spine's trace at its depth
+    ends with the spine node's cell sizes, so the trace alone is the node
+    invariant."""
+    c = ENGINE_CASES[name](request)
+    if relabelled:
+        c = relabel(c, seed=sum(map(ord, name)))
+    spine_sizes, survivors = {}, []
+    refine = symmetry._refine
+
+    def spy(weights, cells, splitters, expected=None):
+        out = refine(weights, cells, splitters, expected)
+        depth = sys._getframe(1).f_locals["depth"]  # the calling search node's
+        if out is not None:
+            sizes = [len(cell) for cell in out[0]]
+            if expected is None:
+                spine_sizes[depth] = sizes
+            else:
+                survivors.append(sizes == spine_sizes[depth])
+        return out
+
+    monkeypatch.setattr(symmetry, "_refine", spy)
+    automorphism_group(colored_graph_from_config(c))
+    assert survivors and all(survivors)
 
 
 def check_search_against_reference(graph):
