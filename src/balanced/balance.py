@@ -98,14 +98,16 @@ def _not_radial(colours, shells, x) -> list[list[int]]:
 # --- Euclidean mode -------------------------------------------------------
 
 
-def _as_points(points) -> list[tuple[Fraction, ...]]:
-    pts = [tuple(rational(x) for x in p) for p in points]
-    if not pts:
-        raise StructuralError("empty point list")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
-        raise StructuralError("points of mixed dimension")
-    return pts
+def _rational_rows(rows, dim, empty: str, mixed: str) -> list[tuple[Fraction, ...]]:
+    """The rows, each entry parsed once, all of length dim (the first row's
+    when dim is None)."""
+    parsed = [tuple(map(rational, row)) for row in rows]
+    if not parsed:
+        raise StructuralError(empty)
+    dim = len(parsed[0]) if dim is None else dim
+    if any(len(row) != dim for row in parsed):
+        raise StructuralError(mixed)
+    return parsed
 
 
 def check_balanced_euclidean(
@@ -124,16 +126,18 @@ def check_balanced_euclidean(
     Python int and the cutoff becomes the integer bound floor(r^2 S^2); a
     Fraction is made only for a reported violation.
     """
-    pts = _as_points(points)
-    if cutoff is not None and rational(cutoff) < 0:
-        raise StructuralError(f"cutoff radius {cutoff} is negative")
-    r2 = None if cutoff is None else rational(cutoff) ** 2
-    if period is not None and r2 is None:
+    pts = _rational_rows(points, None, "empty point list", "points of mixed dimension")
+    r = None if cutoff is None else rational(cutoff)
+    if r is not None and r < 0:
+        raise StructuralError(f"cutoff radius {r} is negative")
+    if period is not None and r is None:
         raise StructuralError("periodic input requires a cutoff radius")
-    basis = None if period is None else _period_basis(period, len(pts[0]))
+    basis = None if period is None else _rational_rows(
+        period, len(pts[0]), "period basis is empty",
+        "period basis dimension does not match points")
     s = math.lcm(*(x.denominator for p in chain(pts, basis or ()) for x in p))
     scaled = _scaled(pts, s)
-    bound = None if r2 is None else r2.numerator * s * s // r2.denominator
+    bound = None if r is None else (r.numerator * s) ** 2 // r.denominator ** 2
     if basis is None:
         shells = _finite_shells(scaled, bound)
     else:
@@ -143,18 +147,9 @@ def check_balanced_euclidean(
     for i, buckets in enumerate(shells):
         any_shell = any_shell or bool(buckets)
         violations += _centroid_violations(i, buckets, s)
-    if r2 is not None and not any_shell and (period is not None or len(pts) > 1):
+    if r is not None and not any_shell and (period is not None or len(pts) > 1):
         raise StructuralError("cutoff is below the minimal inter-point distance")
     return BalanceReport(balanced=not violations, violations=tuple(violations))
-
-
-def _period_basis(period, dim: int) -> list[tuple[Fraction, ...]]:
-    if not period:
-        raise StructuralError("period basis is empty")
-    basis = [tuple(rational(x) for x in b) for b in period]
-    if any(len(b) != dim for b in basis):
-        raise StructuralError("period basis dimension does not match points")
-    return basis
 
 
 def _scaled(rows, s: int) -> list[list[int]]:

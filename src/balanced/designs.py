@@ -35,6 +35,12 @@ def _zonal_series(n: int, cap: int, u):
         yield cur
 
 
+def check_cap(cap: int) -> None:
+    """The design-strength cap, exact or float, must be at least 1."""
+    if cap < 1:
+        raise StructuralError(f"cap {cap} < 1")
+
+
 @dataclass(frozen=True)
 class DesignVerdict:
     strength: int
@@ -50,8 +56,7 @@ def gram_value_counts(c: Configuration) -> Counter:
 
 def design_strength(c: Configuration, cap: int) -> DesignVerdict:
     """Largest verified design strength t* <= cap, with all moment sums."""
-    if cap < 1:
-        raise StructuralError(f"cap {cap} < 1")
+    check_cap(cap)
     den = c.gram.den
     counts = gram_value_counts(c)
     scaled = [u.numerator * (den // u.denominator) for u in counts]

@@ -82,6 +82,14 @@ def rational(value) -> Fraction:
     raise StructuralError(f"not a rational: {value!r}")
 
 
+def check_labels(label, point_labels=None) -> None:
+    """A label is a string or None, and point labels are strings."""
+    if label is not None and not isinstance(label, str):
+        raise StructuralError("'label' must be a string")
+    if point_labels is not None and not all(isinstance(s, str) for s in point_labels):
+        raise StructuralError("point labels must be strings")
+
+
 def int_dtype(bound: int) -> type:
     """int64 for integers of absolute value at most bound < 2^63, else object."""
     return np.int64 if bound < _INT64 else object
@@ -384,6 +392,7 @@ class Configuration:
     point_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        check_labels(self.label, self.point_labels)
         n = self.gram.size
         if n == 0:
             raise StructuralError("empty configuration")
@@ -392,7 +401,7 @@ class Configuration:
         if same is not None:
             raise StructuralError("points %d and %d coincide (inner product 1)" % same)
         if self.point_labels is not None:
-            labels = tuple(str(x) for x in self.point_labels)
+            labels = tuple(self.point_labels)
             if len(labels) != n:
                 raise StructuralError(f"{len(labels)} labels for {n} points")
             object.__setattr__(self, "point_labels", labels)

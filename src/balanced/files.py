@@ -1,16 +1,19 @@
 """File formats: configuration / coordinate / Euclidean / lattice JSON and
 the plain-text 0/1 adjacency format.  Rationals travel as strings; floats
-never appear in exact-mode files."""
+never appear in exact-mode files.
+
+The JSON readers check the document alone: an object, its required fields,
+lists of rows, JSON numbers.  Every rule about values belongs to the library
+type or function the values are handed to."""
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Union
+from typing import Optional, Union
 
-from .exact import Configuration, StructuralError, rational
+from .exact import Configuration, StructuralError
 from .lattice import LatticeGram, bundled_lattice
 from .numerics import CoordinateSet
 
@@ -45,34 +48,25 @@ def configuration_to_dict(c: Configuration) -> dict:
     return doc
 
 
-def _gram_rows(doc: dict, where: str) -> list:
-    if "gram" not in doc:
-        raise InputError(f"{where}: missing 'gram' field")
-    gram = doc["gram"]
-    if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
-        raise InputError(f"{where}: 'gram' must be a list of rows")
-    return gram
-
-
-def _label(doc: dict, where: str):
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InputError(f"{where}: 'label' must be a string")
-    return label
+def _rows(doc: dict, key: str, where: str) -> list:
+    """doc[key], which must be present and a list of lists."""
+    if key not in doc:
+        raise InputError(f"{where}: missing '{key}' field")
+    rows = doc[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{where}: '{key}' must be a list of rows")
+    return rows
 
 
 def configuration_from_dict(doc: dict, where: str = "configuration") -> Configuration:
-    gram = _gram_rows(doc, where)
-    label = _label(doc, where)
+    gram = _rows(doc, "gram", where)
     labels = doc.get("labels")
-    if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
-    ):
-        raise InputError(f"{where}: 'labels' must be a list of strings")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError(f"{where}: 'labels' must be a list")
     try:
         return Configuration.from_gram(
             gram,
-            label=label,
+            label=doc.get("label"),
             point_labels=tuple(labels) if labels is not None else None,
         )
     except StructuralError as exc:
@@ -155,7 +149,7 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
     if "gram" in doc:
         return configuration_from_dict(doc, where=str(path))
     if "coords" in doc:
-        label, rows = _label(doc, str(path)), doc["coords"]
+        rows = doc["coords"]
         for i, row in enumerate(rows if isinstance(rows, list) else ()):
             if isinstance(row, list) and not _NUMBER_TYPES.issuperset(map(type, row)):
                 j = next(j for j, x in enumerate(row) if type(x) not in _NUMBER_TYPES)
@@ -164,30 +158,19 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
             pts = np.array(rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
-        if pts.ndim != 2:
-            raise InputError(f"{path}: 'coords' must be a rectangular N x r array")
-        finite, nonzero = np.isfinite(pts).all(axis=1), pts.any(axis=1)
-        if not (finite & nonzero).all():
-            i = int(np.argmin(finite & nonzero))  # the first bad point
-            problem = "is the zero vector" if finite[i] else "is not finite"
-            raise InputError(f"{path}: coords[{i}] {problem}")
-        return CoordinateSet(points=pts, label=label)
+        try:
+            return CoordinateSet(points=pts, label=doc.get("label"))
+        except StructuralError as exc:
+            raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: expected a 'gram' or 'coords' field")
 
 
-def read_euclidean(path) -> tuple[list, list, Fraction]:
+def read_euclidean(path) -> tuple[list, Optional[list], object]:
+    """The raw points, period and cutoff; check_balanced_euclidean parses them."""
     doc = _load_json(path)
-    if "points" not in doc:
-        raise InputError(f"{path}: missing 'points' field")
-    try:
-        points = [[rational(x) for x in row] for row in doc["points"]]
-        period = None
-        if doc.get("period") is not None:
-            period = [[rational(x) for x in row] for row in doc["period"]]
-        cutoff = rational(doc["cutoff"]) if doc.get("cutoff") is not None else None
-    except (StructuralError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return points, period, cutoff
+    points = _rows(doc, "points", path)
+    period = None if doc.get("period") is None else _rows(doc, "period", path)
+    return points, period, doc.get("cutoff")
 
 
 def read_lattice(spec: str) -> LatticeGram:
@@ -198,9 +181,9 @@ def read_lattice(spec: str) -> LatticeGram:
         except StructuralError as exc:
             raise InputError(str(exc)) from exc
     doc = _load_json(spec)
-    gram, label = _gram_rows(doc, spec), _label(doc, spec)
+    gram = _rows(doc, "gram", spec)
     try:
-        return LatticeGram(entries=tuple(map(tuple, gram)), label=label)
+        return LatticeGram(entries=tuple(map(tuple, gram)), label=doc.get("label"))
     except StructuralError as exc:
         raise InputError(f"{spec}: {exc}") from exc
 

@@ -29,6 +29,7 @@ from .exact import (
     _Elimination,
     _encode,
     _tabulate,
+    check_labels,
     int_dtype,
     int_product,
     rational,
@@ -80,6 +81,7 @@ class LatticeGram:
     form: QuadraticForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_labels(self.label)
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
                 if isinstance(x, bool) or not isinstance(x, numbers.Integral):

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import _zonal_series
-from .exact import Configuration, StructuralError, _first_pair
+from .designs import _zonal_series, check_cap
+from .exact import Configuration, StructuralError, _first_pair, check_labels
 
 
 class AmbiguousShellError(ValueError):
@@ -42,8 +42,8 @@ class AmbiguousShellError(ValueError):
 
 @dataclass(eq=False)
 class CoordinateSet:
-    """N x r double-precision points.  Unit vectors, their Gram matrix and
-    per-tolerance shells are computed once."""
+    """N x r double-precision points, each finite and nonzero.  Unit vectors,
+    their Gram matrix and per-tolerance shells are computed once."""
 
     points: np.ndarray
     label: Optional[str] = None
@@ -51,9 +51,15 @@ class CoordinateSet:
     _distinct_at: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
+        check_labels(self.label)
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise StructuralError("coordinates must form a nonempty N x r array")
+        finite, nonzero = np.isfinite(self.points).all(axis=1), self.points.any(axis=1)
+        if not (finite & nonzero).all():
+            i = int(np.argmin(finite & nonzero))  # the first bad point
+            problem = "is the zero vector" if finite[i] else "is not finite"
+            raise StructuralError(f"coords[{i}] {problem}")
 
     @cached_property
     def unit(self) -> np.ndarray:
@@ -402,8 +408,7 @@ def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
 
 def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(strength, moments) in float mode; zero test scaled by N^2."""
-    if cap < 1:
-        raise StructuralError(f"cap {cap} < 1")
+    check_cap(cap)
     _require_tolerance(p, tol)
     gram = np.clip(p.gram, -1.0, 1.0)
     moments = [float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None)]

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 import reference_elimination
-from balanced.balance import BalanceReport, Violation, _as_points
+from balanced.balance import BalanceReport, Violation, _rational_rows
 from balanced.exact import StructuralError, rational
 
 INT64_BUDGET = 2**62
@@ -104,6 +104,10 @@ def witnesses(c):
 # from the recursive Fraction enumerator of `reference_elimination`.  The
 # library must return the same BalanceReport, or raise the same exception
 # with the same message.
+
+
+def _as_points(rows):
+    return _rational_rows(rows, None, "empty point list", "points of mixed dimension")
 
 
 def check_balanced_euclidean(points, period=None, cutoff=None):

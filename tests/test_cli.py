@@ -20,6 +20,7 @@ from balanced.files import (
 )
 from balanced.numerics import AmbiguousShellError
 from conftest import gram_entries, perturbed_square
+from test_numerics import CONSTRUCTED
 
 import balanced
 
@@ -53,6 +54,14 @@ class TestConstructRoundTrip:
         write_configuration(c, again)
         assert out.read_text() == again.read_text()
         assert gram_entries(read_configuration(again).gram) == gram_entries(c.gram)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_constructor_outputs_read_back_equal(self, tmp_path, name):
+        """Every configuration the library builds, kissing ones included,
+        passes the reader's checks: the label rules are one rule."""
+        c = CONSTRUCTED[name]()
+        write_configuration(c, tmp_path / "c.json")
+        assert read_configuration(tmp_path / "c.json") == c
 
     def test_determinism(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -434,6 +443,21 @@ class TestMalformedNumbers:
             assert res.exit_code == 2
             assert res.stdout == ""
             assert "gram[0][" in res.stderr
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"points": ["00", "10", "01", "11"], "cutoff": "1"}, "points"),
+        ({"points": [["0", "0"]], "period": ["10", "01"], "cutoff": "1"}, "period"),
+        ({"points": 5}, "points"),
+        ({"points": [["0", "0"]], "period": 5, "cutoff": "1"}, "period"),
+    ], ids=["string-points", "string-period", "number-points", "number-period"])
+    def test_euclidean_rows_are_lists(self, runner, tmp_path, doc, field):
+        """A string row is not read character by character into a verdict."""
+        f = tmp_path / "points.json"
+        write_json(doc, f)
+        res = invoke(runner, ["check", "euclidean", str(f)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {f}: '{field}' must be a list of rows\n"
 
     def test_euclidean_rejects_booleans(self, runner, tmp_path):
         f = tmp_path / "points.json"

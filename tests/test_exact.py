@@ -17,6 +17,8 @@ from balanced.exact import (
     rational,
 )
 from balanced.constructors import c7_prime, simplex_midpoints
+from balanced.lattice import LatticeGram
+from balanced.numerics import CoordinateSet
 from reference_elimination import is_positive_semidefinite
 
 
@@ -166,6 +168,24 @@ class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(StructuralError):
             Configuration.from_gram([])
+
+    @pytest.mark.parametrize("label", [7, True, ["C7"], b"C7"])
+    def test_a_label_is_a_string(self, label):
+        """Configuration, CoordinateSet and LatticeGram hold one label rule;
+        LatticeGram names the label before its non-integer entries."""
+        builds = [
+            lambda: Configuration.from_gram([[1, 0], [0, 1]], label=label),
+            lambda: CoordinateSet(points=[[1.0, 0.0], [0.0, 1.0]], label=label),
+            lambda: LatticeGram(entries=(("2", "1"), ("1", "2")), label=label),
+        ]
+        for build in builds:
+            with pytest.raises(StructuralError, match="^'label' must be a string$"):
+                build()
+
+    @pytest.mark.parametrize("labels", [(1, 2), ("a", None), ("a", ["b"])])
+    def test_point_labels_are_strings(self, labels):
+        with pytest.raises(StructuralError, match="^point labels must be strings$"):
+            Configuration.from_gram([[1, 0], [0, 1]], point_labels=labels)
 
     def test_constructor_invariants_hold(self, c7p, paulus_r, e8_kissing):
         for c in (c7p, paulus_r, e8_kissing):

@@ -296,3 +296,29 @@ class TestFloatDesigns:
             coords = coordinates_from_gram(c)
             s_float, _ = design_strength_float(coords, cap)
             assert s_float == design_strength(c, cap).strength
+
+
+# every float function that reads a CoordinateSet, with the arguments it needs
+FLOAT_FUNCTIONS = {
+    "check_balanced_float": check_balanced_float,
+    "spectrum_float": spectrum_float,
+    "design_strength_float": lambda p: design_strength_float(p, 3),
+    "theorem1_check_float": lambda p: theorem1_check_float(p, 3),
+    "build_report_float": lambda p: build_report_float(p, 3),
+    "energy": lambda p: energy(p, 1.0),
+    "tangential_force": lambda p: tangential_force(p, 1.0),
+}
+
+
+@pytest.mark.parametrize("row, problem", [
+    ([0.0, 0.0, 0.0], "is the zero vector"),
+    ([math.nan, 0.0, 1.0], "is not finite"),
+    ([math.inf, 0.0, 0.0], "is not finite"),
+    ([0.0, -math.inf, 1.0], "is not finite"),
+], ids=["zero", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(FLOAT_FUNCTIONS))
+def test_float_functions_refuse_a_zero_or_non_finite_row(name, row, problem):
+    """A point set with such a row is malformed: no verdict, spectrum or
+    energy is given for it, in the library as at the CLI."""
+    with pytest.raises(StructuralError, match=rf"^coords\[1\] {problem}$"):
+        FLOAT_FUNCTIONS[name](CoordinateSet(points=[[1.0, 0.0, 0.0], row, [0.0, 1.0, 0.0]]))

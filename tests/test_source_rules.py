@@ -399,3 +399,25 @@ def test_input_errors_rule_sees_every_form():
         "    return other_errors(d)\n"
     )
     assert input_errors_applications(tree) == ([1, 9, 12], [3, 6, 10])
+
+
+# the message of each rule on input values, written once in the sources
+INPUT_RULES = [
+    "coords[{i}] {problem}",  # float rows: finite and nonzero
+    "'label' must be a string",
+    "point labels must be strings",
+    "cap {cap} < 1",
+]
+
+
+def test_each_input_rule_has_one_owner():
+    """The readers check the JSON document; the library types own every rule
+    about values.  So each rule's message is written in one place, and
+    `files` neither parses a rational nor tests a float for finiteness."""
+    text = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert {rule: sum(t.count(rule) for t in text) for rule in INPUT_RULES} == {
+        rule: 1 for rule in INPUT_RULES}
+    path = next(p for p in SOURCES if p.name == "files.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & {"rational", "isfinite", "check_labels", "check_cap"} == set()
