@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lattice
-from .exact import Configuration, StructuralError, int_dtype, int_product, rational
+from .exact import Configuration, StructuralError, int_dtype, int_product, rational, row_tuples
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,10 @@ def _not_radial(colours, shells, x) -> list[list[int]]:
 # --- Euclidean mode -------------------------------------------------------
 
 
-def _rational_rows(rows, dim, empty: str, mixed: str) -> list[tuple[Fraction, ...]]:
+def _rational_rows(rows, what: str, dim, empty: str, mixed: str) -> list[tuple[Fraction, ...]]:
     """The rows, each entry parsed once, all of length dim (the first row's
     when dim is None)."""
-    parsed = [tuple(map(rational, row)) for row in rows]
+    parsed = [tuple(map(rational, row)) for row in row_tuples(rows, what)]
     if not parsed:
         raise StructuralError(empty)
     dim = len(parsed[0]) if dim is None else dim
@@ -126,14 +126,14 @@ def check_balanced_euclidean(
     Python int and the cutoff becomes the integer bound floor(r^2 S^2); a
     Fraction is made only for a reported violation.
     """
-    pts = _rational_rows(points, None, "empty point list", "points of mixed dimension")
+    pts = _rational_rows(points, "points", None, "empty point list", "points of mixed dimension")
     r = None if cutoff is None else rational(cutoff)
     if r is not None and r < 0:
         raise StructuralError(f"cutoff radius {r} is negative")
     if period is not None and r is None:
         raise StructuralError("periodic input requires a cutoff radius")
     basis = None if period is None else _rational_rows(
-        period, len(pts[0]), "period basis is empty",
+        period, "period", len(pts[0]), "period basis is empty",
         "period basis dimension does not match points")
     s = math.lcm(*(x.denominator for p in chain(pts, basis or ()) for x in p))
     scaled = _scaled(pts, s)

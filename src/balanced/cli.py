@@ -116,11 +116,8 @@ def construct_srg_embedding(graph, eigen, complement, output):
 def construct_kissing(lattice, allow_slow, output):
     gram = files.read_lattice(lattice)
     if gram.dim >= SLOW_LATTICE_DIM and not allow_slow:
-        _fail(
-            f"lattice dimension {gram.dim} >= {SLOW_LATTICE_DIM}: enumeration is "
-            f"slow; pass --allow-slow",
-            3,
-        )
+        _fail(f"lattice dimension {gram.dim} >= {SLOW_LATTICE_DIM}: enumeration is "
+              f"slow; pass --allow-slow", 3)
     _write_output(kissing_configuration(gram), output)
 
 
@@ -150,31 +147,12 @@ def check():
 
 def _balance_report_dict(rep) -> dict:
     if isinstance(rep, balance.BalanceReport):
-        return {
-            "mode": "exact",
-            "balanced": rep.balanced,
-            "violations": [
-                {
-                    "point": v.point,
-                    "shell_value": str(v.shell_value),
-                    "deviation": [str(x) for x in v.deviation],
-                }
-                for v in rep.violations
-            ],
-        }
-    return {
-        "mode": "float",
-        "balanced": rep.balanced,
-        "tol": rep.tol,
-        "violations": [
-            {
-                "point": v.point,
-                "shell_value": v.shell_value,
-                "deviation_norm": v.deviation_norm,
-            }
-            for v in rep.violations
-        ],
-    }
+        return {"mode": "exact", "balanced": rep.balanced, "violations": [
+            {"point": v.point, "shell_value": str(v.shell_value),
+             "deviation": [str(x) for x in v.deviation]} for v in rep.violations]}
+    return {"mode": "float", "balanced": rep.balanced, "tol": rep.tol, "violations": [
+        {"point": v.point, "shell_value": v.shell_value, "deviation_norm": v.deviation_norm}
+        for v in rep.violations]}
 
 
 def _load_points(file, tol):
@@ -236,12 +214,7 @@ def check_theorem1_cmd(file, cap, tol):
 def check_group_balanced_cmd(file):
     c = files.read_configuration(file)
     verdict = symmetry.check_group_balanced(c)
-    _echo(
-        {
-            "group_balanced": verdict.group_balanced,
-            "witnesses": list(verdict.witnesses),
-        }
-    )
+    _echo({"group_balanced": verdict.group_balanced, "witnesses": list(verdict.witnesses)})
     sys.exit(0 if verdict.group_balanced else 1)
 
 
@@ -302,13 +275,8 @@ def energy_cmd(file, exponent):
 def force_cmd(file, exponent):
     p = _coordinates_for(file)
     rep = numerics.tangential_force(p, exponent)
-    _echo(
-        {
-            "s": exponent,
-            "max_tangential_norm": rep.max_tangential_norm,
-            "tangential": [[float(x) for x in row] for row in rep.tangential],
-        }
-    )
+    _echo({"s": exponent, "max_tangential_norm": rep.max_tangential_norm,
+           "tangential": [[float(x) for x in row] for row in rep.tangential]})
 
 
 @main.command("saddle-demo")
@@ -325,17 +293,10 @@ def saddle_demo_cmd(exponent, samples):
         e = numerics.cube_facet_rotation(theta, exponent)
         if e < best_e:
             best_theta, best_e = theta, e
-    _echo(
-        {
-            "s": exponent,
-            "energy_at_0": e0,
-            "slope_at_0": slope0,
-            "best_theta": best_theta,
-            "best_energy": best_e,
-            "energy_at_pi_4": numerics.cube_facet_rotation(math.pi / 4, exponent),
-            "drops_below_start": best_e < e0 - 1e-3,
-        }
-    )
+    _echo({"s": exponent, "energy_at_0": e0, "slope_at_0": slope0, "best_theta": best_theta,
+           "best_energy": best_e,
+           "energy_at_pi_4": numerics.cube_facet_rotation(math.pi / 4, exponent),
+           "drops_below_start": best_e < e0 - 1e-3})
 
 
 @main.command("report")

@@ -90,6 +90,18 @@ def check_labels(label, point_labels=None) -> None:
         raise StructuralError("point labels must be strings")
 
 
+def row_tuples(rows, what: str) -> list[tuple]:
+    """The rows of a matrix input, as tuples.  A row must be a list, tuple or
+    array: a string would be read one character at a time."""
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise StructuralError(
+                f"{what}[{i}] must be a list of entries, not {type(row).__name__}")
+        out.append(tuple(row))
+    return out
+
+
 def int_dtype(bound: int) -> type:
     """int64 for integers of absolute value at most bound < 2^63, else object."""
     return np.int64 if bound < _INT64 else object
@@ -133,7 +145,7 @@ def _encode(rows) -> _Encoded:
     """Code a square matrix of ints, Fractions and 'p/q' strings, parsing and
     scaling each distinct entry once.  The first entry in row-major order that
     is not a rational is named in the error."""
-    rows = [tuple(row) for row in rows]
+    rows = row_tuples(rows, "gram")
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:

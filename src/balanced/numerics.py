@@ -40,10 +40,12 @@ class AmbiguousShellError(ValueError):
     """Shell clustering is ambiguous at the given tolerance; pick another."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CoordinateSet:
-    """N x r double-precision points, each finite and nonzero.  Unit vectors,
-    their Gram matrix and per-tolerance shells are computed once."""
+    """N x r double-precision points, each finite and nonzero, kept as a
+    read-only copy: no later write to the caller's array or to `points`
+    reaches them.  Unit vectors, their Gram matrix and per-tolerance shells
+    are computed once."""
 
     points: np.ndarray
     label: Optional[str] = None
@@ -52,14 +54,16 @@ class CoordinateSet:
 
     def __post_init__(self):
         check_labels(self.label)
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] == 0:
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 2 or points.shape[0] == 0:
             raise StructuralError("coordinates must form a nonempty N x r array")
-        finite, nonzero = np.isfinite(self.points).all(axis=1), self.points.any(axis=1)
+        finite, nonzero = np.isfinite(points).all(axis=1), points.any(axis=1)
         if not (finite & nonzero).all():
             i = int(np.argmin(finite & nonzero))  # the first bad point
             problem = "is the zero vector" if finite[i] else "is not finite"
             raise StructuralError(f"coords[{i}] {problem}")
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
     @cached_property
     def unit(self) -> np.ndarray:
@@ -115,7 +119,7 @@ def coordinates_from_gram(c: Configuration) -> CoordinateSet:
     e = c.gram.elimination
     scale = [math.sqrt(p / (q * e.den)) for p, q in zip(e.pivots, (1,) + e.pivots)]
     pts = [[a / p * s for a, p, s in zip(row, e.pivots, scale)] for row in e.x.tolist()]
-    return CoordinateSet(points=np.array(pts, dtype=float), label=c.label)
+    return CoordinateSet(points=pts, label=c.label)
 
 
 def _require_positive(what: str, x: float) -> None:
@@ -154,7 +158,7 @@ def energy(p: CoordinateSet, s: float) -> float:
     return float((pair**-s).sum())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ForceReport:
     exponent: float
     tangential: np.ndarray  # N x r tangential force vectors
@@ -196,7 +200,7 @@ def cube_coordinates(theta: float = 0.0) -> CoordinateSet:
                 x * math.sin(theta) + y * math.cos(theta),
             )
         pts.append((x, y, z))
-    return CoordinateSet(points=np.array(pts), label=f"cube(theta={theta:.6g})")
+    return CoordinateSet(points=pts, label=f"cube(theta={theta:.6g})")
 
 
 def cube_facet_rotation(theta: float, s: float) -> float:
@@ -211,7 +215,7 @@ def poles_and_ring_coordinates(k: int) -> CoordinateSet:
     for j in range(k):
         ang = 2.0 * math.pi * j / k
         pts.append((math.cos(ang), math.sin(ang), 0.0))
-    return CoordinateSet(points=np.array(pts), label=f"poles_and_ring({k})")
+    return CoordinateSet(points=pts, label=f"poles_and_ring({k})")
 
 
 # --- float fallback pipeline ------------------------------------------------

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -296,39 +297,47 @@ class _StabilizerChain:
         return tuple(dict.fromkeys(tuple(g.tolist()) for g in self.gens[level]))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PermutationGroup:
-    """Permutation group given by generators; a chain is built on demand.
+    """Permutation group given by generators, checked and deduplicated when
+    built; no attribute can be assigned afterwards.
 
-    A point stabilizer comes with its order, read off the chain it was taken
-    from, so a chain built from it stops early too.  A group from
-    `automorphism_group` knows its order from the search, and the stabilizer
-    of the search's first individualized vertex v_0 as (v_0, G_v0).
+    The private keywords hold what the group's maker knows: `_order`, the
+    order; `_first_stabilizer`, a point v with its stabilizer, (v, G_v); and
+    `_verified_on`, the array whose colours every generator was checked
+    against, so that `fixed_subspace_dim` skips its check.  Only
+    `point_stabilizer` (the order read off the chain it was taken from, so a
+    chain built from the stabilizer stops early too) and `automorphism_group`
+    (all three, from the search) pass them.  Without `_order`, `order()`
+    builds a chain once and keeps its order.
     """
 
-    # set from a complete chain, or from the search by automorphism_group
-    _order: Optional[int] = None
-    _first_stabilizer: Optional[tuple[int, "PermutationGroup"]] = None
-    # set by automorphism_group: the array its graph's colours were copied
-    # from, which the search has checked every generator against
-    _verified_on: object = None
+    degree: int
+    generators: tuple[Perm, ...] = ()
+    _order: Optional[int] = field(default=None, kw_only=True)
+    _first_stabilizer: Optional[tuple[int, PermutationGroup]] = field(default=None, kw_only=True)
+    _verified_on: object = field(default=None, kw_only=True)
 
-    def __init__(self, degree: int, generators: Sequence[Perm] = ()):
-        self.degree = int(degree)
-        points = list(range(self.degree))
+    def __post_init__(self):
+        degree = int(self.degree)
+        points = list(range(degree))
         identity = tuple(points)
         gens = {}
-        for g in generators:
+        for g in self.generators:
             g = tuple(int(x) for x in g)
             if sorted(g) != points:
-                raise StructuralError(f"not a permutation of 0..{self.degree - 1}: {g}")
+                raise StructuralError(f"not a permutation of 0..{degree - 1}: {g}")
             if g != identity:
                 gens[g] = None
-        self.generators: tuple[Perm, ...] = tuple(gens)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", tuple(gens))
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = _StabilizerChain(self.degree, self.generators).order()
-        return self._order
+        return self._chain_order if self._order is None else self._order
+
+    @cached_property
+    def _chain_order(self) -> int:
+        return _StabilizerChain(self.degree, self.generators).order()
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.degree
@@ -357,9 +366,8 @@ class PermutationGroup:
             raise StructuralError(f"point index {i} out of range")
         chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
                                  order=self.order())
-        stab = PermutationGroup(self.degree, chain.level_generators(1))
-        stab._order = math.prod(map(len, chain.trans[1:]))
-        return stab
+        return PermutationGroup(self.degree, chain.level_generators(1),
+                                _order=math.prod(map(len, chain.trans[1:])))
 
 
 # --- automorphism search ----------------------------------------------------
@@ -609,15 +617,13 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
 
     cells = [tuple(range(n))]
     search(cells, cells, 0, True)
-    group = PermutationGroup(n, gens)
-    group._order = math.prod(spine_orbits)
-    if spine_orbits:
-        stab = PermutationGroup(n, gens[:state["stabilizer_gens"]])
-        stab._order = math.prod(spine_orbits[:-1])
-        stab._verified_on = graph.copied_from  # its generators are some of the group's
-        group._first_stabilizer = (state["v0"], stab)
-    group._verified_on = graph.copied_from
-    return group
+    first = None
+    if spine_orbits:  # the stabilizer's generators are some of the group's
+        first = state["v0"], PermutationGroup(n, gens[:state["stabilizer_gens"]],
+                                              _order=math.prod(spine_orbits[:-1]),
+                                              _verified_on=graph.copied_from)
+    return PermutationGroup(n, gens, _order=math.prod(spine_orbits), _first_stabilizer=first,
+                            _verified_on=graph.copied_from)
 
 
 # --- fixed subspaces and group-balancedness ---------------------------------

@@ -107,7 +107,7 @@ def witnesses(c):
 
 
 def _as_points(rows):
-    return _rational_rows(rows, None, "empty point list", "points of mixed dimension")
+    return _rational_rows(rows, "points", None, "empty point list", "points of mixed dimension")
 
 
 def check_balanced_euclidean(points, period=None, cutoff=None):

@@ -178,6 +178,17 @@ class TestEuclidean:
                 [[0, 0], [1, 0]], period=[[1, 0], [0, 1]], cutoff=2
             )
 
+    @pytest.mark.parametrize("points, period, where", [
+        (["00", "10", "01", "11"], None, "points[0] must be a list of entries, not str"),
+        ([[0, 0], 1], None, "points[1] must be a list of entries, not int"),
+        ([[0, 0]], [[1, 0], "01"], "period[1] must be a list of entries, not str"),
+    ])
+    def test_a_row_is_a_list_tuple_or_array(self, points, period, where):
+        """A string row would be read one character at a time and get a verdict."""
+        with pytest.raises(StructuralError) as exc:
+            check_balanced_euclidean(points, period=period, cutoff=1)
+        assert str(exc.value) == where
+
     def test_periodic_requires_cutoff(self):
         with pytest.raises(StructuralError, match="cutoff"):
             check_balanced_euclidean([[0, 0]], period=[[1, 0], [0, 1]])

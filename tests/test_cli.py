@@ -311,6 +311,16 @@ class TestAnalysisCommands:
         assert doc["stabilizer"]["order"] == "16"
         assert doc["stabilizer"]["fixed_subspace_dim"] == 2
 
+    @pytest.mark.parametrize("point", ["28", "-1"])
+    def test_symmetry_stabilizer_out_of_range_exits_2(self, runner, tmp_path, point):
+        f = tmp_path / "c7p.json"
+        invoke(runner, ["construct", "c7prime", "-o", str(f)])
+        res = invoke(runner, ["symmetry", str(f), "--stabilizer", point])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"point index {point} out of range" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_energy_force_saddle(self, runner, tmp_path):
         f = tmp_path / "cube.json"
         invoke(runner, ["construct", "polytope", "cube", "-o", str(f)])

@@ -218,6 +218,18 @@ class TestEntryTypes:
             Configuration.from_gram(rows)
         assert str(exc.value) == where
 
+    @pytest.mark.parametrize("rows, where", [
+        (["10", "01"], "gram[0] must be a list of entries, not str"),
+        ([[1, 0], 5], "gram[1] must be a list of entries, not int"),
+        ([(1, 0), {0: 0, 1: 1}], "gram[1] must be a list of entries, not dict"),
+    ])
+    def test_a_row_is_a_list_tuple_or_array(self, rows, where):
+        """A string row would be read one character at a time: ["10", "01"]
+        would pass as the 2 x 2 identity."""
+        with pytest.raises(StructuralError) as exc:
+            Configuration.from_gram(rows)
+        assert str(exc.value) == where
+
     def test_mixed_rational_types_accepted(self):
         c = Configuration.from_gram([["1", Fraction(1, 2)], [Fraction(1, 2), 1]])
         assert gram_entries(c.gram) == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))

@@ -70,6 +70,25 @@ class TestCoordinates:
         assert p.points.shape == (28, 7)
         assert reconstruction_residual(p, c7p) < 1e-10
 
+    def test_points_are_a_read_only_copy(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]])
+        p = CoordinateSet(points=a)
+        a[0] = 0
+        assert p.points.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            p.points[0, 0] = 5
+        assert p.points.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_fields_cannot_be_assigned(self):
+        p = CoordinateSet(points=[[1.0, 0.0], [0.0, 1.0]])
+        for field, value in (("points", np.zeros((2, 2))), ("label", "x"), ("_tables", {})):
+            with pytest.raises(AttributeError):
+                setattr(p, field, value)
+        rep = tangential_force(p, 2.0)
+        for field, value in (("tangential", np.zeros((2, 2))), ("max_tangential_norm", 0.0)):
+            with pytest.raises(AttributeError):
+                setattr(rep, field, value)
+
     def test_bundled_residuals(self, paulus_r, c56, d4_kissing, e8_kissing):
         for c in (paulus_r, c56, d4_kissing, e8_kissing):
             assert reconstruction_residual(coordinates_from_gram(c), c) < 1e-10
@@ -180,6 +199,13 @@ class TestSaddleDemo:
     def test_domain(self):
         with pytest.raises(StructuralError):
             cube_facet_rotation(-0.1, 1.0)
+
+    def test_domain_ends_at_a_quarter_turn(self):
+        """A quarter turn maps the top facet onto itself: the cube again."""
+        e0 = cube_facet_rotation(0.0, 1.0)
+        assert cube_facet_rotation(math.pi / 2, 1.0) == pytest.approx(e0, rel=1e-12)
+        with pytest.raises(StructuralError, match="theta must be in"):
+            cube_facet_rotation(math.nextafter(math.pi / 2, 4), 1.0)
 
 
 class TestFloatBalance:

@@ -10,6 +10,7 @@ from balanced.constructors import (
     simplex,
     simplex_midpoints,
 )
+from balanced import symmetry
 from balanced.exact import Configuration, StructuralError
 from balanced.symmetry import (
     ColoredGraph,
@@ -150,6 +151,12 @@ class TestOrbitsAndStabilizers:
             for i in range(c.size):
                 assert order == orbit_of[i] * group.point_stabilizer(i).order()
 
+    @pytest.mark.parametrize("point", [-1, 28])
+    def test_stabilizer_point_out_of_range(self, c7p, point):
+        group = automorphism_group(colored_graph_from_config(c7p))
+        with pytest.raises(StructuralError, match=f"^point index {point} out of range$"):
+            group.point_stabilizer(point)
+
     def test_trivial_stabilizer_of_trivial_group(self):
         group = PermutationGroup(5, ())
         assert group.order() == 1
@@ -163,6 +170,39 @@ class TestOrbitsAndStabilizers:
         c5 = PermutationGroup(5, [(1, 2, 3, 4, 0)])
         assert c5.order() == 5
         assert not contains(c5, (1, 0, 2, 3, 4))
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize(
+        "attr", ["degree", "generators", "_order", "_first_stabilizer", "_verified_on"])
+    def test_attributes_cannot_be_assigned(self, c7p, attr):
+        group = automorphism_group(colored_graph_from_config(c7p))
+        for g in (group, group.point_stabilizer(5), group._first_stabilizer[1]):
+            with pytest.raises(AttributeError):
+                setattr(g, attr, getattr(g, attr))
+            with pytest.raises(AttributeError):
+                delattr(g, attr)
+
+    def test_a_known_order_builds_no_chain(self, c7p, monkeypatch):
+        group = automorphism_group(colored_graph_from_config(c7p))
+        stab = group.point_stabilizer(5)
+        built = counted_chains(monkeypatch)
+        assert (group.order(), stab.order(), group._first_stabilizer[1].order()) == (384, 16, 96)
+        assert built == []
+
+    def test_an_order_is_computed_once(self, monkeypatch):
+        s4 = PermutationGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+        built = counted_chains(monkeypatch)
+        assert s4.order() == s4.order() == 24
+        assert len(built) == 1
+
+
+def counted_chains(monkeypatch) -> list:
+    """From now on, the arguments of every stabilizer chain built."""
+    built, chain = [], symmetry._StabilizerChain
+    monkeypatch.setattr(symmetry, "_StabilizerChain",
+                        lambda *args, **kw: built.append(args) or chain(*args, **kw))
+    return built
 
 
 class TestFixedSubspace:
