@@ -170,19 +170,31 @@ def private_keywords(tree):
     return found
 
 
-def test_private_group_keywords_come_from_where_they_are_known():
-    """A chain told a group's order stops as soon as it reaches it, and
-    `fixed_subspace_dim` skips its Gram check for a group verified on the
-    configuration's own colour table.  So only a complete chain
-    (`point_stabilizer`) or the search, which checks every generator it
-    keeps (`automorphism_group`), may build a group with them."""
+def misplaced_keywords(*args):
+    """`file:line arg in scope` of every call that passes one of the keywords
+    `args` from a function not trusted with it in TRUSTED_SETTERS."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {arg} in {scope or 'module'}"
                   for arg, scope, line in private_keywords(tree)
-                  if scope not in TRUSTED_SETTERS[arg]]
-    assert found == []
+                  if arg in args and scope not in TRUSTED_SETTERS[arg]]
+    return found
+
+
+def test_trusted_order_is_set_only_where_it_is_known():
+    """A chain told a group's order stops as soon as it reaches it, so only a
+    complete chain (`point_stabilizer`) or the search (`automorphism_group`)
+    may build a group with `_order`."""
+    assert misplaced_keywords("_order") == []
+
+
+def test_verified_table_is_set_only_by_the_search():
+    """`fixed_subspace_dim` skips its Gram check for a group verified on the
+    configuration's own colour table, so only the search, which checks every
+    generator it keeps, may build a group with `_verified_on`, or with the
+    `_first_stabilizer` it found."""
+    assert misplaced_keywords("_verified_on", "_first_stabilizer") == []
 
 
 def test_private_keyword_rule_sees_every_form():
