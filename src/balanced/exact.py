@@ -12,7 +12,8 @@ k max|a| max|b| (k the inner dimension) and runs in float64 BLAS below 2^53,
 every partial sum an exact integer, else in `int_dtype`.  The other sites:
 
     exact._tabulate                 max(den, max|M|)
-    exact._bareiss, each step       2 max|block|^2
+    exact._bareiss, each step       2 b^2, b >= max|panel|, measured past 2^31
+    exact._bareiss, each block      (max|S| + 1)(|p| + e max|W|), W S[:e] by int_product
     balance._not_radial             n max|X|^2, the cross products
     balance._violations             n max|M| (den + max|M|), the deviations
     lattice._confirmed              2 d^2 max|G| max|W|^2
@@ -38,6 +39,7 @@ _FLOAT_EXACT = 2**53  # float64 holds every integer of absolute value up to this
 # entry types the coder accepts; a float or bool would share a code with an
 # equal int and so slip past rational()
 _RATIONAL_TYPES = frozenset((str, int, Fraction))
+_PANEL = 16  # the pivot columns one block of the elimination carries
 
 
 class StructuralError(ValueError):
@@ -91,8 +93,11 @@ def check_labels(label, point_labels=None) -> None:
 
 
 def row_tuples(rows, what: str) -> list[tuple]:
-    """The rows of a matrix input, as tuples.  A row must be a list, tuple or
-    array: a string would be read one character at a time."""
+    """The rows of a matrix input, as tuples.  The matrix and each row must
+    be a list, tuple or array: a string would be read one character at a
+    time, a dict by its keys."""
+    if not isinstance(rows, (list, tuple, np.ndarray)):
+        raise StructuralError(f"{what} must be a list of rows, not {type(rows).__name__}")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple, np.ndarray)):
@@ -183,10 +188,13 @@ def _encode_scaled(den: int, m) -> _Encoded:
     m = np.asarray(m)
     if den <= 0 or m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError("expected a square integer matrix over a positive denominator")
-    distinct, codes = np.unique(m, return_inverse=True)
+    distinct = np.sort(m, axis=None)
+    first = np.ones(distinct.size, dtype=bool)  # of each run of equal entries
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
     table = distinct.tolist()
     g = math.gcd(den, *table)
-    return den // g, [v // g for v in table], codes.reshape(m.shape)
+    return den // g, [v // g for v in table], np.searchsorted(distinct, m)
 
 
 def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,13 +206,24 @@ def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dtype = int_dtype(max(max(map(abs, table), default=0), den))
     distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
     colours = inverse.reshape(-1)[codes]
-    asymmetric = _first_pair(colours != colours.T)
-    if asymmetric is not None:
-        raise StructuralError("not symmetric at entry [%d][%d]" % asymmetric)
+    if not (colours == colours.T).all():
+        raise StructuralError("not symmetric at entry [%d][%d]" % _first_pair(colours != colours.T))
     m = distinct[colours]
     colours.setflags(write=False)
     m.setflags(write=False)
     return distinct, colours, m
+
+
+def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
+    row = a[i].copy()
+    a[i] = a[j]
+    a[j] = row
+
+
+def _transpose(a: np.ndarray, i: int, j: int) -> None:
+    """Exchange rows i and j, then columns i and j, of a in place."""
+    _swap_rows(a, i, j)
+    _swap_rows(a.T, i, j)
 
 
 def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
@@ -213,11 +232,23 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
 
     Pivots are diagonal, in the order of the rational LDL^T: at step k the
     first nonzero remaining diagonal entry, moved to k by a symmetric
-    transposition.  Each step updates the whole remaining block and divides
-    exactly by the previous pivot, so every entry stays a minor of the input
-    and grows linearly in bit length; once past int64 it stays in Python ints.
-    The loop stops once the remaining diagonal vanishes; the remaining block
-    must then be zero, else IndefinitePivotError.
+    transposition.  Each step multiplies by its pivot and divides exactly by
+    the previous one, so every entry stays a minor of the input and grows
+    linearly in bit length; once past int64 it stays in Python ints.
+
+    The steps run in blocks, Bareiss's multistep form.  A block's panel is
+    the next _PANEL columns of the remaining block S, or all of S when S is
+    at most 2 _PANEL wide.  Each step takes its pivot from the panel and
+    updates the panel alone.  A panel narrower than S also reduces its
+    pivoted columns (Gauss-Jordan), so that after e steps they hold
+    W = p X X_e^-1: p the last pivot, X the block's pivot columns and X_e
+    their first e rows.  By Sylvester's identity one exact rank-e product
+    then brings the rest of S up to date, S' = (p S - W S[:e]) / q with q
+    the pivot before the block.  A block ends when its panel has no nonzero
+    diagonal entry left, so a pivot from outside the panel starts the next
+    block.  The elimination ends when no remaining diagonal entry is
+    nonzero; the remaining block must then be zero, else
+    IndefinitePivotError.
 
     Returns (perm, pivots, a): pivots[k] is the determinant of the leading
     (k+1)-block of the permuted matrix, and a[i][k] (k < i, k < len(pivots))
@@ -226,8 +257,13 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
     n = len(a)
     perm = list(range(n))
     pivots: list[int] = []
-    prev = 1
-    for k in range(n):
+
+    def exchange(i: int, j: int) -> None:
+        _transpose(a, i, j)
+        perm[i], perm[j] = perm[j], perm[i]
+
+    k = 0
+    while k < n:
         nonzero = np.flatnonzero(a.diagonal()[k:])
         if not nonzero.size:
             # PSD => zero diagonal forces a zero block; anything else is indefinite
@@ -236,24 +272,60 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
                     "zero diagonal with nonzero off-diagonal entries; not PSD"
                 )
             break
-        q = k + int(nonzero[0])
-        if q != k:
-            a[[k, q]] = a[[q, k]]
-            a[:, [k, q]] = a[:, [q, k]]
-            perm[k], perm[q] = perm[q], perm[k]
-        if a.dtype != object:  # |p a - c c^T| <= 2 max|a|^2
-            a = a.astype(int_dtype(2 * int(np.abs(a[k:, k:]).max()) ** 2), copy=False)
-        p = int(a[k, k])
-        col = a[k + 1:, k]
-        a[k + 1:, k + 1:] = (p * a[k + 1:, k + 1:] - np.outer(col, col)) // prev
-        pivots.append(p)
-        prev = p
+        if nonzero[0]:
+            exchange(k, k + int(nonzero[0]))
+        m = n - k
+        width = m if m <= 2 * _PANEL else _PANEL
+        z = a[k:, k:k + width].copy()
+        top = max(int(a[k:, k:].max()), -int(a[k:, k:].min())) if a.dtype != object else 0
+        bound = top  # of every |z[i:]|, rising as 2 bound^2 / |previous pivot| per step
+        for i in range(width):
+            if not z[i, i]:  # the panel's positions come first, so the first of all
+                nonzero = np.flatnonzero(z.diagonal()[i:])
+                if not nonzero.size:
+                    break
+                q = i + int(nonzero[0])
+                _transpose(z, i, q)
+                exchange(k + i, k + q)
+            lo = 0 if width < m else i  # a partial panel reduces its pivot columns
+            p, prev = int(z[i, i]), pivots[-1] if pivots else 1
+            if z.dtype != object and int_dtype(2 * bound**2) is object:  # |p z - c r| <= 2 bound^2
+                bound = int(np.abs(z[i:, lo:]).max())
+                z = z.astype(int_dtype(2 * bound**2), copy=False)
+                a = a.astype(z.dtype, copy=False)
+            a[k + i:, k + i] = z[i:, i]
+            col = a[k + i + 1:, k + i]
+            below = z[i + 1:, lo:]
+            below *= p
+            below -= col[:, None] * z[i, lo:]
+            if prev != 1:
+                below //= prev
+            below[:, i - lo] = col
+            pivots.append(p)
+            bound = max(bound, 2 * bound**2 // abs(prev))
+        e = len(pivots) - k
+        if width == m:
+            a[k + e:, k + e:] = z[e:, e:]
+        else:
+            w = z[e:, :e]
+            product = int_product(w, a[k:k + e, k + e:])
+            last = pivots[-1]
+            if a.dtype != object:  # |a[k:, k + e:]| <= top: the block left it as it was
+                a = a.astype(int_dtype((top + 1) * (abs(last) + e * int(np.abs(w).max()))),
+                             copy=False)
+            rest = a[k + e:, k + e:]
+            rest *= last
+            rest -= product
+            if k:
+                rest //= pivots[k - 1]
+        k += e
     return perm, pivots, a
 
 
 @dataclass(frozen=True)
 class _Elimination:
-    """The Bareiss elimination of den * m.  x is the read-only n x r integer
+    """The Bareiss elimination of den * m, run in panel blocks by `_bareiss`,
+    whose output does not depend on the blocks.  x is the read-only n x r integer
     array of its columns in the input's labelling, x[perm[i], k] = a[i][k] for
     k <= i and 0 for k > i, so den * m = x diag(1 / (p_{k-1} p_k)) x^T with
     p_k = pivots[k], p_{-1} = 1: x has full column rank r."""
@@ -408,10 +480,10 @@ class Configuration:
         n = self.gram.size
         if n == 0:
             raise StructuralError("empty configuration")
-        # the largest value of a unit-diagonal PSD matrix is 1
-        same = _first_pair(self.gram.colours == len(self.gram.values) - 1)
-        if same is not None:
-            raise StructuralError("points %d and %d coincide (inner product 1)" % same)
+        # the largest value of a unit-diagonal PSD matrix is 1, on the diagonal
+        ones = self.gram.colours == len(self.gram.values) - 1
+        if np.count_nonzero(ones) > n:
+            raise StructuralError("points %d and %d coincide (inner product 1)" % _first_pair(ones))
         if self.point_labels is not None:
             labels = tuple(self.point_labels)
             if len(labels) != n:

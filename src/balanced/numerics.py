@@ -40,6 +40,12 @@ class AmbiguousShellError(ValueError):
     """Shell clustering is ambiguous at the given tolerance; pick another."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, with writes through it refused, so a cached array stays what it was."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class CoordinateSet:
     """N x r double-precision points, each finite and nonzero, kept as a
@@ -62,34 +68,33 @@ class CoordinateSet:
             i = int(np.argmin(finite & nonzero))  # the first bad point
             problem = "is the zero vector" if finite[i] else "is not finite"
             raise StructuralError(f"coords[{i}] {problem}")
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _read_only(points))
 
     @cached_property
     def unit(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # huge rows are caught below
             norms = np.linalg.norm(self.points, axis=1, keepdims=True)
         off = ((norms == 0) | np.isinf(norms))[:, 0]
-        if not off.any():
-            return self.points / norms
-        # the squares of these rows underflow to 0 or overflow to inf: scale
-        # each by the power of two that brings its largest entry into [1/2, 1)
-        points = self.points.copy()
-        _, e = np.frexp(np.abs(points[off]).max(axis=1, keepdims=True))
-        points[off] = np.ldexp(points[off], -e)
-        norms[off] = np.linalg.norm(points[off], axis=1, keepdims=True)
-        return points / norms
+        points = self.points
+        if off.any():
+            # the squares of these rows underflow to 0 or overflow to inf: scale
+            # each by the power of two that brings its largest entry into [1/2, 1)
+            points = points.copy()
+            _, e = np.frexp(np.abs(points[off]).max(axis=1, keepdims=True))
+            points[off] = np.ldexp(points[off], -e)
+            norms[off] = np.linalg.norm(points[off], axis=1, keepdims=True)
+        return _read_only(points / norms)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Inner products of the unit vectors, unclipped."""
-        return self.unit @ self.unit.T
+        return _read_only(self.unit @ self.unit.T)
 
     @cached_property
     def off_diagonal(self) -> np.ndarray:
         """The Gram matrix without its diagonal: row i lists gram[i, j] for j != i."""
         n = self.size
-        return self.gram[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        return _read_only(self.gram[~np.eye(n, dtype=bool)].reshape(n, n - 1))
 
     def shell_table(self, tol: float) -> "_ShellTable":
         """Every point's shells at tol, built once per tolerance."""
@@ -184,7 +189,7 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     tangential = force - (force * radial).sum(axis=1, keepdims=True) * radial
     norms = np.linalg.norm(tangential, axis=1)
     return ForceReport(
-        exponent=s, tangential=tangential, max_tangential_norm=float(norms.max())
+        exponent=s, tangential=_read_only(tangential), max_tangential_norm=float(norms.max())
     )
 
 

@@ -189,6 +189,17 @@ class TestEuclidean:
             check_balanced_euclidean(points, period=period, cutoff=1)
         assert str(exc.value) == where
 
+    @pytest.mark.parametrize("points, period, where", [
+        (5, None, "points must be a list of rows, not int"),
+        ({0: [0, 0]}, None, "points must be a list of rows, not dict"),
+        (None, None, "points must be a list of rows, not NoneType"),
+        ([[0, 0]], 7, "period must be a list of rows, not int"),
+    ])
+    def test_the_matrix_is_a_list_tuple_or_array(self, points, period, where):
+        with pytest.raises(StructuralError) as exc:
+            check_balanced_euclidean(points, period=period, cutoff=1)
+        assert str(exc.value) == where
+
     def test_periodic_requires_cutoff(self):
         with pytest.raises(StructuralError, match="cutoff"):
             check_balanced_euclidean([[0, 0]], period=[[1, 0], [0, 1]])

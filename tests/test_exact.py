@@ -230,6 +230,12 @@ class TestEntryTypes:
             Configuration.from_gram(rows)
         assert str(exc.value) == where
 
+    @pytest.mark.parametrize("rows, kind", [(5, "int"), ({0: [1]}, "dict"), (None, "NoneType")])
+    def test_the_matrix_is_a_list_tuple_or_array(self, rows, kind):
+        with pytest.raises(StructuralError) as exc:
+            Configuration.from_gram(rows)
+        assert str(exc.value) == f"gram must be a list of rows, not {kind}"
+
     def test_mixed_rational_types_accepted(self):
         c = Configuration.from_gram([["1", Fraction(1, 2)], [Fraction(1, 2), 1]])
         assert gram_entries(c.gram) == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))

@@ -9,6 +9,7 @@ same (z, value) sequence, order included, and match a box brute force.
 
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 from itertools import product
 
@@ -112,6 +113,34 @@ def gram_products(draw, entries):
             for i in range(n)]
 
 
+@st.composite
+def low_rank(draw):
+    """A^T A for an r x n matrix A, r <= 4 and n up to 40: wider than two
+    panels, so a product brings the rest of the matrix up to date.  Each
+    column of A is zero, a signed copy of an earlier one or new, so diagonal
+    entries vanish inside a panel and a later pivot comes from outside it;
+    entries near 2^21 take the pivots and the product past int64.  With
+    `hidden`, the last two columns are zero and one entry joins them, an
+    indefinite remainder that only the product sees."""
+    n = draw(st.integers(2 * exact._PANEL + 1, 40))
+    r = draw(st.integers(0, 4))
+    entries = draw(st.sampled_from([st.integers(-2, 2), st.integers(2**20, 2**22)]))
+    hidden = draw(st.booleans())
+    columns = []
+    for j in range(n):
+        kind = "zero" if hidden and j >= n - 2 else draw(st.sampled_from(["zero", "copy", "new"]))
+        if kind == "new":
+            columns.append([draw(entries) for _ in range(r)])
+        elif kind == "copy" and columns:
+            columns.append([draw(st.sampled_from([1, -1])) * x for x in draw(st.sampled_from(columns))])
+        else:
+            columns.append([0] * r)
+    m = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
+    if hidden:
+        m[n - 2][n - 1] = m[n - 1][n - 2] = draw(st.sampled_from([1, -3, 2**40]))
+    return m
+
+
 small = st.one_of(st.just(0), st.integers(-3, 3), rationals)
 matrices = st.one_of(
     symmetric(small),
@@ -120,6 +149,7 @@ matrices = st.one_of(
     symmetric(st.one_of(st.just(0), wide)),
     symmetric(st.one_of(st.just(0), wide), zero_diagonal=True),
     gram_products(st.one_of(st.just(0), st.integers(2**14, 2**16))),
+    low_rank(),
 )
 
 
@@ -127,6 +157,47 @@ matrices = st.one_of(
 @given(matrices)
 def test_elimination_matches_list_reference(m):
     check_elimination(m)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(m=matrices)
+def test_narrow_panels_match_list_reference(width, m):
+    """With panels of 1-3 columns even a 4 x 4 matrix takes several blocks,
+    each closed by the product, and its rank passes the panel width."""
+    with mock.patch.object(exact, "_PANEL", width):
+        check_elimination(m)
+
+
+def test_rank_above_one_panel_width():
+    rng = random.Random(23)
+    a = [[rng.randint(-2, 2) for _ in range(40)] for _ in range(20)]
+    m = [[sum(row[i] * row[j] for row in a) for j in range(40)] for i in range(40)]
+    check_elimination(m)
+    assert _eliminate(m).rank == 20 > exact._PANEL
+
+
+def test_indefinite_remainder_seen_by_the_product():
+    # rank 2 on the first 38 indices; 38 and 39 have a zero diagonal and meet
+    # only each other, beyond every panel
+    n = 40
+    columns = [[1, i % 3 - 1] for i in range(n - 2)] + [[0, 0], [0, 0]]
+    m = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
+    m[n - 2][n - 1] = m[n - 1][n - 2] = 1
+    check_elimination(m)
+    with pytest.raises(IndefinitePivotError, match="^zero diagonal with nonzero off-diagonal"):
+        _eliminate(m)
+
+
+def test_block_product_past_int64(monkeypatch):
+    rng = random.Random(29)
+    a = [[rng.randint(2**20, 2**21) for _ in range(36)] for _ in range(3)]
+    m = [[sum(row[i] * row[j] for row in a) for j in range(36)] for i in range(36)]
+    assert _tabulate(_encode(m))[2].dtype == np.int64
+    sites = {}
+    spy_arithmetic(monkeypatch, exact, sites)
+    check_elimination(m)
+    assert sites["exact._bareiss"] == {np.dtype(object)}
 
 
 def test_int64_switches_to_python_ints_partway():
@@ -514,11 +585,12 @@ def rule_sites():
     return results, e8
 
 
-# every site of the rule in `exact`'s table but `_bareiss`, which never asks
-# when its input is in Python ints already; every caller of `int_product`; and
-# `int_product` itself, which asks past 2^53
+# every site of the rule in `exact`'s table (`_bareiss` through the product
+# that ends each block of a partial panel: its steps never ask when its input
+# is in Python ints already); every caller of `int_product`; and `int_product`
+# itself, which asks past 2^53
 FORCED_SITES = {
-    "exact._tabulate", "exact.int_product", "exact.integer_rank",
+    "exact._bareiss", "exact._tabulate", "exact.int_product", "exact.integer_rank",
     "balance._not_radial", "balance._violations",
     "lattice._confirmed", "lattice.kissing_configuration",
     "symmetry._signature_table", "symmetry.fixed_subspace_dim",

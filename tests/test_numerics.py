@@ -89,6 +89,16 @@ class TestCoordinates:
             with pytest.raises(AttributeError):
                 setattr(rep, field, value)
 
+    def test_derived_arrays_are_read_only(self):
+        """A write to a cached array would reach every later answer: on this
+        cross, off_diagonal[0, 0] = 0.5 turned check_balanced_float False."""
+        p = CoordinateSet(points=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        rep = tangential_force(p, 2.0)
+        for array in (p.unit, p.gram, p.off_diagonal, rep.tangential):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
+        assert check_balanced_float(p).balanced
+
     def test_bundled_residuals(self, paulus_r, c56, d4_kissing, e8_kissing):
         for c in (paulus_r, c56, d4_kissing, e8_kissing):
             assert reconstruction_residual(coordinates_from_gram(c), c) < 1e-10

@@ -514,6 +514,7 @@ INPUT_RULES = [
     "point labels must be strings",
     "cap {cap} < 1",
     "{what}[{i}] must be a list of entries",  # a matrix row is a list, tuple or array
+    "{what} must be a list of rows",  # and so is the matrix
 ]
 
 
