@@ -75,10 +75,15 @@ def _violations(c: Configuration, bad: list[list[int]]) -> tuple[Violation, ...]
 
 def check_balanced(c: Configuration) -> BalanceReport:
     """Exact shell-sum test on the integer coordinates X of the elimination."""
-    # the largest value, 1, is the diagonal's and colours no shell
-    bad = _not_radial(c.gram.colours, len(c.gram.values) - 1, c.gram.elimination.x)
-    violations = _violations(c, bad)
+    violations = _violations(c, _bad_shells(c))
     return BalanceReport(balanced=not violations, violations=violations)
+
+
+def _bad_shells(c: Configuration) -> list[list[int]]:
+    """The (point, colour) pairs of c, ascending, whose shell is not radial:
+    c is balanced iff there are none."""
+    # the largest value, 1, is the diagonal's and colours no shell
+    return _not_radial(c.gram.colours, len(c.gram.values) - 1, c.gram.elimination.x)
 
 
 def _not_radial(colours, shells, x) -> list[list[int]]:

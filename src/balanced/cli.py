@@ -276,7 +276,7 @@ def force_cmd(file, exponent):
     p = _coordinates_for(file)
     rep = numerics.tangential_force(p, exponent)
     _echo({"s": exponent, "max_tangential_norm": rep.max_tangential_norm,
-           "tangential": [[float(x) for x in row] for row in rep.tangential]})
+           "tangential": rep.tangential.tolist()})
 
 
 @main.command("saddle-demo")

@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
+from typing import Iterator
 
 import numpy as np
 
@@ -56,26 +58,39 @@ def gram_value_counts(c: Configuration) -> Counter:
 
 def design_strength(c: Configuration, cap: int) -> DesignVerdict:
     """Largest verified design strength t* <= cap, with all moment sums."""
+    moments = list(_exact_moments(c, cap))
+    return DesignVerdict(strength=_strength(moments, cap),
+                         per_k_moment=dict(enumerate(moments, start=1)))
+
+
+def _strength(moments, cap: int, threshold=0) -> int:
+    """The number of leading moments with |m| <= threshold, at most cap.
+    Moments are drawn up to the first that does not vanish."""
+    return next((k for k, m in enumerate(moments) if abs(m) > threshold), cap)
+
+
+def _exact_moments(c: Configuration, cap: int) -> Iterator[Fraction]:
+    """The moment sums of c for k = 1..cap, each computed when drawn."""
     check_cap(cap)
     den = c.gram.den
     counts = gram_value_counts(c)
     scaled = [u.numerator * (den // u.denominator) for u in counts]
-    moments = _moments(c.ambient_dim, cap, den, scaled, list(counts.values()))
-    strength = next((k for k, m in enumerate(moments) if m), cap)
-    return DesignVerdict(strength=strength, per_k_moment=dict(enumerate(moments, start=1)))
+    return _moments(c.ambient_dim, cap, den, scaled, list(counts.values()))
 
 
-def _moments(n: int, cap: int, den: int, scaled: list, mults: list) -> list[Fraction]:
-    """[sum_a mult_a G_k(a/den) for k = 1..cap] by the integer recurrence for
-    H_k(a) = D_k den^k G_k(a/den) (module docstring)."""
-    out = [Fraction(sum(map(mul, mults, scaled)), den)]
+def _moments(n: int, cap: int, den: int, scaled: list, mults: list) -> Iterator[Fraction]:
+    """sum_a mult_a G_k(a/den) for k = 1..cap, by the integer recurrence for
+    H_k(a) = D_k den^k G_k(a/den) (module docstring), each computed when drawn."""
+    yield Fraction(sum(map(mul, mults, scaled)), den)
+    if n == 1:  # on S^0 only G_1 = u is nontrivial
+        yield from repeat(Fraction(0), cap - 1)
+        return
     prev, h, d = [1] * len(scaled), scaled, 1
-    for k in range(2, cap + 1 if n > 1 else 2):  # on S^0 only G_1 = u is nontrivial
+    for k in range(2, cap + 1):
         drop = (k - 1) * (1 if k == 2 else k + n - 4) * den * den
         prev, h = h, [(2 * k + n - 4) * a * x - drop * y for a, x, y in zip(scaled, h, prev)]
         d *= k + n - 3
-        out.append(Fraction(sum(map(mul, mults, h)), d * den**k))
-    return out + [Fraction(0)] * (cap - len(out))
+        yield Fraction(sum(map(mul, mults, h)), d * den**k)
 
 
 @dataclass(frozen=True)
@@ -91,15 +106,16 @@ def theorem1_check(c: Configuration, cap: int) -> TheoremOneVerdict:
     k_i counts the distinct inner products from point i to the others,
     excluding u = 1 always and u = -1 (on the unit sphere the only point at
     inner product -1 is the antipode).  The sufficient condition applies when
-    every k_i is at most the verified strength.
+    every k_i is at most the verified strength.  That strength is the one
+    `design_strength` reports, found without the moments past the first
+    nonzero one; `design_strength` lists them all.
     """
     n, values = c.size, c.gram.values
     present = np.zeros((n, len(values)), dtype=bool)
     present[np.arange(n)[:, None], c.gram.colours] = True
     # the last value, 1, is the diagonal's; -1, if present, is the first
     per_point = present[:, 1 if values[0] == -1 else 0:-1].sum(axis=1).tolist()
-    verdict = design_strength(c, cap)
-    applies = max(per_point) <= verdict.strength
+    strength = _strength(_exact_moments(c, cap), cap)
     return TheoremOneVerdict(
-        per_point_k=tuple(per_point), strength=verdict.strength, applies=applies
+        per_point_k=tuple(per_point), strength=strength, applies=max(per_point) <= strength
     )

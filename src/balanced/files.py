@@ -136,7 +136,7 @@ def write_coordinates(p: CoordinateSet, path=None) -> str:
     doc = {}
     if p.label is not None:
         doc["label"] = p.label
-    doc["coords"] = [[float(x) for x in row] for row in p.points]
+    doc["coords"] = p.points.tolist()
     return write_json(doc, path)
 
 

@@ -19,7 +19,9 @@ whose deviation clears the threshold by the rounding margin of
 per-shell expressions, whose result decides and is reported.  Values,
 verdicts and deviations are thus those of a per-row, per-shell pass, bit for
 bit.  The spectrum is the same split of one row that holds every
-off-diagonal value.
+off-diagonal value.  The confirmed violations, like the design moments, are
+a stream computed as it is drawn: `check_balanced_float` and
+`design_strength_float` draw it all, a report only up to its first witness.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .designs import _zonal_series, check_cap
+from .designs import _strength, _zonal_series, check_cap
 from .exact import Configuration, StructuralError, _first_pair, check_labels
 
 
@@ -146,18 +148,13 @@ def _require_tolerance(p: CoordinateSet, tol: float) -> None:
     p._distinct_at.add(tol)
 
 
-def _pairwise(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The differences p_i - p_j and the distances |p_i - p_j|, N x N."""
-    diff = points[:, None, :] - points[None, :, :]
-    return diff, np.sqrt((diff**2).sum(axis=2))
-
-
 def energy(p: CoordinateSet, s: float) -> float:
-    """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s."""
+    """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s, from the
+    differences of the pairs i < j alone."""
     _require_positive("exponent s", s)
-    _, d = _pairwise(p.points)
-    iu = np.triu_indices(p.size, k=1)
-    pair = d[iu]
+    i, j = np.triu_indices(p.size, k=1)
+    diff = p.points[i] - p.points[j]
+    pair = np.sqrt((diff**2).sum(axis=1))
     if (pair == 0).any():
         raise StructuralError("coincident points have infinite energy")
     return float((pair**-s).sum())
@@ -178,7 +175,8 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     the negative gradient of the pair energy.
     """
     _require_positive("exponent s", s)
-    diff, dist = _pairwise(p.points)
+    diff = p.points[:, None, :] - p.points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
     off = ~np.eye(p.size, dtype=bool)
     if (dist[off] == 0).any():
         raise StructuralError("coincident points")
@@ -307,16 +305,16 @@ class _ShellTable:
             self._member, np.repeat(self.slot, lens), -1
         )
 
-    def members(self, shells: np.ndarray) -> list[np.ndarray]:
+    def members(self, shells: np.ndarray) -> Iterator[np.ndarray]:
         """The ascending member indices of each of the given shells, which
-        are in ascending order."""
+        are in ascending order, each sliced out when drawn."""
         pick = np.zeros(len(self.row), dtype=bool)
         pick[shells] = True
         pick = pick[self._run] & self._member
         run, cols = self._run[pick], self._cols[pick]
         cols = cols[np.lexsort((cols, run))]
         ends = np.cumsum(self.counts[shells]).tolist()
-        return [cols[a:b] for a, b in zip([0] + ends, ends)]
+        return (cols[a:b] for a, b in zip([0] + ends, ends))
 
     @cached_property
     def shells(self) -> tuple[tuple[tuple[float, np.ndarray], ...], ...]:
@@ -390,22 +388,25 @@ class FloatBalanceReport:
     tol: float
 
 
-def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
-    """Shell-sum proportionality with tolerance-based shell grouping."""
+def _float_violations(p: CoordinateSet, tol: float) -> Iterator[FloatViolation]:
+    """The confirmed violations of the radial test in order of point and
+    shell, each computed when drawn: a verdict needs only the first."""
     _require_tolerance(p, tol)
     t = p.shell_table(tol)
     unit = p.unit
     near = _near_threshold(t, unit, tol)
-    violations = []
     shells = zip(t.row[near].tolist(), t.values[near].tolist(), t.members(near),
                  (tol * np.maximum(1.0, t.counts[near])).tolist())
     for i, u, members, threshold in shells:
         dev_norm = _deviation_norm(unit, members, i)
         if dev_norm > threshold:
-            violations.append(FloatViolation(point=i, shell_value=u, deviation_norm=dev_norm))
-    return FloatBalanceReport(
-        balanced=not violations, violations=tuple(violations), tol=tol
-    )
+            yield FloatViolation(point=i, shell_value=u, deviation_norm=dev_norm)
+
+
+def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
+    """Shell-sum proportionality with tolerance-based shell grouping."""
+    violations = tuple(_float_violations(p, tol))
+    return FloatBalanceReport(balanced=not violations, violations=violations, tol=tol)
 
 
 def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
@@ -415,27 +416,33 @@ def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
     return tuple(_split(np.sort(row), row, tol)[0].tolist())
 
 
-def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
-    """(strength, moments) in float mode; zero test scaled by N^2."""
+def _float_moments(p: CoordinateSet, cap: int, tol: float) -> Iterator[float]:
+    """The moment sums for k = 1..cap, each computed when drawn."""
     check_cap(cap)
     _require_tolerance(p, tol)
     gram = np.clip(p.gram, -1.0, 1.0)
-    moments = [float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None)]
-    threshold = tol * p.size * p.size
-    strength = next((k for k, m in enumerate(moments) if abs(m) > threshold), cap)
-    return strength, {k: m for k, m in enumerate(moments, start=1)}
+    return (float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None))
+
+
+def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
+    """(strength, moments) in float mode; zero test scaled by N^2."""
+    moments = list(_float_moments(p, cap, tol))
+    strength = _strength(moments, cap, tol * p.size * p.size)
+    return strength, dict(enumerate(moments, start=1))
 
 
 def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
     """(per_point_k, strength, applies) in float mode.
 
     Distances at inner product 1 and -1 (the point itself and its antipode)
-    are excluded, as in the exact check.
+    are excluded, as in the exact check.  The strength is that of
+    `design_strength_float`, found without the moments past the first that
+    does not vanish; `design_strength_float` lists them all.
     """
     _require_tolerance(p, tol)
     t = p.shell_table(tol)
     counted = (np.abs(t.values - 1.0) > tol) & (np.abs(t.values + 1.0) > tol)
     per_point = np.bincount(t.row[counted], minlength=p.size).tolist()
-    strength, _ = design_strength_float(p, cap, tol)
+    strength = _strength(_float_moments(p, cap, tol), cap, tol * p.size * p.size)
     applies = max(per_point) <= strength
     return tuple(per_point), strength, applies

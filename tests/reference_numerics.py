@@ -164,3 +164,12 @@ def gradient_check(p: CoordinateSet, s: float, directions: int = 4, seed: int = 
         err = abs(fd - analytic) / max(1.0, abs(fd), abs(analytic))
         worst = max(worst, err)
     return worst
+
+
+def full_tensor_energy(p, s):
+    """The pair energy from the full N x N x r difference tensor, as
+    `energy` formed it before it took the differences of the pairs i < j
+    alone."""
+    diff = p.points[:, None, :] - p.points[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=2))
+    return float((d[np.triu_indices(p.size, k=1)] ** -s).sum())

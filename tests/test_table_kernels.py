@@ -244,4 +244,4 @@ def test_integer_moments_match_fraction_recurrence(n, cap, den, table):
     mults = [m for _, m in table]
     expected = [sum(m * list(_zonal_series(n, cap, Fraction(a, den)))[k] for a, m in table)
                 for k in range(1, cap + 1)]
-    assert _moments(n, cap, den, scaled, mults) == expected
+    assert list(_moments(n, cap, den, scaled, mults)) == expected
