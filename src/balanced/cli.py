@@ -164,7 +164,8 @@ def _load_points(file, tol):
 
 @check.command("balanced")
 @click.argument("file", type=click.Path(exists=False))
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Float mode only.")
+@click.option("--tol", type=float, default=numerics.DEFAULT_TOL, show_default=True,
+              help="Float mode only.")
 def check_balanced_cmd(file, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
@@ -178,35 +179,30 @@ def check_balanced_cmd(file, tol):
 @check.command("design")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=numerics.DEFAULT_TOL, show_default=True)
 def check_design_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
-        verdict = designs.design_strength(loaded, cap)
-        mode, strength = "exact", verdict.strength
-        moments = {k: str(v) for k, v in verdict.per_k_moment.items()}
+        mode, verdict, show = "exact", designs.design_strength(loaded, cap), str
     else:
-        mode = "float"
-        strength, moments = numerics.design_strength_float(loaded, cap, tol)
-    _echo({"mode": mode, "cap": cap, "strength": strength,
-           "moments": {str(k): v for k, v in moments.items()}})
+        mode, verdict, show = "float", numerics.design_strength_float(loaded, cap, tol), float
+    _echo({"mode": mode, "cap": cap, "strength": verdict.strength,
+           "moments": {str(k): show(v) for k, v in verdict.per_k_moment.items()}})
 
 
 @check.command("theorem1")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=numerics.DEFAULT_TOL, show_default=True)
 def check_theorem1_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):
-        t1 = designs.theorem1_check(loaded, cap)
-        mode, per_point, strength, applies = "exact", t1.per_point_k, t1.strength, t1.applies
+        mode, t1 = "exact", designs.theorem1_check(loaded, cap)
     else:
-        mode = "float"
-        per_point, strength, applies = numerics.theorem1_check_float(loaded, cap, tol)
-    _echo({"mode": mode, "cap": cap, "per_point_k": list(per_point), "strength": strength,
-           "applies": applies})
-    sys.exit(0 if applies else 1)
+        mode, t1 = "float", numerics.theorem1_check_float(loaded, cap, tol)
+    _echo({"mode": mode, "cap": cap, "per_point_k": list(t1.per_point_k), "strength": t1.strength,
+           "applies": t1.applies})
+    sys.exit(0 if t1.applies else 1)
 
 
 @check.command("group-balanced")
@@ -302,7 +298,7 @@ def saddle_demo_cmd(exponent, samples):
 @main.command("report")
 @click.argument("file", type=click.Path(exists=False))
 @click.option("--cap", type=int, default=report.DEFAULT_CAP, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=numerics.DEFAULT_TOL, show_default=True)
 def report_cmd(file, cap, tol):
     loaded = _load_points(file, tol)
     if isinstance(loaded, Configuration):

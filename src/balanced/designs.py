@@ -46,7 +46,7 @@ def check_cap(cap: int) -> None:
 @dataclass(frozen=True)
 class DesignVerdict:
     strength: int
-    per_k_moment: dict[int, Fraction]
+    per_k_moment: dict[int, Fraction]  # floats in float mode
 
 
 def gram_value_counts(c: Configuration) -> Counter:
@@ -58,15 +58,21 @@ def gram_value_counts(c: Configuration) -> Counter:
 
 def design_strength(c: Configuration, cap: int) -> DesignVerdict:
     """Largest verified design strength t* <= cap, with all moment sums."""
-    moments = list(_exact_moments(c, cap))
-    return DesignVerdict(strength=_strength(moments, cap),
-                         per_k_moment=dict(enumerate(moments, start=1)))
+    return _design_verdict(_exact_moments(c, cap), cap)
 
 
-def _strength(moments, cap: int, threshold=0) -> int:
+def _strength(moments, cap: int, threshold) -> int:
     """The number of leading moments with |m| <= threshold, at most cap.
     Moments are drawn up to the first that does not vanish."""
     return next((k for k, m in enumerate(moments) if abs(m) > threshold), cap)
+
+
+def _design_verdict(moments, cap: int, threshold=0) -> DesignVerdict:
+    """The verdict of both modes: all cap moments, and the strength they give
+    when a moment vanishes if |m| <= threshold (0 in exact mode)."""
+    moments = list(moments)
+    return DesignVerdict(strength=_strength(moments, cap, threshold),
+                         per_k_moment=dict(enumerate(moments, start=1)))
 
 
 def _exact_moments(c: Configuration, cap: int) -> Iterator[Fraction]:
@@ -106,16 +112,20 @@ def theorem1_check(c: Configuration, cap: int) -> TheoremOneVerdict:
     k_i counts the distinct inner products from point i to the others,
     excluding u = 1 always and u = -1 (on the unit sphere the only point at
     inner product -1 is the antipode).  The sufficient condition applies when
-    every k_i is at most the verified strength.  That strength is the one
-    `design_strength` reports, found without the moments past the first
-    nonzero one; `design_strength` lists them all.
+    every k_i is at most the verified strength, that of `design_strength`.
     """
     n, values = c.size, c.gram.values
     present = np.zeros((n, len(values)), dtype=bool)
     present[np.arange(n)[:, None], c.gram.colours] = True
     # the last value, 1, is the diagonal's; -1, if present, is the first
     per_point = present[:, 1 if values[0] == -1 else 0:-1].sum(axis=1).tolist()
-    strength = _strength(_exact_moments(c, cap), cap)
-    return TheoremOneVerdict(
-        per_point_k=tuple(per_point), strength=strength, applies=max(per_point) <= strength
-    )
+    return _theorem1_verdict(per_point, _exact_moments(c, cap), cap)
+
+
+def _theorem1_verdict(per_point: list, moments, cap: int, threshold=0) -> TheoremOneVerdict:
+    """The verdict of both modes: the strength is drawn from the moments only
+    up to the first with |m| > threshold, and the condition applies when no
+    point sees more distances than that."""
+    strength = _strength(moments, cap, threshold)
+    return TheoremOneVerdict(per_point_k=tuple(per_point), strength=strength,
+                             applies=max(per_point) <= strength)

@@ -34,8 +34,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .designs import _strength, _zonal_series, check_cap
+from .designs import (DesignVerdict, TheoremOneVerdict, _design_verdict, _theorem1_verdict,
+                      _zonal_series, check_cap)
 from .exact import Configuration, StructuralError, _first_pair, check_labels
+
+DEFAULT_TOL = 1e-9
 
 
 class AmbiguousShellError(ValueError):
@@ -403,13 +406,13 @@ def _float_violations(p: CoordinateSet, tol: float) -> Iterator[FloatViolation]:
             yield FloatViolation(point=i, shell_value=u, deviation_norm=dev_norm)
 
 
-def check_balanced_float(p: CoordinateSet, tol: float = 1e-9) -> FloatBalanceReport:
+def check_balanced_float(p: CoordinateSet, tol: float = DEFAULT_TOL) -> FloatBalanceReport:
     """Shell-sum proportionality with tolerance-based shell grouping."""
     violations = tuple(_float_violations(p, tol))
     return FloatBalanceReport(balanced=not violations, violations=violations, tol=tol)
 
 
-def spectrum_float(p: CoordinateSet, tol: float = 1e-9) -> tuple[float, ...]:
+def spectrum_float(p: CoordinateSet, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Clustered distinct off-diagonal inner products."""
     _require_tolerance(p, tol)
     row = p.off_diagonal.reshape(1, -1)
@@ -424,25 +427,16 @@ def _float_moments(p: CoordinateSet, cap: int, tol: float) -> Iterator[float]:
     return (float(g.sum()) for g in islice(_zonal_series(p.dim, cap, gram), 1, None))
 
 
-def design_strength_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
-    """(strength, moments) in float mode; zero test scaled by N^2."""
-    moments = list(_float_moments(p, cap, tol))
-    strength = _strength(moments, cap, tol * p.size * p.size)
-    return strength, dict(enumerate(moments, start=1))
+def design_strength_float(p: CoordinateSet, cap: int, tol: float = DEFAULT_TOL) -> DesignVerdict:
+    """The design verdict in float mode; zero test scaled by N^2."""
+    return _design_verdict(_float_moments(p, cap, tol), cap, tol * p.size * p.size)
 
 
-def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = 1e-9):
-    """(per_point_k, strength, applies) in float mode.
-
-    Distances at inner product 1 and -1 (the point itself and its antipode)
-    are excluded, as in the exact check.  The strength is that of
-    `design_strength_float`, found without the moments past the first that
-    does not vanish; `design_strength_float` lists them all.
-    """
+def theorem1_check_float(p: CoordinateSet, cap: int, tol: float = DEFAULT_TOL) -> TheoremOneVerdict:
+    """The Theorem 1 verdict in float mode.  Distances at inner product 1 and
+    -1 (the point itself and its antipode) are excluded, as in the exact check."""
     _require_tolerance(p, tol)
     t = p.shell_table(tol)
     counted = (np.abs(t.values - 1.0) > tol) & (np.abs(t.values + 1.0) > tol)
     per_point = np.bincount(t.row[counted], minlength=p.size).tolist()
-    strength = _strength(_float_moments(p, cap, tol), cap, tol * p.size * p.size)
-    applies = max(per_point) <= strength
-    return tuple(per_point), strength, applies
+    return _theorem1_verdict(per_point, _float_moments(p, cap, tol), cap, tol * p.size * p.size)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import balance, designs, numerics, symmetry
+from .designs import TheoremOneVerdict
 from .exact import Configuration, inner_product_spectrum, require
 from .numerics import CoordinateSet
 
@@ -30,16 +31,29 @@ class AnalysisReport:
     design_strength: int
     per_point_distance_counts: tuple[int, ...]
     theorem1_applies: bool
-    symmetry_order: Optional[str]
-    orbit_sizes: Optional[tuple[int, ...]]
-    group_balanced: Optional[bool]
-    witnesses: Optional[tuple[int, ...]]
+    # the symmetry verdicts need exact Gram data and stay None in float mode
+    symmetry_order: Optional[str] = None
+    orbit_sizes: Optional[tuple[int, ...]] = None
+    group_balanced: Optional[bool] = None
+    witnesses: Optional[tuple[int, ...]] = None
     mode: str = "exact"
 
     def to_dict(self) -> dict:
         """The fields with "mode" second; tuples are written as JSON lists."""
         doc = dict(vars(self))
         return {"label": doc.pop("label"), "mode": doc.pop("mode"), **doc}
+
+
+def _assemble(points: Configuration | CoordinateSet, dim: int, spectrum: tuple[str, ...],
+              balanced: bool, cap: int, t1: TheoremOneVerdict, **fields) -> AnalysisReport:
+    """The report of either mode, from its spectrum, balance and Theorem 1
+    verdicts; `fields` are the symmetry verdicts and the mode."""
+    # a sufficient condition must never contradict the balance check
+    require(not t1.applies or balanced, "theorem 1 applies to an unbalanced configuration")
+    return AnalysisReport(
+        label=points.label, n_points=points.size, ambient_dim=dim, spectrum=spectrum,
+        balanced=balanced, design_cap=cap, design_strength=t1.strength,
+        per_point_distance_counts=t1.per_point_k, theorem1_applies=t1.applies, **fields)
 
 
 def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:
@@ -49,51 +63,20 @@ def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:
     balanced = not balance._bad_shells(c)
     t1 = designs.theorem1_check(c, cap)
     group = symmetry.automorphism_group(symmetry.colored_graph_from_config(c))
-    orbit_sizes = tuple(len(o) for o in group.orbits())
     gb = symmetry.check_group_balanced(c, group=group)
-    # the two sufficient conditions must never contradict the exact check
-    require(not t1.applies or balanced, "theorem 1 applies to an unbalanced configuration")
     require(not gb.group_balanced or balanced, "group-balanced but not balanced")
-    return AnalysisReport(
-        label=c.label,
-        n_points=c.size,
-        ambient_dim=c.ambient_dim,
-        spectrum=spectrum,
-        balanced=balanced,
-        design_cap=cap,
-        design_strength=t1.strength,
-        per_point_distance_counts=t1.per_point_k,
-        theorem1_applies=t1.applies,
-        symmetry_order=str(group.order()),
-        orbit_sizes=orbit_sizes,
-        group_balanced=gb.group_balanced,
-        witnesses=gb.witnesses,
-    )
+    return _assemble(c, c.ambient_dim, spectrum, balanced, cap, t1,
+                     symmetry_order=str(group.order()),
+                     orbit_sizes=tuple(len(o) for o in group.orbits()),
+                     group_balanced=gb.group_balanced, witnesses=gb.witnesses)
 
 
 def build_report_float(
-    p: CoordinateSet, cap: int = DEFAULT_CAP, tol: float = 1e-9
+    p: CoordinateSet, cap: int = DEFAULT_CAP, tol: float = numerics.DEFAULT_TOL
 ) -> AnalysisReport:
-    """Float-mode report; symmetry verdicts need exact Gram data and stay null.
-    Balance and design strength come without their witnesses, for which see
-    `check_balanced_float` and `design_strength_float`."""
+    """Float-mode report.  Balance and design strength come without their
+    witnesses, for which see `check_balanced_float` and `design_strength_float`."""
     spectrum = tuple(f"{u:.12g}" for u in numerics.spectrum_float(p, tol))
     balanced = next(numerics._float_violations(p, tol), None) is None
-    per_point, strength, applies = numerics.theorem1_check_float(p, cap, tol)
-    require(not applies or balanced, "theorem 1 applies to an unbalanced configuration")
-    return AnalysisReport(
-        label=p.label,
-        n_points=p.size,
-        ambient_dim=p.dim,
-        spectrum=spectrum,
-        balanced=balanced,
-        design_cap=cap,
-        design_strength=strength,
-        per_point_distance_counts=per_point,
-        theorem1_applies=applies,
-        symmetry_order=None,
-        orbit_sizes=None,
-        group_balanced=None,
-        witnesses=None,
-        mode="float",
-    )
+    t1 = numerics.theorem1_check_float(p, cap, tol)
+    return _assemble(p, p.dim, spectrum, balanced, cap, t1, mode="float")

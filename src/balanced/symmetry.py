@@ -65,8 +65,10 @@ Perm = tuple[int, ...]
 @dataclass(frozen=True, eq=False)
 class ColoredGraph:
     """Complete graph with edge colors: a read-only symmetric n x n intp array
-    of colour ids, -1 on the diagonal, which is no edge.  `copied_from` is
-    the object the colours were copied from."""
+    of colour ids, -1 on the diagonal, which is no edge.  The given colours
+    are integers, bools excluded, and the off-diagonal ones are coded
+    densely in ascending order (`_dense_colours`).  `copied_from` is the
+    object the colours were copied from."""
 
     size: int
     edge_colors: np.ndarray
@@ -74,17 +76,45 @@ class ColoredGraph:
     copied_from: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "copied_from", self.edge_colors)
+        n, given = self.size, self.edge_colors
+        object.__setattr__(self, "copied_from", given)
         try:
-            colours = np.array(self.edge_colors, dtype=np.intp)
-        except (TypeError, ValueError):  # ragged rows, or entries that are not integers
-            colours = None
-        if colours is None or colours.shape != (self.size, self.size):
-            raise StructuralError(f"edge colours must form a {self.size} x {self.size} array")
-        np.fill_diagonal(colours, -1)
+            entries = given if isinstance(given, np.ndarray) else np.array(given, dtype=object)
+        except ValueError:  # ragged rows
+            entries = None
+        if entries is None or entries.shape != (n, n):
+            raise StructuralError(f"edge colours must form a {n} x {n} array")
+        if entries.dtype.kind not in "iu":
+            flat = entries.ravel().tolist()
+            bad = next((k for k, x in enumerate(flat)
+                        if type(x) is bool or not isinstance(x, (int, np.integer))), None)
+            if bad is not None:
+                raise StructuralError("edge colour [%d][%d] = %r is not an integer"
+                                      % (*divmod(bad, n), flat[bad]))
+        colours = _dense_colours(entries)
         colours.setflags(write=False)
         object.__setattr__(self, "edge_colors", colours)
         object.__setattr__(self, "n_edge_colors", int(colours.max(initial=-1)) + 1)
+
+
+def _dense_colours(entries: np.ndarray) -> np.ndarray:
+    """The off-diagonal integer ids coded 0, 1, ... by their rank among
+    themselves and 0, and -1 on the diagonal, as a new intp array.  0 counts
+    even where it is absent, so a 0/1 adjacency keeps its ids; ids that are
+    dense already, as in every graph the library builds, are copied."""
+    n = len(entries)
+    if np.can_cast(entries.dtype, np.intp):
+        colours = entries.astype(np.intp)
+        np.fill_diagonal(colours, 0)
+        if colours.min(initial=0) == 0 and colours.max(initial=0) < n * n \
+                and np.bincount(colours.ravel()).all():
+            np.fill_diagonal(colours, -1)
+            return colours
+    ids = entries.copy()
+    np.fill_diagonal(ids, 0)
+    colours = np.unique(ids, return_inverse=True)[1].reshape(n, n).astype(np.intp)
+    np.fill_diagonal(colours, -1)
+    return colours
 
 
 def colored_graph_from_config(c: Configuration) -> ColoredGraph:

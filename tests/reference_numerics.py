@@ -15,6 +15,7 @@ points at an inner product within tol of 1, naming the first such pair.
 
 import numpy as np
 
+from balanced.designs import TheoremOneVerdict
 from balanced.exact import StructuralError
 from balanced.numerics import (
     AmbiguousShellError,
@@ -116,8 +117,8 @@ def theorem1_check_float(p, cap, tol):
         sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u, _ in row)
         for row in shells(p, tol)
     ]
-    strength, _ = design_strength_float(p, cap, tol)
-    return tuple(per_point), strength, max(per_point) <= strength
+    strength = design_strength_float(p, cap, tol).strength
+    return TheoremOneVerdict(tuple(per_point), strength, max(per_point) <= strength)
 
 
 def float_gegenbauer_moments(gram, n_dim, cap):

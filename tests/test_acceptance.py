@@ -145,10 +145,10 @@ def test_criterion_4_theorem1_checker():
     )
     pr = poles_and_ring_coordinates(5)
     bal = check_balanced_float(pr, 1e-9)
-    per_point, strength, applies = theorem1_check_float(pr, 3, 1e-9)
+    t1 = theorem1_check_float(pr, 3, 1e-9)
     ok &= _verdict(
         "4b poles+ring(5): balanced but theorem inapplicable at strength 1",
-        bal.balanced and not applies and strength == 1,
+        bal.balanced and not t1.applies and t1.strength == 1,
     )
     c56 = antipodal_union(simplex_midpoints(7))
     spec = inner_product_spectrum(c56)

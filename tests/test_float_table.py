@@ -335,8 +335,9 @@ def test_design_moments_match_the_float_recurrence_bit_for_bit(dim):
         gram = np.clip(p.gram, -1.0, 1.0)
         for cap in range(1, 13):
             want = ref.float_gegenbauer_moments(gram, dim, cap)
-            strength, moments = numerics.design_strength_float(p, cap)
-            assert list(moments) == list(range(1, cap + 1))
-            assert [m.hex() for m in moments.values()] == [m.hex() for m in want]
+            verdict = numerics.design_strength_float(p, cap)
+            assert list(verdict.per_k_moment) == list(range(1, cap + 1))
+            assert [m.hex() for m in verdict.per_k_moment.values()] == [m.hex() for m in want]
             threshold = 1e-9 * p.size * p.size
-            assert strength == next((k for k, m in enumerate(want) if abs(m) > threshold), cap)
+            assert verdict.strength == next(
+                (k for k, m in enumerate(want) if abs(m) > threshold), cap)

@@ -18,6 +18,7 @@ from balanced.constructors import (
     simplex_midpoints,
     srg_spectral_embedding,
 )
+from balanced.designs import design_strength, theorem1_check
 from balanced.exact import Configuration, Scaled, StructuralError
 from balanced import numerics
 from balanced.lattice import bundled_lattice, kissing_configuration
@@ -302,22 +303,21 @@ class TestFloatBalance:
 class TestFloatDesigns:
     def test_poles_and_ring_strength(self):
         p = poles_and_ring_coordinates(5)
-        strength, moments = design_strength_float(p, 3)
-        assert strength == 1
-        assert abs(moments[1]) < 1e-9
-        assert moments[2] == pytest.approx(0.25, abs=1e-9)
+        verdict = design_strength_float(p, 3)
+        assert verdict.strength == 1
+        assert abs(verdict.per_k_moment[1]) < 1e-9
+        assert verdict.per_k_moment[2] == pytest.approx(0.25, abs=1e-9)
 
     def test_k4_octahedron(self):
         p = poles_and_ring_coordinates(4)
-        strength, _ = design_strength_float(p, 4)
-        assert strength == 3
+        assert design_strength_float(p, 4).strength == 3
 
     def test_theorem1_float(self):
         p = poles_and_ring_coordinates(5)
-        per_point, strength, applies = theorem1_check_float(p, 3)
-        assert strength == 1
-        assert max(per_point) == 3
-        assert not applies
+        t1 = theorem1_check_float(p, 3)
+        assert t1.strength == 1
+        assert max(t1.per_point_k) == 3
+        assert not t1.applies
 
     def test_spectrum_float(self):
         p = poles_and_ring_coordinates(5)
@@ -325,13 +325,20 @@ class TestFloatDesigns:
         want = sorted({-1.0, 0.0, math.cos(2 * math.pi / 5), math.cos(4 * math.pi / 5)})
         assert np.allclose(spec, want)
 
-    def test_float_matches_exact_on_rational_configs(self, cube_config, c7p):
+    def test_float_matches_exact_on_rational_configs(
+        self, cube_config, c7p, c56, paulus_r, e8_kissing
+    ):
         for c, cap in ((cube_config, 4), (c7p, 3)):
-            from balanced.designs import design_strength
-
             coords = coordinates_from_gram(c)
-            s_float, _ = design_strength_float(coords, cap)
-            assert s_float == design_strength(c, cap).strength
+            assert design_strength_float(coords, cap).strength == design_strength(c, cap).strength
+        # the whole Theorem 1 verdict, at the report's cap and tolerance
+        configs = [cube_config, *map(cross_polytope, (4, 5, 6)),
+                   *map(simplex_midpoints, range(5, 10)), c7p, c56, paulus_r, e8_kissing]
+        for c in configs:
+            coords = coordinates_from_gram(c)
+            assert theorem1_check_float(coords, 12, 1e-9) == theorem1_check(c, 12)
+            assert (design_strength_float(coords, 12, 1e-9).strength
+                    == design_strength(c, 12).strength)
 
 
 # every float function that reads a CoordinateSet, with the arguments it needs

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ class TestColoredGraph:
     def test_ragged_or_non_square_colours_rejected(self, rows):
         with pytest.raises(StructuralError, match="edge colours"):
             ColoredGraph(len(rows), rows)
+
+    def test_non_integer_colours_rejected(self):
+        # 1.5 and 1.2 both truncated to 1 would give the triangle order 6, not 2
+        rows = [[0, 1.5, 1.2], [1.5, 0, 1.2], [1.2, 1.2, 0]]
+        with pytest.raises(StructuralError, match=r"colour \[0\]\[1\] = 1.5 is not an integer"):
+            ColoredGraph(3, rows)
+        for rows, bad in ((((0, True), (True, 0)), "[0][1] = True"),
+                          ((("0", "1"), ("1", "0")), "[0][0] = '0'"),
+                          (np.ones((2, 2), dtype=bool), "[0][0] = True")):
+            with pytest.raises(StructuralError, match=f"edge colour {re.escape(bad)} "):
+                ColoredGraph(2, rows)
+
+    def test_negative_colours_are_coded(self):
+        graph = ColoredGraph(3, [[0, -2, -2], [-2, 0, -2], [-2, -2, 0]])
+        assert graph.n_edge_colors == 1
+        assert automorphism_group(graph).order() == 6
+
+    def test_sparse_colours_are_coded_densely(self):
+        twin = np.array([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]])
+        graph = ColoredGraph(4, np.choose(twin, [0, 7, 40]))
+        assert graph.n_edge_colors == 3  # 7 and 40 rank 1 and 2 after 0
+        assert np.array_equal(graph.edge_colors, ColoredGraph(4, twin).edge_colors)
+
+    def test_huge_colour_ids_give_the_dense_twins_generators(self):
+        twin = np.array([[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0],
+                         [0, 0, 1, 0, 1], [1, 0, 0, 1, 0]])
+        graph = ColoredGraph(5, twin * 10**9)
+        assert np.array_equal(graph.edge_colors, ColoredGraph(5, twin).edge_colors)
+        assert automorphism_group(graph).generators == automorphism_group(
+            ColoredGraph(5, twin)).generators
 
     def test_color_counts(self, c7, c56):
         assert colored_graph_from_config(c7).n_edge_colors == 2

@@ -24,7 +24,12 @@ from balanced.constructors import (
     simplex,
     simplex_midpoints,
 )
-from balanced.designs import design_strength, gram_value_counts, theorem1_check
+from balanced.designs import (
+    TheoremOneVerdict,
+    design_strength,
+    gram_value_counts,
+    theorem1_check,
+)
 from balanced.exact import Configuration, inner_product_spectrum
 from balanced.files import configuration_from_dict, configuration_to_dict
 from balanced.numerics import (
@@ -248,8 +253,8 @@ def reference_theorem1_check_float(p, cap, tol):
     for i in range(n):
         reps = split_one_row([gram[i][j] for j in range(n) if j != i], tol)
         per_point.append(sum(abs(u - 1.0) > tol and abs(u + 1.0) > tol for u in reps))
-    strength, _ = design_strength_float(p, cap, tol)
-    return tuple(per_point), strength, max(per_point) <= strength
+    strength = design_strength_float(p, cap, tol).strength
+    return TheoremOneVerdict(tuple(per_point), strength, max(per_point) <= strength)
 
 
 def rotated(p, seed):

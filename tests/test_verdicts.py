@@ -69,7 +69,7 @@ def float_verdicts(p, cap, tol):
 
 def float_witnesses(p, cap, tol):
     spectrum_float(p, tol)  # the report's first step, and its first error
-    return check_balanced_float(p, tol).balanced, design_strength_float(p, cap, tol)[0]
+    return check_balanced_float(p, tol).balanced, design_strength_float(p, cap, tol).strength
 
 
 def assert_float_verdicts(points, tol):
@@ -244,8 +244,9 @@ def test_a_moment_exactly_at_tol_n_squared_vanishes():
     ang = 2 * np.pi * np.arange(3) / 3
     make = from_gram([[1, -0.5, -0.5], [-0.5, 1, -0.5], [-0.5, -0.5, 1]],
                      np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    assert design_strength_float(make(), 6, 1.0)[1] == {1: 0, 2: 0, 3: 9, 4: 0, 5: 0, 6: 9}
+    moments = design_strength_float(make(), 6, 1.0).per_k_moment
+    assert moments == {1: 0, 2: 0, 3: 9, 4: 0, 5: 0, 6: 9}
     for tol, strength in ((1.0, 6), (math.nextafter(1.0, 0.0), 2)):
-        assert design_strength_float(make(), 6, tol)[0] == strength
-        assert theorem1_check_float(make(), 6, tol)[1] == strength
+        assert design_strength_float(make(), 6, tol).strength == strength
+        assert theorem1_check_float(make(), 6, tol).strength == strength
         assert build_report_float(make(), 6, tol).design_strength == strength
