@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, Scaled, StructuralError, _first_pair
+from .exact import Configuration, Scaled, StructuralError, _first_pair, require
 from .files import read_graph
+from .numerics import poles_and_ring_coordinates
 from .symmetry import adjacency_matrix
 
 
@@ -125,10 +126,9 @@ def srg_spectral_embedding(
         label=f"srg({params.n},{params.k},{params.lam},{params.mu})/{eigen_choice}",
         point_labels=tuple(str(i) for i in range(n)),
     )
-    if config.ambient_dim != mult:
-        raise StructuralError(
-            f"embedding rank {config.ambient_dim} != multiplicity {mult}"
-        )
+    # the projection onto the theta-eigenspace has rank mult(theta) for every SRG
+    require(config.ambient_dim == mult,
+            f"embedding rank {config.ambient_dim} != multiplicity {mult}")
     return config
 
 
@@ -230,36 +230,29 @@ def simplex(n: int) -> Configuration:
     return Configuration.from_gram(rows, label=f"simplex({n})", point_labels=labels)
 
 
-def poles_and_ring(k: int):
-    """North and south poles plus k equally spaced equatorial points.
-
-    Ring inner products are irrational for general k, so this returns float
-    coordinates for the numerics pipeline rather than an exact configuration.
-    """
-    from . import numerics
-
-    if k < 2:
-        raise ConstructionError(f"ring needs k >= 2 points, got {k}")
-    return numerics.poles_and_ring_coordinates(k)
+_OPTIONS = {"n": "dimension (-n)", "k": "ring size (-k)"}
 
 
 def standard_polytope(name: str, n: Optional[int] = None, k: Optional[int] = None):
+    """The named polytope, built from the one option it takes, if any: the
+    dimension n of a cross-polytope or simplex, the ring size k of
+    poles-and-ring.  An option it does not take is refused."""
     key = name.lower().replace("_", "-")
-    if key == "cube":
-        return cube()
-    if key == "cross-polytope":
-        if n is None:
-            raise ConstructionError("cross-polytope requires a dimension (-n)")
-        return cross_polytope(n)
-    if key == "simplex":
-        if n is None:
-            raise ConstructionError("simplex requires a dimension (-n)")
-        return simplex(n)
-    if key in ("poles-and-ring", "poles-ring"):
-        if k is None:
-            raise ConstructionError("poles-and-ring requires a ring size (-k)")
-        return poles_and_ring(k)
-    raise ConstructionError(f"unknown polytope {name!r}")
+    key = "poles-and-ring" if key == "poles-ring" else key
+    builders = {"cube": (cube, None), "cross-polytope": (cross_polytope, "n"),
+                "simplex": (simplex, "n"), "poles-and-ring": (poles_and_ring_coordinates, "k")}
+    if key not in builders:
+        raise ConstructionError(f"unknown polytope {name!r}")
+    build, takes = builders[key]
+    given = {"n": n, "k": k}
+    for option, value in given.items():
+        if option != takes and value is not None:
+            raise ConstructionError(f"{key} takes no {_OPTIONS[option]}")
+    if takes is None:
+        return build()
+    if given[takes] is None:
+        raise ConstructionError(f"{key} requires a {_OPTIONS[takes]}")
+    return build(given[takes])
 
 
 def figure1_adjacency() -> tuple[tuple[int, ...], ...]:

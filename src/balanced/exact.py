@@ -184,25 +184,35 @@ def _encode(rows) -> _Encoded:
 
 
 def _encode_scaled(den: int, m) -> _Encoded:
-    """Code an integer matrix over den, reduced by the gcd of den and its entries."""
+    """Code an integer matrix over den, reduced by the gcd of den and its
+    entries.  An intp matrix whose entries are 0, 1, ..., k-1 already, each
+    of them present, is its own codes: it is kept, not copied."""
     m = np.asarray(m)
     if den <= 0 or m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError("expected a square integer matrix over a positive denominator")
-    distinct = np.sort(m, axis=None)
-    first = np.ones(distinct.size, dtype=bool)  # of each run of equal entries
-    first[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[first]
-    table = distinct.tolist()
+    codes = None
+    if m.dtype == np.intp and m.min(initial=0) == 0 and m.max(initial=0) < m.size:
+        counts = np.bincount(m.ravel())
+        if np.count_nonzero(counts) == len(counts):
+            table, codes = list(range(len(counts))), m
+    if codes is None:
+        distinct = np.sort(m, axis=None)
+        first = np.ones(distinct.size, dtype=bool)  # of each run of equal entries
+        first[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[first]
+        table, codes = distinct.tolist(), np.searchsorted(distinct, m)
     g = math.gcd(den, *table)
-    return den // g, [v // g for v in table], np.searchsorted(distinct, m)
+    return den // g, [v // g for v in table], codes
 
 
-def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct, colours, M) of a coded matrix, which must be symmetric: its
-    distinct scaled entries ascending, the read-only colour of every entry and
-    the read-only integer matrix M = distinct[colours], in `int_dtype`: left to
-    itself numpy stores integers in [2^63, 2^64) as uint64, larger as float64."""
-    den, table, codes = enc
+def _tabulate(rows) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(den, distinct, colours, M) of a symmetric matrix given as rational rows
+    or a Scaled pair, the one way a square matrix comes in: its common
+    denominator, its distinct scaled entries ascending, the read-only colour of
+    every entry and the read-only integer matrix M = distinct[colours], in
+    `int_dtype`: left to itself numpy stores integers in [2^63, 2^64) as
+    uint64, larger as float64."""
+    den, table, codes = _encode_scaled(*rows) if isinstance(rows, Scaled) else _encode(rows)
     dtype = int_dtype(max(max(map(abs, table), default=0), den))
     distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
     colours = inverse.reshape(-1)[codes]
@@ -211,7 +221,7 @@ def _tabulate(enc: _Encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = distinct[colours]
     colours.setflags(write=False)
     m.setflags(write=False)
-    return distinct, colours, m
+    return den, distinct, colours, m
 
 
 def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
@@ -364,8 +374,17 @@ class _Elimination:
 
 
 def _eliminate(m) -> _Elimination:
-    enc = _encode(m)
-    return _Elimination.of(enc[0], _tabulate(enc)[2])
+    den, _, _, scaled = _tabulate(m)
+    return _Elimination.of(den, scaled)
+
+
+def _psd_elimination(den: int, scaled: np.ndarray) -> Optional[_Elimination]:
+    """The elimination of den * m, or None when m is not PSD."""
+    try:
+        elim = _Elimination.of(den, scaled)
+    except IndefinitePivotError:
+        return None
+    return elim if elim.psd else None
 
 
 def integer_rank(a: np.ndarray) -> int:
@@ -382,7 +401,7 @@ def integer_rank(a: np.ndarray) -> int:
 
 def gram_rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals of any symmetric rational matrix."""
-    return integer_rank(_tabulate(_encode(m))[2])
+    return integer_rank(_tabulate(m)[3])
 
 
 def ldl_decompose(m: Sequence[Sequence[Fraction]]):
@@ -421,19 +440,14 @@ class GramMatrix:
     elimination: _Elimination = field(init=False, repr=False)
 
     def __post_init__(self, rows):
-        enc = _encode_scaled(*rows) if isinstance(rows, Scaled) else _encode(rows)
-        den = enc[0]
-        distinct, colours, scaled = _tabulate(enc)
+        den, distinct, colours, scaled = _tabulate(rows)
         wrong = np.flatnonzero(scaled.diagonal() != den)
         if wrong.size:
             i = int(wrong[0])
             value = Fraction(int(scaled[i, i]), den)
             raise StructuralError(f"diagonal entry [{i}][{i}] = {value}, expected 1")
-        try:
-            elim = _Elimination.of(den, scaled)
-        except IndefinitePivotError:
-            elim = None
-        if elim is None or not elim.psd:
+        elim = _psd_elimination(den, scaled)
+        if elim is None:
             raise StructuralError("matrix is not positive semidefinite")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "scaled", scaled)

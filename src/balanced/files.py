@@ -189,7 +189,8 @@ def read_lattice(spec: str) -> LatticeGram:
 
 
 def read_graph(path) -> tuple[tuple[int, ...], ...]:
-    """Whitespace-separated 0/1 adjacency matrix, one row per line."""
+    """The integer rows of a whitespace-separated adjacency matrix, one row
+    per line; `symmetry.adjacency_matrix` owns every rule about them."""
     try:
         with open(path) as fh:
             lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -201,12 +202,4 @@ def read_graph(path) -> tuple[tuple[int, ...], ...]:
             rows.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
             raise InputError(f"{path}: line {lineno}: entries must be 0/1 integers")
-    n = len(rows)
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise InputError(
-                f"{path}: line {lineno}: {len(row)} entries for {n} rows"
-            )
-        if any(x not in (0, 1) for x in row):
-            raise InputError(f"{path}: line {lineno}: entries must be 0/1")
     return tuple(rows)

@@ -22,12 +22,10 @@ import numpy as np
 
 from .exact import (
     Configuration,
-    IndefinitePivotError,
     InvariantError,
     Scaled,
     StructuralError,
-    _Elimination,
-    _encode,
+    _psd_elimination,
     _tabulate,
     check_labels,
     int_dtype,
@@ -53,16 +51,12 @@ class QuadraticForm:
     below: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self, rows):
-        enc = _encode(rows)
-        try:
-            elim = _Elimination.of(enc[0], _tabulate(enc)[2])
-        except IndefinitePivotError:
-            elim = None
-        d = len(enc[2])
-        if elim is None or elim.rank < d or not elim.psd:
+        den, _, _, scaled = _tabulate(rows)
+        elim = _psd_elimination(den, scaled)
+        if elim is None or elim.rank < len(scaled):
             raise StructuralError("quadratic form is not positive definite")
         columns = elim.x.T.tolist()
-        object.__setattr__(self, "den", elim.den)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "pivots", elim.pivots)
         object.__setattr__(self, "below", tuple(tuple(c[k + 1:]) for k, c in enumerate(columns)))
 

@@ -217,6 +217,13 @@ def cube_facet_rotation(theta: float, s: float) -> float:
 
 
 def poles_and_ring_coordinates(k: int) -> CoordinateSet:
+    """North and south poles plus k >= 2 equally spaced equatorial points.
+
+    Ring inner products are irrational for general k, so these are float
+    coordinates for the numerics pipeline rather than an exact configuration.
+    """
+    if k < 2:
+        raise StructuralError(f"ring needs k >= 2 points, got {k}")
     pts = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
     for j in range(k):
         ang = 2.0 * math.pi * j / k

@@ -57,7 +57,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Configuration, StructuralError, _first_pair, int_dtype, integer_rank, require
+from .exact import (Configuration, StructuralError, _encode_scaled, _first_pair, int_dtype,
+                    integer_rank, require)
 
 Perm = tuple[int, ...]
 
@@ -67,8 +68,9 @@ class ColoredGraph:
     """Complete graph with edge colors: a read-only symmetric n x n intp array
     of colour ids, -1 on the diagonal, which is no edge.  The given colours
     are integers, bools excluded, and the off-diagonal ones are coded
-    densely in ascending order (`_dense_colours`).  `copied_from` is the
-    object the colours were copied from."""
+    0, 1, ... by their rank among themselves and 0 (`exact._encode_scaled`),
+    so a 0/1 adjacency keeps its ids.  `copied_from` is the object the
+    colours were copied from."""
 
     size: int
     edge_colors: np.ndarray
@@ -91,30 +93,14 @@ class ColoredGraph:
             if bad is not None:
                 raise StructuralError("edge colour [%d][%d] = %r is not an integer"
                                       % (*divmod(bad, n), flat[bad]))
-        colours = _dense_colours(entries)
+        # one copy with a zero diagonal, coded by `exact`'s coder: the copy itself when dense
+        ids = entries.astype(np.intp) if np.can_cast(entries.dtype, np.intp) else entries.copy()
+        ids.flat[::n + 1] = 0
+        colours = _encode_scaled(1, ids)[2]
+        colours.flat[::n + 1] = -1
         colours.setflags(write=False)
         object.__setattr__(self, "edge_colors", colours)
         object.__setattr__(self, "n_edge_colors", int(colours.max(initial=-1)) + 1)
-
-
-def _dense_colours(entries: np.ndarray) -> np.ndarray:
-    """The off-diagonal integer ids coded 0, 1, ... by their rank among
-    themselves and 0, and -1 on the diagonal, as a new intp array.  0 counts
-    even where it is absent, so a 0/1 adjacency keeps its ids; ids that are
-    dense already, as in every graph the library builds, are copied."""
-    n = len(entries)
-    if np.can_cast(entries.dtype, np.intp):
-        colours = entries.astype(np.intp)
-        np.fill_diagonal(colours, 0)
-        if colours.min(initial=0) == 0 and colours.max(initial=0) < n * n \
-                and np.bincount(colours.ravel()).all():
-            np.fill_diagonal(colours, -1)
-            return colours
-    ids = entries.copy()
-    np.fill_diagonal(ids, 0)
-    colours = np.unique(ids, return_inverse=True)[1].reshape(n, n).astype(np.intp)
-    np.fill_diagonal(colours, -1)
-    return colours
 
 
 def colored_graph_from_config(c: Configuration) -> ColoredGraph:

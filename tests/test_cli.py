@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from balanced.cli import check, main
+from balanced.constructors import SrgParams
 from balanced.designs import TheoremOneVerdict
 from balanced.exact import InvariantError, StructuralError
 from balanced.files import (
@@ -119,6 +120,52 @@ class TestConstructRoundTrip:
         out = tmp_path / "sq.json"
         res = invoke(runner, ["construct", "srg-embedding", str(graph), "-o", str(out)])
         assert res.exit_code == 2  # K_{2,2} is degenerate
+
+    @pytest.mark.parametrize("complement", [[], ["--complement"]], ids=["graph", "complement"])
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 1\n1 0 2\n1 2 0\n", "adjacency entry [1][2] = 2 not 0/1"),
+        ("0 1 1\n1 0\n1 1 0\n", "adjacency row 1 has length 2"),
+    ], ids=["two", "short-row"])
+    def test_graph_file_rules_are_the_adjacency_rules(self, runner, tmp_path, text, message,
+                                                      complement):
+        graph = tmp_path / "bad.txt"
+        graph.write_text(text)
+        res = invoke(runner, ["construct", "srg-embedding", str(graph), *complement])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+    def test_graph_file_keeps_its_parse_error(self, runner, tmp_path):
+        graph = tmp_path / "bad.txt"
+        graph.write_text("0 1\n1 x\n")
+        res = invoke(runner, ["construct", "srg-embedding", str(graph)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {graph}: line 2: entries must be 0/1 integers\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["cube", "-n", "7", "-k", "2"], "cube takes no dimension (-n)"),
+        (["cube", "-n", "7"], "cube takes no dimension (-n)"),
+        (["cube", "-k", "2"], "cube takes no ring size (-k)"),
+        (["cross-polytope", "-n", "3", "-k", "2"], "cross-polytope takes no ring size (-k)"),
+        (["simplex", "-n", "3", "-k", "2"], "simplex takes no ring size (-k)"),
+        (["poles-and-ring", "-k", "5", "-n", "3"], "poles-and-ring takes no dimension (-n)"),
+        (["poles_ring", "-k", "5", "-n", "3"], "poles-and-ring takes no dimension (-n)"),
+    ])
+    def test_polytope_refuses_options_it_does_not_take(self, runner, tmp_path, args, message):
+        out = tmp_path / "p.json"
+        res = invoke(runner, ["construct", "polytope", *args, "-o", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_srg_rank_defect_exits_4(self, runner, monkeypatch):
+        multiplicity = SrgParams.multiplicity
+        monkeypatch.setattr(SrgParams, "multiplicity", lambda p, eig: multiplicity(p, eig) + 1)
+        res = invoke(runner, ["construct", "srg-embedding", "figure1"])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr == ("error: internal invariant violated: "
+                              "embedding rank 12 != multiplicity 13\n")
 
 
 class TestExitCodes:

@@ -11,7 +11,6 @@ from balanced.constructors import (
     cross_polytope,
     default_distinguished_tetrahedron,
     invert_tetrahedron,
-    poles_and_ring,
     simplex,
     simplex_midpoints,
     srg_params,
@@ -19,8 +18,8 @@ from balanced.constructors import (
     standard_polytope,
 )
 from balanced.designs import design_strength, theorem1_check
-from balanced.exact import Configuration, StructuralError, inner_product_spectrum
-from balanced.numerics import CoordinateSet
+from balanced.exact import Configuration, InvariantError, StructuralError, inner_product_spectrum
+from balanced.numerics import CoordinateSet, poles_and_ring_coordinates
 from balanced.symmetry import adjacency_complement, colored_graph_from_adjacency
 from conftest import count_tetrahedra, gram_entries, srg_params_loop
 
@@ -204,6 +203,14 @@ class TestSpectralEmbedding:
         c = srg_spectral_embedding(petersen_adjacency(), "r")
         assert c.size == 10 and c.ambient_dim == 5
 
+    def test_rank_against_multiplicity_is_an_invariant(self, figure1, monkeypatch):
+        # the theta-projection has rank mult(theta) for every SRG, so only a
+        # defect can break the check: it is not malformed input
+        multiplicity = SrgParams.multiplicity
+        monkeypatch.setattr(SrgParams, "multiplicity", lambda p, eig: multiplicity(p, eig) + 1)
+        with pytest.raises(InvariantError, match=r"^embedding rank 12 != multiplicity 13$"):
+            srg_spectral_embedding(figure1, "r")
+
     def test_theorem1_always_applies(self, paulus_r, paulus_s):
         for c in (paulus_r, paulus_s):
             assert theorem1_check(c, 2).applies
@@ -336,7 +343,7 @@ class TestStandardPolytopes:
             assert inner_product_spectrum(simplex(n)) == (Fraction(-1, n),)
 
     def test_poles_and_ring_is_float(self):
-        p = poles_and_ring(5)
+        p = poles_and_ring_coordinates(5)
         assert isinstance(p, CoordinateSet)
         assert p.size == 7 and p.dim == 3
 

@@ -43,7 +43,6 @@ from balanced.exact import (
     StructuralError,
     _bareiss,
     _eliminate,
-    _encode,
     _tabulate,
     gram_rank,
 )
@@ -193,7 +192,7 @@ def test_block_product_past_int64(monkeypatch):
     rng = random.Random(29)
     a = [[rng.randint(2**20, 2**21) for _ in range(36)] for _ in range(3)]
     m = [[sum(row[i] * row[j] for row in a) for j in range(36)] for i in range(36)]
-    assert _tabulate(_encode(m))[2].dtype == np.int64
+    assert _tabulate(m)[3].dtype == np.int64
     sites = {}
     spy_arithmetic(monkeypatch, exact, sites)
     check_elimination(m)
@@ -204,7 +203,7 @@ def test_int64_switches_to_python_ints_partway():
     # step 0 fits int64 (2 * max^2 < 2^63); its minors near 2^60 do not
     big = 2**30
     m = [[big + 11, big // 2 + 1, 3], [big // 2 + 1, big + 7, 5], [3, 5, big]]
-    scaled = _tabulate(_encode(m))[2]
+    scaled = _tabulate(m)[3]
     assert scaled.dtype == np.int64
     _, pivots, a = _bareiss(scaled.copy())
     assert a.dtype == object and len(pivots) == 3
@@ -215,7 +214,7 @@ def test_int64_switches_to_python_ints_partway():
 def test_denominator_past_int64(den):
     m = [[1, Fraction(1, den), 0], [Fraction(1, den), 1, Fraction(-2, den)],
          [0, Fraction(-2, den), 1]]
-    scaled = _tabulate(_encode(m))[2]
+    scaled = _tabulate(m)[3]
     assert scaled.dtype == (np.int64 if den < 2**63 else object)
     check_elimination(m)
 

@@ -223,6 +223,11 @@ class TestFloatBalance:
     def test_poles_and_ring_balanced(self):
         assert check_balanced_float(poles_and_ring_coordinates(5)).balanced
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_poles_and_ring_needs_two_ring_points(self, k):
+        with pytest.raises(StructuralError, match=f"^ring needs k >= 2 points, got {k}$"):
+            poles_and_ring_coordinates(k)
+
     def test_pole_shells(self):
         p = poles_and_ring_coordinates(5)
         gram = p.points @ p.points.T

@@ -515,6 +515,10 @@ INPUT_RULES = [
     "cap {cap} < 1",
     "{what}[{i}] must be a list of entries",  # a matrix row is a list, tuple or array
     "{what} must be a list of rows",  # and so is the matrix
+    "adjacency row {i} has length",  # a graph's rules, whichever reader gave the rows
+    "adjacency entry [{i}][{j}] = {entries[i, j]} not 0/1",
+    "adjacency not symmetric at",
+    "adjacency diagonal [{loops[0]}][{loops[0]}] nonzero",
 ]
 
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import gram_entries
 from balanced.constructors import (
@@ -12,7 +14,7 @@ from balanced.constructors import (
     simplex_midpoints,
 )
 from balanced import symmetry
-from balanced.exact import Configuration, StructuralError
+from balanced.exact import Configuration, StructuralError, _encode_scaled
 from balanced.symmetry import (
     ColoredGraph,
     PermutationGroup,
@@ -82,6 +84,40 @@ class TestColoredGraph:
         assert np.array_equal(graph.edge_colors, ColoredGraph(5, twin).edge_colors)
         assert automorphism_group(graph).generators == automorphism_group(
             ColoredGraph(5, twin)).generators
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_colours_are_coded_as_the_reference_codes_them(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        group = data.draw(st.sampled_from(["dense", "sparse", "negative", "past int64"]))
+        if group == "dense":  # 0, 1, ..., k-1 off the diagonal, each present
+            ids = data.draw(arrays(np.intp, (n, n), elements=st.integers(0, 5)))
+            np.fill_diagonal(ids, 0)
+            ids = np.unique(ids, return_inverse=True)[1].reshape(n, n)
+            np.fill_diagonal(ids, data.draw(st.integers(-9, 9)))
+        elif group == "sparse":
+            ids = data.draw(arrays(np.intp, (n, n), elements=st.sampled_from([0, 3, 7, 40, 10**9])))
+        elif group == "negative":
+            ids = data.draw(arrays(np.intp, (n, n), elements=st.integers(-6, 2)))
+        else:  # Python ints, past what an intp holds
+            values = st.sampled_from([0, 5, -(2**63) - 9, 2**63, 2**64 + 1, 3**50])
+            ids = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n)),
+                           dtype=object).reshape(n, n)
+        expected = np.array(ids, dtype=object)
+        np.fill_diagonal(expected, 0)
+        expected = np.unique(expected, return_inverse=True)[1].reshape(n, n)
+        np.fill_diagonal(expected, -1)
+        graph = ColoredGraph(n, ids)
+        assert graph.edge_colors.dtype == np.intp
+        assert np.array_equal(graph.edge_colors, expected)
+        assert graph.n_edge_colors == expected.max() + 1
+
+    def test_dense_ids_are_their_own_codes(self):
+        ids = np.array([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+        assert _encode_scaled(1, ids)[2] is ids
+        shifted = ids + 1  # no 0: coded by rank, into a new array
+        codes = _encode_scaled(1, shifted)[2]
+        assert np.array_equal(codes, ids) and not np.shares_memory(codes, shifted)
 
     def test_color_counts(self, c7, c56):
         assert colored_graph_from_config(c7).n_edge_colors == 2
