@@ -9,6 +9,7 @@ from .balance import (
     check_balanced,
     check_balanced_euclidean,
 )
+from .constructors import SrgParams, srg_params
 from .designs import (
     DesignVerdict,
     TheoremOneVerdict,
@@ -64,6 +65,7 @@ __all__ = [
     "LatticeGram",
     "PermutationGroup",
     "ShortVectorSet",
+    "SrgParams",
     "StructuralError",
     "TheoremOneVerdict",
     "Violation",
@@ -89,6 +91,7 @@ __all__ = [
     "minimal_norm",
     "rational",
     "short_vectors",
+    "srg_params",
     "tangential_force",
     "theorem1_check",
 ]

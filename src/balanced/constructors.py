@@ -70,7 +70,11 @@ def srg_params(adjacency: Sequence[Sequence[int]]) -> SrgParams:
     """Verify strong regularity and return (N, k, lambda, mu): lambda and mu
     are the common neighbours, read off A^2, of the first adjacent and the
     first non-adjacent pair i < j in row-major order."""
-    a = adjacency_matrix(adjacency)
+    return _srg_params(adjacency_matrix(adjacency))
+
+
+def _srg_params(a: np.ndarray) -> SrgParams:
+    """srg_params of an array `adjacency_matrix` has checked."""
     n = len(a)
     if n == 0:
         raise ConstructionError("empty graph")
@@ -105,7 +109,8 @@ def srg_spectral_embedding(
     """
     if eigen_choice not in ("r", "s"):
         raise ConstructionError(f"eigen_choice must be 'r' or 's', got {eigen_choice!r}")
-    params = srg_params(adjacency)
+    a = adjacency_matrix(adjacency)
+    params = _srg_params(a)
     if params.degenerate:
         raise ConstructionError(
             f"degenerate strongly regular graph ({params.n},{params.k},"
@@ -118,7 +123,7 @@ def srg_spectral_embedding(
         raise ConstructionError(f"eigenvalue {theta} has multiplicity {mult} < 2")
     n = params.n
     # N (theta - phi) P = N (A - phi I) - (k - phi) J, whose diagonal is constant
-    m = n * (adjacency_matrix(adjacency) - phi * np.eye(n, dtype=np.int64))
+    m = n * (a - phi * np.eye(n, dtype=np.int64))
     m -= params.k - phi
     sign = 1 if m[0, 0] > 0 else -1
     config = Configuration.from_gram(

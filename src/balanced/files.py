@@ -37,17 +37,6 @@ def _load_json(path) -> dict:
     return doc
 
 
-def configuration_to_dict(c: Configuration) -> dict:
-    doc = {}
-    if c.label is not None:
-        doc["label"] = c.label
-    if c.point_labels is not None:
-        doc["labels"] = list(c.point_labels)
-    text = np.array([str(u) for u in c.gram.values], dtype=object)
-    doc["gram"] = text[c.gram.colours].tolist()
-    return doc
-
-
 def _rows(doc: dict, key: str, where: str) -> list:
     """doc[key], which must be present and a list of lists."""
     if key not in doc:
@@ -77,59 +66,33 @@ def read_configuration(path) -> Configuration:
     return configuration_from_dict(_load_json(path), where=str(path))
 
 
-_CONTAINERS = (list, tuple, dict)
-
-
-class _Quoted(dict):
-    """The JSON text of each distinct string, encoded on first use."""
-
-    def __missing__(self, s):
-        self[s] = text = _quote(s)
-        return text
-
-
-def _dumps(o, indent: str, quoted: _Quoted) -> str:
-    """json.dumps(o, indent=2) for a value nested at `indent`.
-
-    An indent makes json.dumps encode every scalar in Python.  Here a list of
-    strings, such as a Gram row, joins the text of each distinct string, and a
-    list of numbers is one C-encoder call whose separators are then replaced.
-    JSON text escapes every newline in a string, so a scalar never spans lines.
-    """
-    if isinstance(o, str):
-        return quoted[o]
-    if not isinstance(o, _CONTAINERS) or not o:
-        return json.dumps(o)  # a scalar or an empty container: no newline either way
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(o, dict):
-        if not all(isinstance(k, str) for k in o):  # keys json.dumps converts
-            return json.dumps(o, indent=2).replace("\n", "\n" + indent)
-        body = sep.join(quoted[k] + ": " + _dumps(v, inner, quoted) for k, v in o.items())
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(o[0], str):
-        try:  # a list of strings, such as a Gram row
-            return f"[\n{inner}{sep.join(map(quoted.__getitem__, o))}\n{indent}]"
-        except TypeError:  # an item is not a string
-            pass
-    if any(isinstance(x, (str, *_CONTAINERS)) for x in o):
-        body = sep.join(_dumps(x, inner, quoted) for x in o)
-    else:  # numbers, booleans and nulls, whose text holds no ", "
-        body = json.dumps(o)[1:-1].replace(", ", sep)
-    return f"[\n{inner}{body}\n{indent}]"
-
-
-def write_json(doc: dict, path=None) -> str:
-    """json.dumps(doc, indent=2) plus a newline, written to path if given."""
-    text = _dumps(doc, "", _Quoted()) + "\n"
+def _save(text: str, path) -> str:
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
 
 
+def write_json(doc: dict, path=None) -> str:
+    """json.dumps(doc, indent=2) plus a newline, written to path if given."""
+    return _save(json.dumps(doc, indent=2) + "\n", path)
+
+
 def write_configuration(c: Configuration, path=None) -> str:
-    return write_json(configuration_to_dict(c), path)
+    """What write_json writes for {label, labels, gram}, with the Gram
+    entries as strings.  json.dumps encodes each of the n^2 strings in
+    Python, so each Gram row is joined from the quoted text of its values."""
+    doc = {}
+    if c.label is not None:
+        doc["label"] = c.label
+    if c.point_labels is not None:
+        doc["labels"] = list(c.point_labels)
+    doc["gram"] = []
+    head = json.dumps(doc, indent=2)[:-len("[]\n}")]  # ends with '"gram": '
+    quoted = np.array([_quote(str(u)) for u in c.gram.values], dtype=object)
+    rows = ["[\n      " + ",\n      ".join(row) + "\n    ]"
+            for row in quoted[c.gram.colours].tolist()]
+    return _save(head + "[\n    " + ",\n    ".join(rows) + "\n  ]\n}\n", path)
 
 
 def write_coordinates(p: CoordinateSet, path=None) -> str:

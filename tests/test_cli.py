@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from balanced.cli import check, main
 from balanced.constructors import SrgParams
 from balanced.designs import TheoremOneVerdict
-from balanced.exact import InvariantError, StructuralError
+from balanced.exact import GramMatrix, InvariantError, Scaled, StructuralError
 from balanced.files import (
     InputError,
     read_configuration,
@@ -19,7 +20,9 @@ from balanced.files import (
     write_configuration,
     write_json,
 )
+from balanced.lattice import bundled_lattice, short_vectors
 from balanced.numerics import AmbiguousShellError
+from balanced.symmetry import ColoredGraph, PermutationGroup, automorphism_group
 from conftest import gram_entries, perturbed_square
 from test_numerics import CONSTRUCTED
 
@@ -695,3 +698,70 @@ def test_points_closer_than_tol_coincide(runner, tmp_path):
     assert res.stderr == "error: points 0 and 1 coincide (inner product >= 1 - 1e-06)\n"
     res = invoke(runner, ["check", "balanced", str(f), "--tol", "1e-9"])
     assert res.exit_code in (0, 1) and res.stderr == ""
+
+
+@pytest.mark.parametrize("args", [["construct", "c7prime"], ["construct", "kissing", "d4"]])
+def test_construct_prints_the_file_it_writes(runner, tmp_path, args):
+    out = tmp_path / "built.json"
+    assert invoke(runner, [*args, "-o", str(out)]).exit_code == 0
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert res.stdout == out.read_text()
+
+
+MISSING = object()  # the input path is given but no file is written there
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["construct", "c7prime", "--tetra", "a,b"], None, "bad --tetra value 'a,b'"),
+    (["construct", "c7prime", "--tetra", "0,0,1,2"], None,
+     "need 4 distinct indices, got (0, 0, 1, 2)"),
+    (["construct", "c7prime", "--tetra", "0,1,2,99"], None,
+     "tetrahedron index out of range: (0, 1, 2, 99)"),
+    (["construct", "polytope", "cross-polytope", "-n", "0"], None,
+     "cross polytope needs n >= 1, got 0"),
+    (["construct", "polytope", "simplex", "-n", "0"], None, "simplex needs n >= 1, got 0"),
+    (["report"], {"gram": [["1", "0"], ["0", "1"]], "labels": ["a"]},
+     "{f}: 1 labels for 2 points"),
+    (["report"], {"gram": [["1", "0"], ["0", "1"]], "labels": "ab"},
+     "{f}: 'labels' must be a list"),
+    (["report"], [{"gram": [["1"]]}], "{f}: top-level JSON value must be an object"),
+    (["check", "euclidean"], {}, "{f}: missing 'points' field"),
+    (["report"], {"x": 1}, "{f}: expected a 'gram' or 'coords' field"),
+    (["construct", "kissing", "nosuch"], None,
+     "unknown bundled lattice 'nosuch' (try one of ('z2', 'z3', 'd4', 'e8', 'k12', 'leech'))"),
+    (["construct", "kissing", "z0"], None, "bad lattice dimension in 'z0'"),
+    (["construct", "srg-embedding"], MISSING, "{f}: No such file or directory"),
+    (["report"], {"coords": []}, "{f}: coordinates must form a nonempty N x r array"),
+    (["force", "-s", "1"], {"coords": [[1, 0], [1, 0]]}, "coincident points"),
+], ids=["tetra-not-integers", "tetra-repeated", "tetra-out-of-range", "cross-polytope-n0",
+        "simplex-n0", "labels-length", "labels-not-list", "top-level-array",
+        "euclidean-no-points", "no-gram-or-coords", "unknown-lattice", "z0", "missing-graph",
+        "empty-coords", "coincident-coords"])
+def test_input_checks_exit_2(runner, tmp_path, args, doc, message):
+    f = tmp_path / "input.json"
+    if doc is not None:
+        if doc is not MISSING:
+            f.write_text(json.dumps(doc))
+        args = [*args, str(f)]
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message.format(f=f)}\n"
+
+
+def test_library_input_checks_the_cli_cannot_reach():
+    d4 = bundled_lattice("d4")
+    for build, message in [
+        (lambda: PermutationGroup(3, [(0, 0, 1)]), r"not a permutation of 0\.\.2: \(0, 0, 1\)"),
+        (lambda: ColoredGraph(2, [[-1, 0], [0]]), "edge colours must form a 2 x 2 array"),
+        (lambda: GramMatrix(Scaled(0, np.eye(2, dtype=np.int64))), "positive denominator"),
+        (lambda: short_vectors(d4, 0), "norm 0 < 1"),
+    ]:
+        with pytest.raises(StructuralError, match=message):
+            build()
+
+
+def test_the_empty_graph_has_the_trivial_group():
+    group = automorphism_group(ColoredGraph(0, np.zeros((0, 0), dtype=np.int64)))
+    assert (group.degree, group.generators, group.order()) == (0, (), 1)

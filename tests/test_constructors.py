@@ -211,6 +211,15 @@ class TestSpectralEmbedding:
         with pytest.raises(InvariantError, match=r"^embedding rank 12 != multiplicity 13$"):
             srg_spectral_embedding(figure1, "r")
 
+    def test_adjacency_is_checked_once(self, figure1, monkeypatch):
+        from balanced import constructors
+        calls = []
+        check = constructors.adjacency_matrix
+        monkeypatch.setattr(constructors, "adjacency_matrix",
+                            lambda rows: calls.append(rows) or check(rows))
+        srg_spectral_embedding(figure1)
+        assert len(calls) == 1
+
     def test_theorem1_always_applies(self, paulus_r, paulus_s):
         for c in (paulus_r, paulus_s):
             assert theorem1_check(c, 2).applies

@@ -5,7 +5,8 @@
   the same (point, shell value) pairs on every arithmetic path: float64,
   int64 or Python-int sums, int64 or Python-int cross products.  The violations'
   deviations must equal the ones summed shell by shell, on every path.
-- `write_json` must write exactly `json.dumps(doc, indent=2) + "\\n"`.
+- `write_json` must write exactly `json.dumps(doc, indent=2) + "\\n"`, and
+  `write_configuration` exactly that of the reference configuration dict.
 - `design_strength` runs the Gegenbauer recurrence on integers; its moments
   must equal the Fraction sums of `_zonal_series`.
 """
@@ -21,18 +22,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_balance as ref
-from conftest import balance_oracle, spy_arithmetic
+from conftest import balance_oracle, gram_entries, spy_arithmetic
+from test_value_table import reference_to_dict
 from balanced import balance, exact
 from balanced.balance import check_balanced
 from balanced.constructors import (
     antipodal_union,
+    c7_prime,
     cross_polytope,
     simplex,
     simplex_midpoints,
 )
 from balanced.designs import _moments, _zonal_series
 from balanced.exact import Configuration, GramMatrix, Scaled
-from balanced.files import configuration_to_dict, write_json
+from balanced.files import write_configuration, write_json
 from balanced.lattice import bundled_lattice, kissing_configuration
 
 # --- the coordinate scan against the Gram-row scan ------------------------------
@@ -215,8 +218,32 @@ def test_write_json_bundled_configurations(paulus_r, paulus_s, c7p, c56, cube_co
                simplex_midpoints(5), simplex(4), cross_polytope(5), antipodal_union(simplex(4)),
                kissing_configuration(bundled_lattice("d4")), simplex_midpoints(7)]
     for c in configs:
-        doc = configuration_to_dict(c)
-        assert write_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert write_configuration(c) == json.dumps(reference_to_dict(c), indent=2) + "\n"
+
+
+WRITTEN = [c7_prime(), simplex_midpoints(5), cross_polytope(4), antipodal_union(simplex(4)),
+           kissing_configuration(bundled_lattice("d4"))]
+tricky_text = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "é", "\U0001f600"]),
+                      max_size=6)
+
+
+@st.composite
+def relabelled_subsets(draw):
+    """A principal submatrix of a bundled Gram matrix, in a drawn order,
+    with a drawn label and drawn point labels."""
+    source = draw(st.sampled_from(WRITTEN))
+    order = draw(st.permutations(range(source.size)))
+    keep = order[:draw(st.integers(1, min(source.size, 12)))]
+    entries = gram_entries(source.gram)
+    points = draw(st.none() | st.lists(tricky_text, min_size=len(keep), max_size=len(keep)))
+    return Configuration.from_gram([[entries[i][j] for j in keep] for i in keep],
+                                   label=draw(st.none() | tricky_text), point_labels=points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=relabelled_subsets())
+def test_write_configuration_matches_json_dumps(c):
+    assert write_configuration(c) == json.dumps(reference_to_dict(c), indent=2) + "\n"
 
 
 def test_write_json_rejects_what_json_dumps_rejects():
