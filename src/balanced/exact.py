@@ -18,7 +18,7 @@ every partial sum an exact integer, else in `int_dtype`.  The other sites:
     balance._violations             n max|M| (den + max|M|), the deviations
     lattice._confirmed              2 d^2 max|G| max|W|^2
     symmetry._signature_table       n^k, for k edge colours
-    symmetry.fixed_subspace_dim     n max|X|, the orbit sums
+    symmetry._orbit_rank            n max|X|, the orbit sums
 """
 
 from __future__ import annotations

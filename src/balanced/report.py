@@ -63,7 +63,7 @@ def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:
     balanced = not balance._bad_shells(c)
     t1 = designs.theorem1_check(c, cap)
     group = symmetry.automorphism_group(symmetry.colored_graph_from_config(c))
-    gb = symmetry.check_group_balanced(c, group=group)
+    gb = symmetry._group_balanced(c, group)
     require(not gb.group_balanced or balanced, "group-balanced but not balanced")
     return _assemble(c, c.ambient_dim, spectrum, balanced, cap, t1,
                      symmetry_order=str(group.order()),

@@ -63,23 +63,26 @@ from .exact import (Configuration, StructuralError, _encode_scaled, _first_pair,
 Perm = tuple[int, ...]
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool: a float or string would be
+    truncated or parsed into an id it was never given."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))
+
+
 @dataclass(frozen=True, eq=False)
 class ColoredGraph:
     """Complete graph with edge colors: a read-only symmetric n x n intp array
     of colour ids, -1 on the diagonal, which is no edge.  The given colours
     are integers, bools excluded, and the off-diagonal ones are coded
     0, 1, ... by their rank among themselves and 0 (`exact._encode_scaled`),
-    so a 0/1 adjacency keeps its ids.  `copied_from` is the object the
-    colours were copied from."""
+    so a 0/1 adjacency keeps its ids."""
 
     size: int
     edge_colors: np.ndarray
     n_edge_colors: int = field(init=False)
-    copied_from: object = field(init=False, repr=False)
 
     def __post_init__(self):
         n, given = self.size, self.edge_colors
-        object.__setattr__(self, "copied_from", given)
         try:
             entries = given if isinstance(given, np.ndarray) else np.array(given, dtype=object)
         except ValueError:  # ragged rows
@@ -88,8 +91,7 @@ class ColoredGraph:
             raise StructuralError(f"edge colours must form a {n} x {n} array")
         if entries.dtype.kind not in "iu":
             flat = entries.ravel().tolist()
-            bad = next((k for k, x in enumerate(flat)
-                        if type(x) is bool or not isinstance(x, (int, np.integer))), None)
+            bad = next((k for k, x in enumerate(flat) if not _is_integer(x)), None)
             if bad is not None:
                 raise StructuralError("edge colour [%d][%d] = %r is not an integer"
                                       % (*divmod(bad, n), flat[bad]))
@@ -316,31 +318,37 @@ class _StabilizerChain:
 @dataclass(frozen=True, eq=False, repr=False)
 class PermutationGroup:
     """Permutation group given by generators, checked and deduplicated when
-    built; no attribute can be assigned afterwards.
+    built; no attribute can be assigned afterwards.  The degree and every
+    generator entry are integers (`_is_integer`), and every generator is a
+    permutation of range(degree).
 
     The private keywords hold what the group's maker knows: `_order`, the
-    order; `_first_stabilizer`, a point v with its stabilizer, (v, G_v); and
-    `_verified_on`, the array whose colours every generator was checked
-    against, so that `fixed_subspace_dim` skips its check.  Only
-    `point_stabilizer` (the order read off the chain it was taken from, so a
-    chain built from the stabilizer stops early too) and `automorphism_group`
-    (all three, from the search) pass them.  Without `_order`, `order()`
-    builds a chain once and keeps its order.
+    order, and `_first_stabilizer`, a point v with its stabilizer, (v, G_v).
+    Only `point_stabilizer` (the order read off the chain it was taken from,
+    so a chain built from the stabilizer stops early too) and
+    `automorphism_group` (both, from the search) pass them.  Without
+    `_order`, `order()` builds a chain once and keeps its order.
     """
 
     degree: int
     generators: tuple[Perm, ...] = ()
     _order: Optional[int] = field(default=None, kw_only=True)
     _first_stabilizer: Optional[tuple[int, PermutationGroup]] = field(default=None, kw_only=True)
-    _verified_on: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
+        if not _is_integer(self.degree):
+            raise StructuralError(f"degree {self.degree!r} is not an integer")
         degree = int(self.degree)
         points = list(range(degree))
         identity = tuple(points)
         gens = {}
-        for g in self.generators:
-            g = tuple(int(x) for x in g)
+        for k, g in enumerate(self.generators):
+            g = tuple(g)
+            if not {int}.issuperset(map(type, g)):  # numpy integers, or an entry to refuse
+                bad = next((i for i, x in enumerate(g) if not _is_integer(x)), None)
+                if bad is not None:
+                    raise StructuralError(f"generator [{k}][{bad}] = {g[bad]!r} is not an integer")
+                g = tuple(map(int, g))
             if sorted(g) != points:
                 raise StructuralError(f"not a permutation of 0..{degree - 1}: {g}")
             if g != identity:
@@ -378,6 +386,8 @@ class PermutationGroup:
     def point_stabilizer(self, i: int) -> "PermutationGroup":
         """The stabilizer of point i, generated by level 1 of a chain with base
         prefix (i,), told the group's order."""
+        if not _is_integer(i):
+            raise StructuralError(f"point index {i!r} is not an integer")
         if not 0 <= i < self.degree:
             raise StructuralError(f"point index {i} out of range")
         chain = _StabilizerChain(self.degree, self.generators, base_prefix=(i,),
@@ -636,46 +646,56 @@ def automorphism_group(graph: ColoredGraph) -> PermutationGroup:
     first = None
     if spine_orbits:  # the stabilizer's generators are some of the group's
         first = state["v0"], PermutationGroup(n, gens[:state["stabilizer_gens"]],
-                                              _order=math.prod(spine_orbits[:-1]),
-                                              _verified_on=graph.copied_from)
-    return PermutationGroup(n, gens, _order=math.prod(spine_orbits), _first_stabilizer=first,
-                            _verified_on=graph.copied_from)
+                                              _order=math.prod(spine_orbits[:-1]))
+    return PermutationGroup(n, gens, _order=math.prod(spine_orbits), _first_stabilizer=first)
 
 
 # --- fixed subspaces and group-balancedness ---------------------------------
+#
+# A group from outside is checked once, where it enters (`_check_group`).  The
+# search's own group kept only generators that passed its leaf test, and every
+# stabilizer is a subgroup of the group it was taken from, so neither is
+# checked again.
 
 
-def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
-    """Dimension of the subspace of span(C) fixed by the induced action.
+def _check_group(c: Configuration, group: PermutationGroup) -> None:
+    """Raise StructuralError unless the group acts on c's points and every
+    generator keeps the Gram matrix.  Generators are permutations of
+    range(degree) (`PermutationGroup`), so one degree test covers them all;
+    value-table colours are a bijection with the Gram values, so a
+    permutation that keeps every colour keeps every entry."""
+    if group.degree != c.size:
+        raise StructuralError(f"group degree {group.degree} does not match {c.size} points")
+    for p in group.generators:
+        pair = _moved_pair(c.gram.colours, np.array(p, dtype=np.intp))
+        if pair is not None:
+            raise StructuralError(
+                f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
+
+
+def _orbit_rank(c: Configuration, orbits: Sequence[Sequence[int]]) -> int:
+    """The rank of the orbit sums of c's points, for orbits that partition them.
 
     The fixed space of a permutation-induced orthogonal action on span(C) is
     spanned by the orbit sums, so its dimension is the rank of B X, with B
     the orbit indicator matrix and X the integer coordinates of the Gram
-    elimination (den * G = X W X^T, W a positive diagonal).  Value-table
-    colours are a bijection with the Gram values, so a permutation that
-    keeps every colour keeps every entry.
-
-    The check is skipped for a group the search verified on this very table:
-    its graph's colours are the table's off the diagonal, and the table's
-    diagonal is one colour, which every permutation keeps.
+    elimination (den * G = X W X^T, W a positive diagonal).
     """
-    if group._verified_on is not c.gram.colours:
-        for p in group.generators:
-            if len(p) != c.size:
-                raise StructuralError("permutation degree does not match configuration")
-            pair = _moved_pair(c.gram.colours, np.array(p, dtype=np.intp))
-            if pair is not None:
-                raise StructuralError(
-                    f"permutation does not preserve the Gram matrix at ({pair[0]},{pair[1]})")
-    orbs = group.orbits()
-    if len(orbs) == c.size:
+    if len(orbits) == c.size:
         # trivial action: B is a permutation matrix and rank(B X) = rank(X)
         return c.ambient_dim
     x = c.gram.elimination.x
     x = x.astype(int_dtype(c.size * int(np.abs(x).max())), copy=False)  # bounds every orbit sum
-    order = np.concatenate([np.asarray(o, dtype=np.intp) for o in orbs])
-    starts = np.cumsum([0] + [len(o) for o in orbs[:-1]])
+    order = np.concatenate([np.asarray(o, dtype=np.intp) for o in orbits])
+    starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
     return integer_rank(np.add.reduceat(x[order], starts, axis=0))
+
+
+def fixed_subspace_dim(c: Configuration, group: PermutationGroup) -> int:
+    """Dimension of the subspace of span(C) fixed by the induced action of
+    a group, which is checked first (`_check_group`)."""
+    _check_group(c, group)
+    return _orbit_rank(c, group.orbits())
 
 
 @dataclass(frozen=True)
@@ -684,10 +704,8 @@ class GroupBalanceVerdict:
     witnesses: tuple[int, ...]  # points whose stabilizer fixes more than a line
 
 
-def check_group_balanced(
-    c: Configuration, group: Optional[PermutationGroup] = None
-) -> GroupBalanceVerdict:
-    """True iff every point's stabilizer fixes only the line through it.
+def _group_balanced(c: Configuration, group: PermutationGroup) -> GroupBalanceVerdict:
+    """The verdict for a group of c's isometries, trusted unchecked.
 
     Conjugate stabilizers have equal fixed dimensions, so one representative
     per orbit is checked and the verdict extended orbit-wide.  For a group
@@ -695,14 +713,24 @@ def check_group_balanced(
     vertex uses the stabilizer the search found; every other orbit uses its
     least point.
     """
-    if group is None:
-        group = automorphism_group(colored_graph_from_config(c))
     v0, first = group._first_stabilizer or (None, None)
     witnesses: list[int] = []
     for orbit in group.orbits():
         stab = first if v0 in orbit else group.point_stabilizer(orbit[0])
-        dim = fixed_subspace_dim(c, stab)
-        if dim != 1:
+        if _orbit_rank(c, stab.orbits()) != 1:
             witnesses.extend(orbit)
     witnesses.sort()
     return GroupBalanceVerdict(group_balanced=not witnesses, witnesses=tuple(witnesses))
+
+
+def check_group_balanced(
+    c: Configuration, group: Optional[PermutationGroup] = None
+) -> GroupBalanceVerdict:
+    """True iff every point's stabilizer fixes only the line through it: in
+    c's isometry group, searched here, or in a given group, checked first
+    (`_check_group`)."""
+    if group is None:
+        group = automorphism_group(colored_graph_from_config(c))
+    else:
+        _check_group(c, group)
+    return _group_balanced(c, group)

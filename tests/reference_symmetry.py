@@ -10,7 +10,7 @@ before the first base point came to represent its orbit: each orbit's least
 point, with its stabilizer from this module's chain.  `preserves_colors` and
 `check_preserves_gram` are the two colour-array checks that
 `symmetry._moved_pair` replaced: the search's leaf test and the Gram check of
-`fixed_subspace_dim`.
+`symmetry._check_group`.
 """
 
 from collections import deque

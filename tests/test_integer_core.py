@@ -592,7 +592,7 @@ FORCED_SITES = {
     "exact._bareiss", "exact._tabulate", "exact.int_product", "exact.integer_rank",
     "balance._not_radial", "balance._violations",
     "lattice._confirmed", "lattice.kissing_configuration",
-    "symmetry._signature_table", "symmetry.fixed_subspace_dim",
+    "symmetry._signature_table", "symmetry._orbit_rank",
 }
 
 

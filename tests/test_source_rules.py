@@ -147,8 +147,6 @@ TRUSTED_SETTERS = {
     "_order": {"PermutationGroup.point_stabilizer", "automorphism_group"},
     # the stabilizer of the search's first individualized vertex
     "_first_stabilizer": {"automorphism_group"},
-    # the colour table every generator was checked against, by the search
-    "_verified_on": {"automorphism_group"},
 }
 
 
@@ -189,12 +187,11 @@ def test_trusted_order_is_set_only_where_it_is_known():
     assert misplaced_keywords("_order") == []
 
 
-def test_verified_table_is_set_only_by_the_search():
-    """`fixed_subspace_dim` skips its Gram check for a group verified on the
-    configuration's own colour table, so only the search, which checks every
-    generator it keeps, may build a group with `_verified_on`, or with the
-    `_first_stabilizer` it found."""
-    assert misplaced_keywords("_verified_on", "_first_stabilizer") == []
+def test_first_stabilizer_is_set_only_by_the_search():
+    """`check_group_balanced` uses a group's `_first_stabilizer` for the orbit
+    of its point, so only the search, which found it, may build a group with
+    it."""
+    assert misplaced_keywords("_first_stabilizer") == []
 
 
 def test_private_keyword_rule_sees_every_form():
@@ -204,12 +201,11 @@ def test_private_keyword_rule_sees_every_form():
         "        return G(1, (), _order=2)\n"
         "def automorphism_group(g):\n"
         "    return f(x, _order=1, _first_stabilizer=s, _verified_on=t, order=3)\n"
-        "h = PermutationGroup(2, _verified_on=c, **extra)\n"
+        "h = PermutationGroup(2, _order=c, **extra)\n"
     )
     assert private_keywords(tree) == [
         ("_order", "G.point_stabilizer", 3), ("_order", "automorphism_group", 5),
-        ("_first_stabilizer", "automorphism_group", 5), ("_verified_on", "automorphism_group", 5),
-        ("_verified_on", "", 6)]
+        ("_first_stabilizer", "automorphism_group", 5), ("_order", "", 6)]
 
 
 def argwhere_triu_calls(tree):

@@ -239,9 +239,36 @@ class TestOrbitsAndStabilizers:
         assert not contains(c5, (1, 0, 2, 3, 4))
 
 
+class TestIntegerInputs:
+    """The degree, every generator entry and a stabilized point are Python or
+    numpy integers, not bools; anything else would be truncated or parsed."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PermutationGroup(3, [(1, 0, 2.7)]), r"generator \[0\]\[2\] = 2.7 "),
+        (lambda: PermutationGroup(3, [(True, False, 2)]), r"generator \[0\]\[0\] = True "),
+        (lambda: PermutationGroup(3, [(1, 0, 2), ("1", "0", "2")]),
+         r"generator \[1\]\[0\] = '1' "),
+        (lambda: PermutationGroup(3, [(1.0, 0.0, 2.0)]), r"generator \[0\]\[0\] = 1.0 "),
+        (lambda: PermutationGroup(2.5), "degree 2.5 "),
+        (lambda: PermutationGroup(3, [(1, 0, 2)]).point_stabilizer(2.5), "point index 2.5 "),
+        (lambda: PermutationGroup(3, [(1, 0, 2)]).point_stabilizer(True), "point index True "),
+    ], ids=["float-entry", "bool-entries", "string-entries", "integral-floats", "float-degree",
+            "float-point", "bool-point"])
+    def test_non_integers_rejected(self, build, message):
+        with pytest.raises(StructuralError, match=f"^{message}is not an integer$"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        group = PermutationGroup(np.int64(3), [np.array([1, 0, 2]), (np.int32(0), 2, 1)])
+        assert group.degree == 3 and type(group.degree) is int
+        assert group.generators == ((1, 0, 2), (0, 2, 1))
+        assert all(type(x) is int for g in group.generators for x in g)
+        assert group.point_stabilizer(np.int64(2)).generators == ((1, 0, 2),)
+
+
 class TestBuiltOnce:
     @pytest.mark.parametrize(
-        "attr", ["degree", "generators", "_order", "_first_stabilizer", "_verified_on"])
+        "attr", ["degree", "generators", "_order", "_first_stabilizer"])
     def test_attributes_cannot_be_assigned(self, c7p, attr):
         group = automorphism_group(colored_graph_from_config(c7p))
         for g in (group, group.point_stabilizer(5), group._first_stabilizer[1]):

@@ -29,6 +29,7 @@ from balanced.constructors import (
 from balanced import symmetry
 from balanced.exact import Configuration, InvariantError, StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
+from balanced.report import build_report
 from balanced.symmetry import (
     ColoredGraph,
     PermutationGroup,
@@ -663,31 +664,57 @@ def test_sibling_keys_depend_on_colours_and_cells_only(c7p, wide):
     assert len({row.tobytes() for row in keys}) > 1
 
 
-def test_gram_check_skipped_only_for_the_search_on_its_own_table(c7p, monkeypatch):
-    """The search's group and its first stabilizer were checked on the colour
-    table `colored_graph_from_config` copied, so `fixed_subspace_dim` does not
-    check them again there; a chain's stabilizer, a hand-built group and an
-    equal table of another configuration are checked."""
+def test_gram_check_runs_where_a_group_enters(c7p, monkeypatch):
+    """A group from the search is trusted: `build_report` and
+    `check_group_balanced(c)` run the Gram check only in the search's leaf
+    test.  A group a caller passes in, a stabilizer of the search's own group
+    and the same group on an equal table of another configuration included,
+    is checked once per generator; the fixed dimensions do not change."""
     group = automorphism_group(colored_graph_from_config(c7p))
     v0, first = group._first_stabilizer
     stab = group.point_stabilizer(v0)
     twin = Configuration.from_gram(gram_entries(c7p.gram))
-    checked = []
-    moved_pair = symmetry._moved_pair
-    monkeypatch.setattr(symmetry, "_moved_pair", lambda *args: checked.append(1) or moved_pair(*args))
+    searching, calls = [], []  # calls: per check, whether the search was running
+    search, moved_pair = symmetry.automorphism_group, symmetry._moved_pair
 
-    def checks(c, g):
-        checked.clear()
-        dims.append(fixed_subspace_dim(c, g))
-        return len(checked)
+    def spied_search(graph):
+        searching.append(graph)
+        try:
+            return search(graph)
+        finally:
+            searching.pop()
 
+    monkeypatch.setattr(symmetry, "automorphism_group", spied_search)
+    monkeypatch.setattr(symmetry, "_moved_pair",
+                        lambda *args: calls.append(bool(searching)) or moved_pair(*args))
+
+    def checks(run):
+        calls.clear()
+        run()
+        return calls.count(True), calls.count(False)
+
+    searched, _ = checks(lambda: build_report(c7p))
+    assert searched > 0 and checks(lambda: build_report(c7p)) == (searched, 0)
+    assert checks(lambda: check_group_balanced(c7p)) == (searched, 0)
+    assert checks(lambda: check_group_balanced(c7p, group)) == (0, len(group.generators))
     dims = []
-    assert checks(c7p, group) == 0
-    assert checks(c7p, first) == 0
-    assert checks(c7p, stab) == len(stab.generators) > 0
-    assert checks(c7p, PermutationGroup(c7p.size, group.generators)) == len(group.generators)
-    assert checks(twin, group) == len(group.generators)
-    assert dims == [dims[0], dims[1], dims[1], dims[0], dims[0]]
+    for c, g in ((c7p, group), (c7p, first), (c7p, stab), (twin, group), (twin, stab)):
+        assert checks(lambda: dims.append(fixed_subspace_dim(c, g))) == (0, len(g.generators))
+    assert len(stab.generators) > 0
+    assert dims == [0, 1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("group, message", [
+    # regular: every point stabilizer is trivial, so no stabilizer has a generator
+    (PermutationGroup(28, [tuple(range(1, 28)) + (0,)]),
+     r"permutation does not preserve the Gram matrix at \(0,1\)"),
+    (PermutationGroup(5), "group degree 5 does not match 28 points"),  # no generator
+    (PermutationGroup(40), "group degree 40 does not match 28 points"),
+], ids=["regular", "trivial-degree-5", "trivial-degree-40"])
+def test_a_given_group_is_checked_by_both_functions(c7p, group, message):
+    for check in (fixed_subspace_dim, check_group_balanced):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            check(c7p, group)
 
 
 def test_hand_built_non_automorphism_still_raises(c7p):
