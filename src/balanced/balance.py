@@ -11,7 +11,8 @@ component of X_i.  A violation is reported in Gram form, as the deviation
 sum_j gram[j] - <sum_j x_j, x_i> gram[i] over the shell.
 
 The Euclidean analogue replaces shells by equal-distance sets and "multiple
-of x" by "centroid x".
+of x" by "centroid x".  A finite point set is the periodic set over the zero
+lattice, so one shell scan serves finite and periodic input alike.
 """
 
 from __future__ import annotations
@@ -124,7 +125,10 @@ def check_balanced_euclidean(
 
     For periodic input, `period` lists independent basis vectors and shells
     are gathered over all translates within the cutoff radius; one
-    representative per translation class is checked.
+    representative per translation class is checked.  A finite set is the
+    periodic set over the zero lattice, with an empty basis: it takes the
+    same shell scan, and without a cutoff its bound is the squared diagonal
+    of the points' bounding box, which no pair exceeds.
 
     Points and period are scaled once by S, the lcm of their coordinate
     denominators, so every translate, squared distance and shell sum is a
@@ -137,19 +141,18 @@ def check_balanced_euclidean(
         raise StructuralError(f"cutoff radius {r} is negative")
     if period is not None and r is None:
         raise StructuralError("periodic input requires a cutoff radius")
-    basis = None if period is None else _rational_rows(
+    basis = [] if period is None else _rational_rows(
         period, "period", len(pts[0]), "period basis is empty",
         "period basis dimension does not match points")
-    s = math.lcm(*(x.denominator for p in chain(pts, basis or ()) for x in p))
+    s = math.lcm(*(x.denominator for p in chain(pts, basis) for x in p))
     scaled = _scaled(pts, s)
-    bound = None if r is None else (r.numerator * s) ** 2 // r.denominator ** 2
-    if basis is None:
-        shells = _finite_shells(scaled, bound)
+    if r is None:
+        bound = sum((max(col) - min(col)) ** 2 for col in zip(*scaled))
     else:
-        shells = _periodic_shells(scaled, _scaled(basis, s), bound)
+        bound = (r.numerator * s) ** 2 // r.denominator ** 2
     violations = []
     any_shell = False
-    for i, buckets in enumerate(shells):
+    for i, buckets in enumerate(_shells(scaled, _scaled(basis, s), bound)):
         any_shell = any_shell or bool(buckets)
         violations += _centroid_violations(i, buckets, s)
     if r is not None and not any_shell and (period is not None or len(pts) > 1):
@@ -159,12 +162,6 @@ def check_balanced_euclidean(
 
 def _scaled(rows, s: int) -> list[list[int]]:
     return [[x.numerator * (s // x.denominator) for x in row] for row in rows]
-
-
-def _into_shell(buckets: dict, d2, diff) -> None:
-    """Add the difference vector y - x of one member to its shell's sum."""
-    acc = buckets.get(d2)
-    buckets[d2] = list(diff) if acc is None else list(map(add, acc, diff))
 
 
 def _centroid_violations(i: int, buckets: dict, s: int) -> list[Violation]:
@@ -177,31 +174,18 @@ def _centroid_violations(i: int, buckets: dict, s: int) -> list[Violation]:
     ]
 
 
-def _finite_shells(pts, bound):
-    """Per point, its distance shells within the integer bound, as sums."""
-    for i, x in enumerate(pts):
-        buckets: dict[int, list[int]] = {}
-        for j, y in enumerate(pts):
-            if j == i:
-                continue
-            diff = [b - a for a, b in zip(x, y)]
-            d2 = sum(map(mul, diff, diff))
-            if d2 == 0:
-                raise StructuralError(f"points {i} and {j} coincide")
-            if bound is None or d2 <= bound:
-                _into_shell(buckets, d2, diff)
-        yield buckets
-
-
-def _periodic_shells(pts, basis, bound):
+def _shells(pts, basis, bound):
     """Per point, its distance shells over all translates within the integer
-    bound, as sums.  One QuadraticForm of the basis Gram B B^T serves every
-    pair of points; the pair (a, b) adds lin = B (P_b - P_a) and
-    const = |P_b - P_a|^2."""
+    bound, as sums of the difference vectors y - x.  One QuadraticForm of the
+    basis Gram B B^T serves every pair of points; the pair (a, b) adds
+    lin = B (P_b - P_a) and const = |P_b - P_a|^2.  A finite set has the
+    empty basis of the zero lattice: its 0 x 0 form has the one translate
+    (), of value const, so each pair adds P_b - P_a when const <= bound."""
     try:
         form = lattice.QuadraticForm([[sum(map(mul, u, v)) for v in basis] for u in basis])
     except StructuralError:  # B B^T is positive definite iff B has independent rows
         raise StructuralError("period basis is not linearly independent") from None
+    modulo = " modulo the period lattice" if basis else ""
     for a, x in enumerate(pts):
         buckets: dict[int, list[int]] = {}
         for b, p in enumerate(pts):
@@ -213,12 +197,11 @@ def _periodic_shells(pts, basis, bound):
                 if d2 == 0:
                     if b == a and not any(t):
                         continue
-                    raise StructuralError(
-                        f"points {a} and {b} coincide modulo the period lattice"
-                    )
+                    raise StructuralError(f"points {a} and {b} coincide{modulo}")
                 diff = delta
                 for tk, v in zip(t, basis):
                     if tk:
                         diff = [y + tk * w for y, w in zip(diff, v)]
-                _into_shell(buckets, d2, diff)
+                acc = buckets.get(d2)  # lists are replaced, never changed in place
+                buckets[d2] = diff if acc is None else list(map(add, acc, diff))
         yield buckets

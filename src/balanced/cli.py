@@ -245,7 +245,7 @@ def symmetry_cmd(file, show_orbits, stabilizer):
             "point": stabilizer,
             "order": str(stab.order()),
             "generators": [list(g) for g in stab.generators],
-            "fixed_subspace_dim": symmetry.fixed_subspace_dim(c, stab),
+            "fixed_subspace_dim": symmetry._orbit_rank(c, stab.orbits()),  # a subgroup: trusted
         }
     _echo(doc)
 

@@ -3,8 +3,8 @@
 The enumerator is an integer Fincke-Pohst: its bounds come from the Bareiss
 pivots and minors of the scaled Gram matrix and are compared exactly with
 math.isqrt, so completeness never depends on floating point.  The affine
-variant (linear + constant term) is shared with the periodic Euclidean
-balance check.
+variant (linear + constant term) is shared with every Euclidean balance
+check, finite or periodic.
 """
 
 from __future__ import annotations

@@ -319,8 +319,8 @@ class _StabilizerChain:
 class PermutationGroup:
     """Permutation group given by generators, checked and deduplicated when
     built; no attribute can be assigned afterwards.  The degree and every
-    generator entry are integers (`_is_integer`), and every generator is a
-    permutation of range(degree).
+    generator entry are integers (`_is_integer`), the degree is not negative,
+    and every generator is a permutation of range(degree).
 
     The private keywords hold what the group's maker knows: `_order`, the
     order, and `_first_stabilizer`, a point v with its stabilizer, (v, G_v).
@@ -339,6 +339,8 @@ class PermutationGroup:
         if not _is_integer(self.degree):
             raise StructuralError(f"degree {self.degree!r} is not an integer")
         degree = int(self.degree)
+        if degree < 0:
+            raise StructuralError(f"degree {degree} is negative")
         points = list(range(degree))
         identity = tuple(points)
         gens = {}

@@ -308,6 +308,13 @@ def test_euclidean_check_matches_fraction_reference(case):
     ([["-1"], ["0"], ["1"]], None, None),
     ([["-1/2"], ["0"], ["1/3"], ["5/6"]], None, "1/2"),
     ([[0, 0], [1, 0], ["1/2", "1/2"]], None, 1),
+    ([[0, 0], [3, 4]], None, None),  # the pair spans the bounding box: d2 == bound
+    ([[0, 0], [3, 4]], None, 5),
+    ([[0, 0], [3, 4]], None, "49/10"),  # below the one distance
+    ([[]], None, None),  # 0-dimensional points
+    ([[], []], None, None),
+    ([[0], [1], [1]], None, None),  # finite coincidence
+    ([[0], [1], [3]], None, 0),
 ])
 def test_euclidean_examples_match_fraction_reference(points, period, cutoff):
     import reference_balance as ref

@@ -258,6 +258,11 @@ class TestIntegerInputs:
         with pytest.raises(StructuralError, match=f"^{message}is not an integer$"):
             build()
 
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_negative_degree_rejected(self, degree):
+        with pytest.raises(StructuralError, match=f"^degree {degree} is negative$"):
+            PermutationGroup(degree)
+
     def test_numpy_integers_accepted(self):
         group = PermutationGroup(np.int64(3), [np.array([1, 0, 2]), (np.int32(0), 2, 1)])
         assert group.degree == 3 and type(group.degree) is int

@@ -8,6 +8,7 @@ against all N! permutations.
 """
 
 import hashlib
+import json
 import math
 import random
 import sys
@@ -15,6 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import reference_symmetry as ref
@@ -27,6 +29,8 @@ from balanced.constructors import (
     simplex_midpoints,
 )
 from balanced import symmetry
+from balanced.cli import main
+from balanced.files import write_configuration
 from balanced.exact import Configuration, InvariantError, StructuralError
 from balanced.lattice import bundled_lattice, kissing_configuration
 from balanced.report import build_report
@@ -664,12 +668,13 @@ def test_sibling_keys_depend_on_colours_and_cells_only(c7p, wide):
     assert len({row.tobytes() for row in keys}) > 1
 
 
-def test_gram_check_runs_where_a_group_enters(c7p, monkeypatch):
-    """A group from the search is trusted: `build_report` and
-    `check_group_balanced(c)` run the Gram check only in the search's leaf
-    test.  A group a caller passes in, a stabilizer of the search's own group
-    and the same group on an equal table of another configuration included,
-    is checked once per generator; the fixed dimensions do not change."""
+def test_gram_check_runs_where_a_group_enters(c7p, monkeypatch, tmp_path):
+    """A group from the search is trusted: `build_report`,
+    `check_group_balanced(c)` and `symmetry --stabilizer`, which takes a
+    subgroup of it, run the Gram check only in the search's leaf test.  A
+    group a caller passes in, a stabilizer of the search's own group and the
+    same group on an equal table of another configuration included, is
+    checked once per generator; the fixed dimensions do not change."""
     group = automorphism_group(colored_graph_from_config(c7p))
     v0, first = group._first_stabilizer
     stab = group.point_stabilizer(v0)
@@ -702,6 +707,15 @@ def test_gram_check_runs_where_a_group_enters(c7p, monkeypatch):
         assert checks(lambda: dims.append(fixed_subspace_dim(c, g))) == (0, len(g.generators))
     assert len(stab.generators) > 0
     assert dims == [0, 1, 1, 0, 1]
+    checked = [fixed_subspace_dim(c7p, group.point_stabilizer(i)) for i in range(c7p.size)]
+    path = tmp_path / "c7p.json"
+    write_configuration(c7p, path)
+    for i in range(c7p.size):
+        args = ["symmetry", "--orbits", "--stabilizer", str(i), str(path)]
+        res = []
+        assert checks(lambda: res.append(CliRunner().invoke(main, args))) == (searched, 0)
+        assert res[0].exit_code == 0
+        assert json.loads(res[0].output)["stabilizer"]["fixed_subspace_dim"] == checked[i]
 
 
 @pytest.mark.parametrize("group, message", [
