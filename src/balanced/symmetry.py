@@ -12,7 +12,8 @@ the first smallest non-singleton cell, compare leaves against the first
 leaf, prune siblings by orbits of the group found so far (on the leftmost
 path) and by refinement traces elsewhere.  The trace is a node's invariant:
 a refinement off the leftmost path fails at the first split that departs
-from the leftmost path's trace at the same depth, or if it ends short of it.
+from the leftmost path's trace at the same depth, or if it ends short of it,
+and stops once it has matched it.
 When a cell splits, every subcell but the last is queued: the last one's
 counts are its parent's minus its siblings', and both have refined the
 partition before it would be popped, so it could split nothing.
@@ -423,9 +424,22 @@ def _refine(weights: np.ndarray, cells: list[tuple[int, ...]], splitters,
     Subcells replace their parent in signature order, so the cell sequence
     and the trace are isomorphism-invariant.  Given the trace expected at
     this depth, it returns None as soon as its own trace departs from it, or
-    if it ends short of it.  The trace is the node's invariant: it records
-    every split's cell and subcell sizes, so from equal cell sizes equal
-    traces give equal cell sizes.
+    if it ends short of it, and stops once it has matched it: after the
+    splitter whose pass completes the expected trace (a further split in
+    that pass still departs), with the rest of the queue unpopped.  The
+    trace is the node's invariant: it records every split's cell and subcell
+    sizes, so from equal cell sizes equal traces give equal cell sizes.
+
+    The stop changes no result.  Equal traces put each individualized
+    vertex at the same leaf position, so the automorphism a successful leaf
+    finds maps the leftmost path's individualized vertices onto its own
+    path's, and with them the spine's nodes onto that path's nodes.  Each of
+    those nodes therefore keeps the spine's full trace, and a full trace has
+    no split after its last step: the unpopped splitters would split
+    nothing, and the cells are those of the full refinement.  A node that
+    the full refinement would fail for a split past the expected trace is on
+    no such path; it holds no automorphism and still fails, only later (its
+    cells need not be equitable, which only its own descendants see).
 
     A split queues every subcell but the last: against any vertex, its count
     is its parent's minus its siblings'.  The queue is FIFO, so before the
@@ -441,7 +455,7 @@ def _refine(weights: np.ndarray, cells: list[tuple[int, ...]], splitters,
     queue = deque(splitters)
     trace = []
     wide = [(ci, itemgetter(*cell)) for ci, cell in enumerate(cells) if len(cell) > 1]
-    while queue and wide:
+    while queue and wide and (expected is None or len(trace) < len(expected)):
         splitter = queue.popleft()
         if len(splitter) == 1:
             signature = weights[splitter[0]].tolist()
@@ -713,13 +727,18 @@ def _group_balanced(c: Configuration, group: PermutationGroup) -> GroupBalanceVe
     per orbit is checked and the verdict extended orbit-wide.  For a group
     from `automorphism_group`, the orbit of the search's first individualized
     vertex uses the stabilizer the search found; every other orbit uses its
-    least point.
+    least point.  A regular orbit, as long as the group's order, has trivial
+    stabilizers, which fix all of span(C): it takes no stabilizer chain.
     """
     v0, first = group._first_stabilizer or (None, None)
     witnesses: list[int] = []
     for orbit in group.orbits():
-        stab = first if v0 in orbit else group.point_stabilizer(orbit[0])
-        if _orbit_rank(c, stab.orbits()) != 1:
+        if len(orbit) == group.order():
+            dim = c.ambient_dim
+        else:
+            stab = first if v0 in orbit else group.point_stabilizer(orbit[0])
+            dim = _orbit_rank(c, stab.orbits())
+        if dim != 1:
             witnesses.extend(orbit)
     witnesses.sort()
     return GroupBalanceVerdict(group_balanced=not witnesses, witnesses=tuple(witnesses))

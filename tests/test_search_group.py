@@ -208,6 +208,23 @@ def test_group_balanced_builds_chains_only_off_the_first_orbit(c7p, chains):
     assert chains == [((other[0],), 384)]
 
 
+@pytest.mark.parametrize("seed", [None, 1], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", ["paulus_r", "paulus_s"])
+def test_group_balanced_builds_no_chain_for_regular_orbits(name, seed, request, tmp_path,
+                                                           chains):
+    """A Paulus group is trivial, so each of its 25 orbits is regular and
+    every point stabilizer is trivial: it fixes all of span(C), more than a
+    line, and takes no chain, in the library or in `check group-balanced`."""
+    c = atlas_config(name, seed, request)
+    verdict = check_group_balanced(c)
+    assert verdict.witnesses == tuple(range(c.size)) and c.ambient_dim > 1
+    f = tmp_path / f"{name}.json"
+    write_configuration(c, f)
+    code, doc = run_cli(["check", "group-balanced", str(f)])
+    assert code == 1 and doc["group_balanced"] is False
+    assert chains == []
+
+
 def test_group_balanced_with_a_hand_built_group_builds_prefix_chains(c7p, chains):
     """Without the search's stabilizer every orbit takes a chain: the group's
     own (untold, for the order) and one prefix chain per orbit, told the

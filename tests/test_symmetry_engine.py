@@ -560,7 +560,9 @@ def test_each_vertex_keyed_once_per_partition(name, seed, request, monkeypatch):
 
 def test_refine_fails_a_trace_it_ends_short_of(paulus_r):
     """Matched step by step, a trace one step short of the expected one
-    still fails, as does one step past it."""
+    still fails.  A refinement stops once it has matched the expected trace:
+    an empty one leaves the cells as given, while a split past the last
+    expected step in the same splitter's pass still fails."""
     graph = colored_graph_from_config(paulus_r)
     weights = _signature_table(graph.edge_colors, graph.n_edge_colors)
     rest = tuple(range(1, graph.size))
@@ -568,7 +570,12 @@ def test_refine_fails_a_trace_it_ends_short_of(paulus_r):
     assert trace
     assert _refine(weights, [(0,), rest], [(0,)], trace) == (cells, trace)
     assert _refine(weights, [(0,), rest], [(0,)], trace + trace[-1:]) is None
-    assert _refine(weights, [(0,), rest], [(0,)], trace[:-1]) is None
+    assert _refine(weights, [(0,), rest], [(0,)], ()) == ([(0,), rest], ())
+    # vertex 1's pass splits both cells that vertex 0's split off: steps 2 and 3
+    start = [(0,), (1,), tuple(range(2, graph.size))]
+    _, trace = _refine(weights, start, [(0,), (1,)])
+    assert _refine(weights, start, [(0,), (1,)], trace[:3])[1] == trace[:3]
+    assert _refine(weights, start, [(0,), (1,)], trace[:2]) is None
 
 
 @pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
@@ -597,6 +604,36 @@ def test_the_trace_fixes_the_cell_sizes(name, relabelled, request, monkeypatch):
     monkeypatch.setattr(symmetry, "_refine", spy)
     automorphism_group(colored_graph_from_config(c))
     assert survivors and all(survivors)
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_a_stopped_refinement_is_the_full_one_when_the_traces_match(
+        name, relabelled, request, monkeypatch):
+    """Whenever an off-spine node's full refinement yields the spine's trace,
+    the refinement that stops once it has matched that trace returns the
+    same cells and trace; any other off-spine refinement fails or returns
+    the spine's trace."""
+    c = ENGINE_CASES[name](request)
+    if relabelled:
+        c = relabel(c, seed=sum(map(ord, name)))
+    matched = []
+    refine = symmetry._refine
+
+    def spy(weights, cells, splitters, expected=None):
+        out = refine(weights, cells, splitters, expected)
+        if expected is not None:
+            full = refine(weights, cells, splitters)
+            if full[1] == expected:
+                assert out == full
+                matched.append(cells)
+            else:
+                assert out is None or out[1] == expected
+        return out
+
+    monkeypatch.setattr(symmetry, "_refine", spy)
+    automorphism_group(colored_graph_from_config(c))
+    assert matched
 
 
 def check_search_against_reference(graph):
