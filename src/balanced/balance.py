@@ -180,7 +180,8 @@ def _shells(pts, basis, bound):
     basis Gram B B^T serves every pair of points; the pair (a, b) adds
     lin = B (P_b - P_a) and const = |P_b - P_a|^2.  A finite set has the
     empty basis of the zero lattice: its 0 x 0 form has the one translate
-    (), of value const, so each pair adds P_b - P_a when const <= bound."""
+    (), of value const, so each pair adds P_b - P_a when const <= bound, and
+    a pair beyond the bound is skipped before any enumeration starts."""
     try:
         form = lattice.QuadraticForm([[sum(map(mul, u, v)) for v in basis] for u in basis])
     except StructuralError:  # B B^T is positive definite iff B has independent rows
@@ -190,10 +191,11 @@ def _shells(pts, basis, bound):
         buckets: dict[int, list[int]] = {}
         for b, p in enumerate(pts):
             delta = [pb - xa for pb, xa in zip(p, x)]
-            lin = [sum(map(mul, v, delta)) for v in basis]
             const = sum(map(mul, delta, delta))
-            for t, value in lattice.enumerate_quadratic(form, lin, const, bound):
-                d2 = value.numerator  # an integer: so is every term of the form
+            if const > bound and not basis:
+                continue
+            lin = [sum(map(mul, v, delta)) for v in basis]
+            for t, d2 in lattice.enumerate_quadratic(form, lin, const, bound):
                 if d2 == 0:
                     if b == a and not any(t):
                         continue

@@ -1,10 +1,11 @@
 """Exact short-vector enumeration and kissing configurations.
 
-The enumerator is an integer Fincke-Pohst: its bounds come from the Bareiss
-pivots and minors of the scaled Gram matrix and are compared exactly with
-math.isqrt, so completeness never depends on floating point.  The affine
-variant (linear + constant term) is shared with every Euclidean balance
-check, finite or periodic.
+The enumerator is an integer Fincke-Pohst: integers in, integers out.  Its
+bounds come from the Bareiss pivots and minors of an integer Gram matrix and
+are compared exactly with math.isqrt, so completeness never depends on
+floating point.  The affine variant (linear + constant term) is shared with
+every Euclidean balance check, finite or periodic, whose points are scaled to
+integers before they get here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from importlib import resources
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -30,33 +30,32 @@ from .exact import (
     check_labels,
     int_dtype,
     int_product,
-    rational,
     require,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """A positive definite rational Gram matrix G, validated and eliminated once.
+    """A positive definite integer Gram matrix A, validated and eliminated once.
 
-    A = den * G is coded and eliminated as a GramMatrix is: `pivots` holds its
-    Bareiss pivots p_k and `below[k]` the minors a_jk (j > k) under pivot k,
-    as Python ints.  Full rank with every pivot positive makes A positive
+    A is coded and eliminated as a GramMatrix is: `pivots` holds its Bareiss
+    pivots p_k and `below[k]` the minors a_jk (j > k) under pivot k, as
+    Python ints.  Full rank with every pivot positive makes A positive
     definite, so no pivot was moved.
     """
 
     rows: InitVar[object]
-    den: int = field(init=False)
     pivots: tuple[int, ...] = field(init=False)
     below: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self, rows):
         den, _, _, scaled = _tabulate(rows)
-        elim = _psd_elimination(den, scaled)
+        if den != 1:
+            raise StructuralError("quadratic form is not integral")
+        elim = _psd_elimination(1, scaled)
         if elim is None or elim.rank < len(scaled):
             raise StructuralError("quadratic form is not positive definite")
         columns = elim.x.T.tolist()
-        object.__setattr__(self, "den", den)
         object.__setattr__(self, "pivots", elim.pivots)
         object.__setattr__(self, "below", tuple(tuple(c[k + 1:]) for k, c in enumerate(columns)))
 
@@ -91,60 +90,45 @@ class LatticeGram:
         return len(self.entries)
 
 
-def _exact(x):
-    """An int as it is, anything else as a Fraction: both have a numerator
-    and a denominator, and ints need no parsing."""
-    return x if type(x) is int else rational(x)
-
-
 def enumerate_quadratic(
     form: QuadraticForm,
-    lin: Sequence,
-    const,
-    bound,
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All integer z with z^T G z + 2 lin.z + const <= bound, with values.
+    lin: Sequence[int],
+    const: int,
+    bound: int,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All integer z with z^T A z + 2 b.z + c <= B, with values.
 
-    G is given as its QuadraticForm, so many affine terms share one
-    elimination.  Yields (z, value) pairs; the order follows the enumeration
-    tree (last coordinate outermost, ascending).
+    A is given as its QuadraticForm, so many affine terms share one
+    elimination; b = lin, c = const and B = bound must be Python ints, and
+    every value yielded is one.  Yields (z, value) pairs; the order follows
+    the enumeration tree (last coordinate outermost, ascending).
 
-    Everything is scaled by the common denominator s to integers A, b, c and
-    B.  The symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the
-    pivots p_k of A (p_{-1} = 1), the minors a_jk below them, beta_k = the
+    The symmetric Bareiss elimination of [[A, b], [b^T, c]] gives the pivots
+    p_k of A (p_{-1} = 1), the minors a_jk below them, beta_k = the
     eliminated b_k, and e = the eliminated c = p_{d-1} (c - b^T A^-1 b).  The
     first d steps never touch the border, so A's pivots and minors come from
-    the QuadraticForm (scaled by m^(k+1) at step k when s = m * den) and only
-    the last row is finished per call: beta_k is that row's entry k after k
-    steps, step k replacing each later entry r_j by
-    (p_k r_j - beta_k a_jk) / p_{k-1} (with a_dk = beta_k), and e is its last
-    entry after d steps.  With t_k = p_k z_k + beta_k + sum_{j>k} a_jk z_j
+    the QuadraticForm and only the last row is finished per call: beta_k is
+    that row's entry k after k steps, step k replacing each later entry r_j
+    by (p_k r_j - beta_k a_jk) / p_{k-1} (with a_dk = beta_k), and e is its
+    last entry after d steps.  With t_k = p_k z_k + beta_k + sum_{j>k} a_jk z_j
     the form equals sum_k t_k^2 / (p_k p_{k-1}) + e / p_{d-1}, so after
     multiplying by a common multiple D of the p_k p_{k-1} every level tests
     an integer w_k t_k^2 against an integer budget, and the interval of z_k
     follows from math.isqrt.
     """
-    lin = [_exact(x) for x in lin]
-    const, bound = _exact(const), _exact(bound)
+    for x in (*lin, const, bound):
+        if type(x) is not int:
+            raise StructuralError(f"enumeration term {x!r} is not an int")
     d = form.dim
     if len(lin) != d:
         raise StructuralError("linear term has wrong dimension")
     if d == 0:
         if const <= bound:
-            yield (), rational(const)
+            yield (), const
         return
-    s = math.lcm(form.den, *(x.denominator for x in (*lin, const, bound)))
-
-    def scale(x) -> int:
-        return x.numerator * (s // x.denominator)
-
-    pivots, below = list(form.pivots), form.below
-    m = s // form.den
-    if m > 1:  # the minors of order k + 1 of m * A
-        pivots = [p * m ** (k + 1) for k, p in enumerate(pivots)]
-        below = [[a * m ** (k + 1) for a in col] for k, col in enumerate(below)]
-    prev = [1] + pivots[:-1]
-    row = [scale(x) for x in lin] + [scale(const)]  # the border, finished in place
+    pivots, below = form.pivots, form.below
+    prev = (1,) + pivots[:-1]
+    row = [*lin, const]  # the border, finished in place
     beta = []
     for k, (p, q, col) in enumerate(zip(pivots, prev, below)):
         f = row[k]
@@ -152,7 +136,7 @@ def enumerate_quadratic(
         row[k + 1:] = [(p * r - f * a) // q for r, a in zip(row[k + 1:], (*col, f))]
     delta = math.lcm(*(p * q for p, q in zip(pivots, prev)))
     weight = [delta // (p * q) for p, q in zip(pivots, prev)]
-    top = delta * scale(bound)
+    top = delta * bound
     budget = top - delta // pivots[-1] * row[d]
     if budget < 0:
         return
@@ -182,7 +166,7 @@ def enumerate_quadratic(
             k -= 1
             enter(k)
         else:
-            yield tuple(z), Fraction(top - rem[0], delta * s)
+            yield tuple(z), (top - rem[0]) // delta
             z[0] += 1
 
 
@@ -230,9 +214,8 @@ def _minimal_vectors(g: LatticeGram) -> tuple[int, list[tuple[int, ...]]]:
                 best, found = value, []
             found.append(vec)
     require(best is not None, "enumeration missed the basis vectors")  # e_i attains the bound
-    require(best.denominator == 1, "integer form has a non-integer minimal norm")
     found.sort()
-    return int(best), found
+    return best, found
 
 
 def minimal_norm(g: LatticeGram) -> int:

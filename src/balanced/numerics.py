@@ -151,12 +151,25 @@ def _require_tolerance(p: CoordinateSet, tol: float) -> None:
     p._distinct_at.add(tol)
 
 
+def _differences(p: CoordinateSet, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """p_i - p_j over the index arrays i and j, broadcast, which reach each
+    pair i < j in row-major order before its twin (j, i); refused, naming the
+    first such pair, when a difference overflows float64."""
+    with np.errstate(over="ignore"):  # refused below
+        diff = p.points[i] - p.points[j]
+    if not np.isfinite(diff).all():  # one pass; the per-pair test only on failure
+        far = ~np.isfinite(diff).all(axis=-1)
+        a, b = (int(x[far][0]) for x in np.broadcast_arrays(i, j))
+        raise StructuralError(f"points {a} and {b} are too far apart: "
+                              "their difference overflows float64")
+    return diff
+
+
 def energy(p: CoordinateSet, s: float) -> float:
     """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s, from the
     differences of the pairs i < j alone."""
     _require_positive("exponent s", s)
-    i, j = np.triu_indices(p.size, k=1)
-    diff = p.points[i] - p.points[j]
+    diff = _differences(p, *np.triu_indices(p.size, k=1))
     pair = np.sqrt((diff**2).sum(axis=1))
     if (pair == 0).any():
         raise StructuralError("coincident points have infinite energy")
@@ -178,7 +191,7 @@ def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     the negative gradient of the pair energy.
     """
     _require_positive("exponent s", s)
-    diff = p.points[:, None, :] - p.points[None, :, :]
+    diff = _differences(p, np.arange(p.size)[:, None], np.arange(p.size))
     dist = np.sqrt((diff**2).sum(axis=2))
     off = ~np.eye(p.size, dtype=bool)
     if (dist[off] == 0).any():

@@ -204,6 +204,27 @@ class TestEuclidean:
         with pytest.raises(StructuralError, match="cutoff"):
             check_balanced_euclidean([[0, 0]], period=[[1, 0], [0, 1]])
 
+    def test_a_finite_pair_beyond_the_cutoff_starts_no_enumeration(self, monkeypatch):
+        """A pair of a finite set farther apart than the cutoff has no
+        translate within it: it makes no generator, and the report is the
+        reference's."""
+        import reference_balance as ref
+        from balanced import lattice
+
+        consts = []
+        real = lattice.enumerate_quadratic
+        monkeypatch.setattr(lattice, "enumerate_quadratic",
+                            lambda *args: consts.append(args[2]) or real(*args))
+        check_balanced_euclidean([["0"], ["1"], ["9"]], cutoff=2)
+        assert sorted(consts) == [0, 0, 0, 1, 1]  # three self-pairs, 0-1 and 1-0
+        consts.clear()
+        points = random.Random(5).sample(list(product(range(-2, 3), repeat=4)), 30)
+        rep = check_balanced_euclidean(points, cutoff=2)
+        near = [sum((a - b) ** 2 for a, b in zip(p, q)) for p in points for q in points]
+        assert sorted(consts) == sorted(d2 for d2 in near if d2 <= 4)
+        assert len(consts) < len(near)
+        assert rep == ref.check_balanced_euclidean(points, cutoff=2)
+
 
 # --- the integer Euclidean check against the Fraction reference ---------------
 

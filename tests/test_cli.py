@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +699,22 @@ def test_points_closer_than_tol_coincide(runner, tmp_path):
     assert res.stderr == "error: points 0 and 1 coincide (inner product >= 1 - 1e-06)\n"
     res = invoke(runner, ["check", "balanced", str(f), "--tol", "1e-9"])
     assert res.exit_code in (0, 1) and res.stderr == ""
+
+
+@pytest.mark.parametrize("command", [["energy", "-s", "1"], ["force", "-s", "1"]])
+def test_a_pair_difference_past_float64_exits_2(runner, tmp_path, command):
+    """Two finite points whose difference overflows float64 would give a
+    NaN force or a 0.0 energy; both commands refuse them, warning nothing."""
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps({"coords": [[1, 0], [1e308, 1e308], [-1e308, 1e308], [0, 1]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(runner, [*command, str(f)])
+    assert caught == []
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: points 1 and 2 are too far apart: "
+                          "their difference overflows float64\n")
 
 
 @pytest.mark.parametrize("args", [["construct", "c7prime"], ["construct", "kissing", "d4"]])

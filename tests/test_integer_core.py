@@ -222,11 +222,33 @@ def test_denominator_past_int64(den):
 # --- enumeration --------------------------------------------------------------
 
 
+def common_denominator(*values):
+    """s, the lcm of the denominators of every value: the one scale that
+    makes a rational case the integer case the enumerator takes."""
+    return math.lcm(*(Fraction(x).denominator for x in values))
+
+
+def times(s, x):
+    """s x as an int, for s a multiple of the denominator of x."""
+    return int(Fraction(x) * s)
+
+
+def enumerated(form, s, lin, const, bound):
+    """The (z, value / s) pairs of one integer enumeration of form with the
+    affine terms scaled by s, once every z and value has been checked to be
+    an int."""
+    raw = list(enumerate_quadratic(
+        form, [times(s, x) for x in lin], times(s, const), times(s, bound)))
+    assert all(type(x) is int for z, _ in raw for x in z)
+    assert all(type(v) is int for _, v in raw)
+    return [(z, Fraction(v, s)) for z, v in raw]
+
+
 def check_enumeration(gram, lin, const, bound):
-    got = list(enumerate_quadratic(QuadraticForm(gram), lin, const, bound))
+    s = common_denominator(*(x for row in gram for x in row), *lin, const, bound)
+    form = QuadraticForm([[times(s, x) for x in row] for row in gram])
+    got = enumerated(form, s, lin, const, bound)
     assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
-    assert all(type(x) is int for z, _ in got for x in z)
-    assert all(type(v) is Fraction for _, v in got)
     return got
 
 
@@ -332,14 +354,15 @@ def test_affine_forms_match_reference_and_box(form):
 
 
 def check_prepared(gram, affine_terms):
-    """One QuadraticForm of gram, enumerated with every (lin, const, bound),
-    yields what the reference yields."""
-    form = QuadraticForm(gram)
+    """One QuadraticForm of s gram, enumerated with every (lin, const, bound)
+    scaled by s, the common denominator of them all, yields what the
+    reference yields."""
+    s = common_denominator(*(x for row in gram for x in row),
+                           *(x for lin, const, bound in affine_terms for x in (*lin, const, bound)))
+    form = QuadraticForm([[times(s, x) for x in row] for row in gram])
     for lin, const, bound in affine_terms:
-        got = list(enumerate_quadratic(form, lin, const, bound))
+        got = enumerated(form, s, lin, const, bound)
         assert got == list(ref.enumerate_quadratic(gram, lin, const, bound))
-        assert all(type(x) is int for z, _ in got for x in z)
-        assert all(type(v) is Fraction for _, v in got)
 
 
 @st.composite
@@ -357,8 +380,8 @@ def test_prepared_form_matches_reference(case):
 
 @pytest.mark.parametrize("name, bound", [("d4", 3), ("e8", 3), ("z3", 4)])
 def test_prepared_bundled_form_with_affine_terms(name, bound):
-    """Half-integral and thirds in the affine terms scale the form's minors
-    by powers of the extra denominator; integer terms leave them as they are."""
+    """Halves, thirds and sixths in the affine terms scale the whole case,
+    the form with it, by 6 before one form serves every term."""
     gram = [list(row) for row in bundled_lattice(name).entries]
     d = len(gram)
     rng = random.Random(name)
@@ -390,13 +413,17 @@ def test_zero_budget_and_empty_ellipsoid():
 
 
 def check_form(gram, form):
-    """The QuadraticForm of gram holds den, the pivots and the minors under
-    them of the reference elimination, which moved no pivot, as Python ints."""
+    """The QuadraticForm of gram's scaled integer rows holds the pivots and
+    the minors under them of their reference elimination, which moved no
+    pivot, as Python ints; gram itself is refused unless it is those rows."""
     den, rows = ref.scaled(gram)
+    if den > 1:
+        with pytest.raises(StructuralError, match="^quadratic form is not integral$"):
+            QuadraticForm(gram)
     perm, pivots, columns = ref.elimination(rows)
     d = len(gram)
     assert perm == tuple(range(d))
-    assert (form.dim, form.den, form.pivots) == (d, den, pivots)
+    assert (form.dim, form.pivots) == (d, pivots)
     assert form.below == tuple(tuple(columns[j][k] for j in range(k + 1, d)) for k in range(d))
     assert all(type(x) is int for x in form.pivots + sum(form.below, ()))
 
@@ -415,7 +442,7 @@ def definite_forms(draw):
 @settings(max_examples=200, deadline=None)
 @given(definite_forms())
 def test_form_matches_reference_elimination(gram):
-    check_form(gram, QuadraticForm(gram))
+    check_form(gram, QuadraticForm(ref.scaled(gram)[1]))
 
 
 @pytest.mark.parametrize("name", ["d4", "e8", "k12", "leech"])
@@ -427,8 +454,9 @@ def test_bundled_forms_match_reference_elimination(name):
 
 def test_empty_form():
     form = QuadraticForm([])
-    assert (form.dim, form.den, form.pivots, form.below) == (0, 1, (), ())
-    assert list(enumerate_quadratic(form, [], 1, 2)) == [((), Fraction(1))]
+    assert (form.dim, form.pivots, form.below) == (0, (), ())
+    got = list(enumerate_quadratic(form, [], 1, 2))
+    assert got == [((), 1)] and type(got[0][1]) is int
 
 
 @pytest.mark.parametrize(

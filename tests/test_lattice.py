@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,7 +124,12 @@ class TestEnumerateQuadratic:
         lin = [Fraction(1, 2), Fraction(-1)]
         const = Fraction(3, 4)
         bound = Fraction(6)
-        got = {v: q for v, q in enumerate_quadratic(QuadraticForm(gram), lin, const, bound)}
+        s = math.lcm(*(x.denominator for x in (*lin, const, bound)))  # 4
+        form = QuadraticForm([[s * x for x in row] for row in gram])
+        raw = list(enumerate_quadratic(
+            form, [int(s * x) for x in lin], int(s * const), int(s * bound)))
+        assert all(type(q) is int for _, q in raw)
+        got = {v: Fraction(q, s) for v, q in raw}
         want = {}
         for a in range(-6, 7):
             for b in range(-6, 7):
@@ -136,13 +142,26 @@ class TestEnumerateQuadratic:
         assert got == want
 
     def test_zero_dimensional(self):
-        assert list(enumerate_quadratic(QuadraticForm([]), [], Fraction(1), Fraction(2))) == [
-            ((), Fraction(1))
-        ]
+        got = list(enumerate_quadratic(QuadraticForm([]), [], 1, 2))
+        assert got == [((), 1)] and type(got[0][1]) is int
 
     def test_rejects_indefinite(self):
         with pytest.raises(StructuralError):
             QuadraticForm([[1, 2], [2, 1]])
+
+    def test_rejects_a_form_that_is_not_integral(self):
+        with pytest.raises(StructuralError, match="^quadratic form is not integral$"):
+            QuadraticForm([["1/2"]])
+
+    @pytest.mark.parametrize("x", [Fraction(1), True, 1.0, np.int64(1)],
+                             ids=["fraction", "bool", "float", "numpy"])
+    @pytest.mark.parametrize("where", ["lin", "const", "bound"])
+    def test_refuses_terms_that_are_not_ints(self, x, where):
+        terms = {"lin": [0, 0], "const": 0, "bound": 2}
+        terms[where] = [0, x] if where == "lin" else x
+        form = QuadraticForm([[2, 1], [1, 2]])
+        with pytest.raises(StructuralError, match="^enumeration term .* is not an int$"):
+            list(enumerate_quadratic(form, **terms))
 
 
 class TestKissingConfiguration:

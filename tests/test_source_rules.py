@@ -529,3 +529,40 @@ def test_each_input_rule_has_one_owner():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     called = {called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert called & {"rational", "isfinite", "check_labels", "check_cap"} == set()
+
+
+def rational_front_end(tree):
+    """Lines, ascending, that call `Fraction` by any path or import `rational`
+    or `_exact` under any alias: the parsing and Fraction-building that an
+    integer enumerator has no use for."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) == "Fraction":
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] in ("rational", "_exact") for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_enumerator_takes_and_gives_integers():
+    """`lattice.enumerate_quadratic` takes Python ints and yields them: every
+    caller scales once, to integers, before it enumerates.  The lattice module
+    therefore parses no rational and builds no Fraction."""
+    path = next(p for p in SOURCES if p.name == "lattice.py")
+    assert rational_front_end(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_rational_front_end_rule_sees_every_form():
+    tree = ast.parse(
+        "from .exact import rational\n"
+        "from .exact import _exact as parse, require\n"
+        "import balanced.exact.rational\n"
+        "v = Fraction(top, delta)\n"
+        "w = fractions.Fraction(1)\n"
+        "from fractions import Fraction\n"
+        "x = rational_rows(r)\n"
+        "y = exact.rational\n"
+        "z = isinstance(v, Fraction)\n"
+    )
+    assert rational_front_end(tree) == [1, 2, 3, 4, 5]
