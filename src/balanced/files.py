@@ -118,11 +118,7 @@ def load_point_input(path) -> Union[Configuration, CoordinateSet]:
                 j = next(j for j, x in enumerate(row) if type(x) not in _NUMBER_TYPES)
                 raise InputError(f"{path}: coords[{i}][{j}] is not a number")
         try:
-            pts = np.array(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{path}: bad 'coords' array: {exc}") from exc
-        try:
-            return CoordinateSet(points=pts, label=doc.get("label"))
+            return CoordinateSet(points=rows, label=doc.get("label"))
         except StructuralError as exc:
             raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: expected a 'gram' or 'coords' field")

@@ -5,6 +5,16 @@ float fallback pipeline for configurations with irrational inner products.
 Square roots happen only at the last step (pivot square roots); everything
 upstream of a CoordinateSet is exact.
 
+The length of every point, pair difference and force is computed by
+`_lengths`: the square root of the sum of squares, except that a nonzero
+vector whose sum of squares overflows or falls below 2^-1022, where a sum of
+subnormal squares has lost bits, is scaled by a power of two first.  The
+radial test's deviation norms, of sums of unit vectors, keep the summation
+order that its rounding bound assumes.  `energy` and `tangential_force`
+raise StructuralError on a result that float64 cannot hold: a pair term,
+named by its first pair, the energy, or a tangential force, named by its
+point.
+
 Float mode has the shape of exact mode: coordinates plus a shell labelling,
 tested one shell slot at a time.  Per tolerance, a `CoordinateSet` argsorts
 every row of its Gram matrix without the diagonal once (`_ShellTable`).  A
@@ -39,6 +49,7 @@ from .designs import (DesignVerdict, TheoremOneVerdict, _design_verdict, _theore
 from .exact import Configuration, StructuralError, _first_pair, check_labels
 
 DEFAULT_TOL = 1e-9
+_TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float64
 
 
 class AmbiguousShellError(ValueError):
@@ -49,6 +60,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """a, with writes through it refused, so a cached array stays what it was."""
     a.setflags(write=False)
     return a
+
+
+def _lengths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Euclidean length of each vector along the last axis of v, as (m, e)
+    with length m * 2**e: m is the square root of the sum of squares, summed
+    as np.linalg.norm sums it, and e is 0, except for a nonzero vector whose
+    sum of squares overflows or falls below 2^-1022.  That vector is first
+    scaled by the power of two 2**-e that brings its largest entry into
+    [1/2, 1), so its sum of squares lies in [1/4, r]."""
+    with np.errstate(over="ignore"):  # rescued below
+        square = (v * v).sum(axis=-1)
+    off = (square < _TINY) | (square == np.inf)
+    off[off] = v[off].any(axis=-1)  # an exact zero vector needs no rescue
+    e = np.zeros(square.shape, dtype=np.int32)
+    if off.any():
+        e[off] = np.frexp(np.abs(v[off]).max(axis=-1))[1]
+        w = np.ldexp(v[off], -e[off][:, None])
+        square[off] = (w * w).sum(axis=-1)
+    return np.sqrt(square), e
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +94,11 @@ class CoordinateSet:
     _distinct_at: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            points = np.array(self.points, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructuralError(f"bad 'coords' array: {exc}") from exc
         check_labels(self.label)
-        points = np.array(self.points, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise StructuralError("coordinates must form a nonempty N x r array")
         finite, nonzero = np.isfinite(points).all(axis=1), points.any(axis=1)
@@ -77,18 +110,8 @@ class CoordinateSet:
 
     @cached_property
     def unit(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # huge rows are caught below
-            norms = np.linalg.norm(self.points, axis=1, keepdims=True)
-        off = ((norms == 0) | np.isinf(norms))[:, 0]
-        points = self.points
-        if off.any():
-            # the squares of these rows underflow to 0 or overflow to inf: scale
-            # each by the power of two that brings its largest entry into [1/2, 1)
-            points = points.copy()
-            _, e = np.frexp(np.abs(points[off]).max(axis=1, keepdims=True))
-            points[off] = np.ldexp(points[off], -e)
-            norms[off] = np.linalg.norm(points[off], axis=1, keepdims=True)
-        return _read_only(points / norms)
+        m, e = _lengths(self.points)
+        return _read_only(np.ldexp(self.points, -e[:, None]) / m[:, None])
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -151,29 +174,42 @@ def _require_tolerance(p: CoordinateSet, tol: float) -> None:
     p._distinct_at.add(tol)
 
 
-def _differences(p: CoordinateSet, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _refuse_pair(bad: np.ndarray, i: np.ndarray, j: np.ndarray, problem: str) -> None:
+    """Raise naming the first pair where bad holds, in the order of the index
+    arrays i and j broadcast to bad's shape, if there is one."""
+    if bad.any():
+        a, b = (int(x[bad][0]) for x in np.broadcast_arrays(i, j))
+        raise StructuralError(f"points {a} and {b} are {problem} overflows float64")
+
+
+def _differences(p: CoordinateSet, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p_i - p_j over the index arrays i and j, broadcast, which reach each
-    pair i < j in row-major order before its twin (j, i); refused, naming the
-    first such pair, when a difference overflows float64."""
+    pair i < j in row-major order before its twin (j, i), and their lengths;
+    refused, naming the first such pair, when a difference or its length
+    overflows float64."""
     with np.errstate(over="ignore"):  # refused below
         diff = p.points[i] - p.points[j]
-    if not np.isfinite(diff).all():  # one pass; the per-pair test only on failure
-        far = ~np.isfinite(diff).all(axis=-1)
-        a, b = (int(x[far][0]) for x in np.broadcast_arrays(i, j))
-        raise StructuralError(f"points {a} and {b} are too far apart: "
-                              "their difference overflows float64")
-    return diff
+        dist = np.ldexp(*_lengths(diff))
+    _refuse_pair(np.isinf(dist), i, j, "too far apart: their difference")
+    return diff, dist
 
 
 def energy(p: CoordinateSet, s: float) -> float:
     """Inverse-power pair energy  sum_{i<j} |p_i - p_j|^-s, from the
-    differences of the pairs i < j alone."""
+    differences of the pairs i < j alone; refused when a pair term or the
+    sum overflows float64."""
     _require_positive("exponent s", s)
-    diff = _differences(p, *np.triu_indices(p.size, k=1))
-    pair = np.sqrt((diff**2).sum(axis=1))
-    if (pair == 0).any():
+    i, j = np.triu_indices(p.size, k=1)
+    _, dist = _differences(p, i, j)
+    if (dist == 0).any():
         raise StructuralError("coincident points have infinite energy")
-    return float((pair**-s).sum())
+    with np.errstate(over="ignore"):  # refused below
+        term = dist**-s
+        total = float(term.sum())
+    if math.isinf(total):  # as is every sum with an infinite term
+        _refuse_pair(np.isinf(term), i, j, "too close: their pair term")
+        raise StructuralError("the energy overflows float64")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,23 +221,32 @@ class ForceReport:
 
 def tangential_force(p: CoordinateSet, s: float) -> ForceReport:
     """Net repulsive force per point under the r^-s pair potential,
-    with the radial component projected out.
+    with the radial component projected out; refused when a pair term or a
+    tangential force overflows float64.
 
     The net force on p_i is sum_{j != i} s |p_i-p_j|^-(s+2) (p_i - p_j),
     the negative gradient of the pair energy.
     """
     _require_positive("exponent s", s)
-    diff = _differences(p, np.arange(p.size)[:, None], np.arange(p.size))
-    dist = np.sqrt((diff**2).sum(axis=2))
-    off = ~np.eye(p.size, dtype=bool)
+    i, j = np.arange(p.size)[:, None], np.arange(p.size)
+    diff, dist = _differences(p, i, j)
+    off = i != j
     if (dist[off] == 0).any():
         raise StructuralError("coincident points")
-    with np.errstate(divide="ignore"):
-        w = np.where(off, s * dist ** -(s + 2.0), 0.0)
-    force = (w[:, :, None] * diff).sum(axis=1)
     radial = p.unit
-    tangential = force - (force * radial).sum(axis=1, keepdims=True) * radial
-    norms = np.linalg.norm(tangential, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        w = np.where(off, s * dist ** -(s + 2.0), 0.0)
+        pull = w[:, :, None] * diff
+        odd = off & ((w < _TINY) | (w == np.inf))  # w left the normal range, the pull may not
+        if odd.any():
+            pull[odd] = (s * dist[odd] ** -(s + 1.0))[:, None] * (diff[odd] / dist[odd][:, None])
+        force = pull.sum(axis=1)
+        tangential = force - (force * radial).sum(axis=1, keepdims=True) * radial
+        norms = np.ldexp(*_lengths(tangential))
+    if not np.isfinite(norms).all():  # as is every norm of a sum with an infinite pull
+        _refuse_pair(np.isinf(pull).any(axis=-1), i, j, "too close: their pair term")
+        k = int(np.argmin(np.isfinite(norms)))
+        raise StructuralError(f"the tangential force on point {k} overflows float64")
     return ForceReport(
         exponent=s, tangential=_read_only(tangential), max_tangential_norm=float(norms.max())
     )

@@ -717,6 +717,55 @@ def test_a_pair_difference_past_float64_exits_2(runner, tmp_path, command):
                           "their difference overflows float64\n")
 
 
+def no_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would go to stderr
+@pytest.mark.parametrize("command, coords, key, want", [
+    (["energy", "-s", "1"], [[1e200, 0], [-1e200, 0], [0, 1]], "energy", 2.5e-200),
+    (["energy", "-s", "1"], [[1e-160, 0], [0, 1e-160], [1, 0]], "energy",
+     1e160 / math.sqrt(2) + 2),
+    (["force", "-s", "1"], [[1e-100, 0], [0, 1e-100], [1, 0]], "max_tangential_norm",
+     1e200 / (2 * math.sqrt(2))),
+], ids=["energy-far", "energy-near", "force-near"])
+def test_pairs_whose_squares_leave_float64_give_closed_forms(runner, tmp_path, command, coords,
+                                                             key, want):
+    """Squared distances of 4e400 and 2e-320, and a squared force of 1.25e399,
+    are past float64's normal range; the lengths are not."""
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps({"coords": coords}))
+    res = invoke(runner, [*command, str(f)])
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    assert json.loads(res.stdout, parse_constant=no_constant)[key] == pytest.approx(want, rel=1e-15)
+
+
+# a = 5.8e-155: each pair pulls point 0 by 1/(2 a^2) ~ 1.5e308 and their sum
+# along x, its tangent, is 0.71 / a^2 ~ 2.1e308
+A = 5.8e-155
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, coords, message", [
+    (["force", "-s", "1"], [[1e-160, 0], [0, 1e-160], [1, 0]],
+     "points 0 and 1 are too close: their pair term overflows float64"),
+    (["energy", "-s", "2"], [[1, 0], [1e-160, 0], [0, 1e-160]],
+     "points 1 and 2 are too close: their pair term overflows float64"),
+    (["energy", "-s", "1"], [[1e-308, 0], [0, 1e-308], [-1e-308, 0]],
+     "the energy overflows float64"),
+    (["force", "-s", "1"], [[0, 3 * A], [-A, 4 * A], [-A, 2 * A]],
+     "the tangential force on point 0 overflows float64"),
+], ids=["force-pair", "energy-pair", "energy-sum", "force-sum"])
+def test_a_result_past_float64_exits_2(runner, tmp_path, command, coords, message):
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps({"coords": coords}))
+    res = invoke(runner, [*command, str(f)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [["construct", "c7prime"], ["construct", "kissing", "d4"]])
 def test_construct_prints_the_file_it_writes(runner, tmp_path, args):
     out = tmp_path / "built.json"

@@ -169,6 +169,26 @@ class TestTangentialForce:
                 assert rep.max_tangential_norm < 1e-9 * c.size
 
 
+# generic points in R^3 whose tangential forces are all far from zero
+SCATTERED = [[1, 0.2, 0.3], [0.1, 1, -0.4], [-0.5, 0.3, 1], [0.7, -0.8, 0.2]]
+
+
+@pytest.mark.parametrize("k", [520, -520])
+def test_energy_and_force_are_scale_covariant(k):
+    """Scaling by 2^k multiplies the r^-s energy by 2^(-k s) and the force by
+    2^(-k (s + 1)).  At 2^520 the squares overflow and the force's pair weight
+    |d|^-(s+2) underflows, at 2^-520 the weight overflows; s = 1/2 keeps every
+    result representable."""
+    p = CoordinateSet(points=SCATTERED)
+    scaled = CoordinateSet(points=np.ldexp(p.points, k))
+    assert energy(scaled, 1.0) == pytest.approx(math.ldexp(energy(p, 1.0), -k), rel=1e-15)
+    assert energy(scaled, 0.5) == pytest.approx(energy(p, 0.5) * 2.0 ** (-k / 2), rel=1e-14)
+    want, got = tangential_force(p, 0.5), tangential_force(scaled, 0.5)
+    factor = 2.0 ** (-1.5 * k)
+    assert got.max_tangential_norm == pytest.approx(want.max_tangential_norm * factor, rel=1e-14)
+    np.testing.assert_allclose(got.tangential, want.tangential * factor, rtol=1e-13)
+
+
 class TestGradientCheck:
     def test_cube(self, cube_config):
         p = coordinates_from_gram(cube_config)

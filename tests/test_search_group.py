@@ -249,6 +249,7 @@ SCALES = {
     "tiny": lambda i: 1e-200,
     "huge": lambda i: 1e200,
     "mixed": lambda i: (1e-200, 1.0, 1e200, 2.0**-1070)[i % 4],
+    "subnormal": lambda i: 1e-160,  # a sum of squares near 1e-320
 }
 
 

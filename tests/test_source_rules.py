@@ -515,6 +515,7 @@ INPUT_RULES = [
     "adjacency entry [{i}][{j}] = {entries[i, j]} not 0/1",
     "adjacency not symmetric at",
     "adjacency diagonal [{loops[0]}][{loops[0]}] nonzero",
+    "bad 'coords' array: {exc}",  # float rows convert to one float array, once
 ]
 
 
@@ -566,3 +567,36 @@ def test_rational_front_end_rule_sees_every_form():
         "z = isinstance(v, Fraction)\n"
     )
     assert rational_front_end(tree) == [1, 2, 3, 4, 5]
+
+
+def norm_calls(tree):
+    """Lines, ascending, that call a `norm` by any path or import one under
+    any alias."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) == "norm":
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "norm" for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_float_lengths_have_one_routine():
+    """`numerics._lengths` computes every vector length of float mode and
+    rescues the sums of squares that leave float64's normal range, which
+    np.linalg.norm does not."""
+    path = next(p for p in SOURCES if p.name == "numerics.py")
+    assert norm_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_norm_rule_sees_every_form():
+    tree = ast.parse(
+        "a = np.linalg.norm(x, axis=1)\n"
+        "from numpy.linalg import norm as n\n"
+        "b = norm(x)\n"
+        "import numpy.linalg.norm\n"
+        "c = np.sqrt((x**2).sum(axis=1))\n"
+        "d = normalize(x)\n"
+    )
+    assert norm_calls(tree) == [1, 2, 3, 4]
