@@ -114,10 +114,13 @@ def construct_srg_embedding(graph, eigen, complement, output):
 @click.option("--allow-slow", is_flag=True)
 @_out_option
 def construct_kissing(lattice, allow_slow, output):
-    gram = files.read_lattice(lattice)
-    if gram.dim >= SLOW_LATTICE_DIM and not allow_slow:
-        _fail(f"lattice dimension {gram.dim} >= {SLOW_LATTICE_DIM}: enumeration is "
-              f"slow; pass --allow-slow", 3)
+    def gate(dim):
+        if dim >= SLOW_LATTICE_DIM and not allow_slow:
+            _fail(f"lattice dimension {dim} >= {SLOW_LATTICE_DIM}: enumeration is "
+                  f"slow; pass --allow-slow", 3)
+
+    gram = files.read_lattice(lattice, gate)
+    gate(gram.dim)
     _write_output(kissing_configuration(gram), output)
 
 

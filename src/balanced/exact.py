@@ -141,9 +141,55 @@ class Scaled(NamedTuple):
     matrix: np.ndarray
 
 
+class Coded(NamedTuple):
+    """A square matrix given by its distinct entries: entry [i][j] is
+    tokens[codes[i, j]], a rational as `rational` takes it, and every token is
+    used.  GramMatrix accepts it in place of rational rows, so a reader that
+    has coded the entries parses each distinct one once."""
+
+    tokens: Sequence
+    codes: np.ndarray
+
+
 # (den, table, codes): a square rational matrix coded by its distinct entries,
 # entry [i][j] being table[codes[i, j]] / den with integers in the table
 _Encoded = tuple[int, list[int], np.ndarray]
+
+
+def _distinct(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of m ascending, and the intp array of the index of
+    each entry of m among them: one sort, then a binary search per entry."""
+    distinct = np.sort(m, axis=None)
+    first = np.ones(distinct.size, dtype=bool)  # of each run of equal entries
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    return distinct, np.searchsorted(distinct, m)
+
+
+def _coding(m: np.ndarray) -> Optional[int]:
+    """k, when m is an intp array whose entries are 0, 1, ..., k-1, each of
+    them present; else None."""
+    if m.dtype != np.intp or m.min(initial=0) != 0 or m.max(initial=0) >= m.size:
+        return None
+    counts = np.bincount(m.ravel())
+    return len(counts) if np.count_nonzero(counts) == len(counts) else None
+
+
+def _parse_tokens(tokens, codes: np.ndarray) -> _Encoded:
+    """Parse and scale each token once.  A token that is not a rational is
+    named at its first entry in row-major order."""
+    values, errors = [], {}
+    for k, x in enumerate(tokens):
+        try:
+            values.append(rational(x))
+        except StructuralError as exc:
+            errors[k] = exc
+    if errors:
+        i, j = np.argwhere(np.isin(codes, list(errors)))[0].tolist()
+        exc = errors[int(codes[i, j])]
+        raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values], codes
 
 
 def _encode(rows) -> _Encoded:
@@ -171,16 +217,15 @@ def _encode(rows) -> _Encoded:
                         rational(x)
                     except StructuralError as exc:
                         raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
-    codes = codes.reshape(n, n)
-    values = []
-    for k, x in enumerate(index):  # in order of first occurrence
-        try:
-            values.append(rational(x))
-        except StructuralError as exc:
-            i, j = np.argwhere(codes == k)[0].tolist()
-            raise StructuralError(f"gram[{i}][{j}]: {exc}") from exc
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values], codes
+    return _parse_tokens(list(index), codes.reshape(n, n))  # in order of first occurrence
+
+
+def _encode_coded(tokens, codes) -> _Encoded:
+    """Check a Coded pair and parse and scale each token once."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[0] != codes.shape[1] or _coding(codes) != len(tokens):
+        raise StructuralError("expected a square intp code matrix that uses each of its tokens")
+    return _parse_tokens(tokens, codes)
 
 
 def _encode_scaled(den: int, m) -> _Encoded:
@@ -190,29 +235,29 @@ def _encode_scaled(den: int, m) -> _Encoded:
     m = np.asarray(m)
     if den <= 0 or m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError("expected a square integer matrix over a positive denominator")
-    codes = None
-    if m.dtype == np.intp and m.min(initial=0) == 0 and m.max(initial=0) < m.size:
-        counts = np.bincount(m.ravel())
-        if np.count_nonzero(counts) == len(counts):
-            table, codes = list(range(len(counts))), m
-    if codes is None:
-        distinct = np.sort(m, axis=None)
-        first = np.ones(distinct.size, dtype=bool)  # of each run of equal entries
-        first[1:] = distinct[1:] != distinct[:-1]
-        distinct = distinct[first]
-        table, codes = distinct.tolist(), np.searchsorted(distinct, m)
+    k = _coding(m)
+    if k is not None:
+        table, codes = list(range(k)), m
+    else:
+        distinct, codes = _distinct(m)
+        table = distinct.tolist()
     g = math.gcd(den, *table)
     return den // g, [v // g for v in table], codes
 
 
 def _tabulate(rows) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(den, distinct, colours, M) of a symmetric matrix given as rational rows
-    or a Scaled pair, the one way a square matrix comes in: its common
+    or a Scaled or Coded pair, the one way a square matrix comes in: its common
     denominator, its distinct scaled entries ascending, the read-only colour of
     every entry and the read-only integer matrix M = distinct[colours], in
     `int_dtype`: left to itself numpy stores integers in [2^63, 2^64) as
     uint64, larger as float64."""
-    den, table, codes = _encode_scaled(*rows) if isinstance(rows, Scaled) else _encode(rows)
+    if isinstance(rows, Scaled):
+        den, table, codes = _encode_scaled(*rows)
+    elif isinstance(rows, Coded):
+        den, table, codes = _encode_coded(*rows)
+    else:
+        den, table, codes = _encode(rows)
     dtype = int_dtype(max(max(map(abs, table), default=0), den))
     distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
     colours = inverse.reshape(-1)[codes]
@@ -312,7 +357,8 @@ def _bareiss(a: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
                 below //= prev
             below[:, i - lo] = col
             pivots.append(p)
-            bound = max(bound, 2 * bound**2 // abs(prev))
+            if z.dtype != object:  # Python ints need no bound, and squaring it grows without end
+                bound = max(bound, 2 * bound**2 // abs(prev))
         e = len(pivots) - k
         if width == m:
             a[k + e:, k + e:] = z[e:, e:]
@@ -420,8 +466,9 @@ def ldl_decompose(m: Sequence[Sequence[Fraction]]):
 class GramMatrix:
     """Symmetric unit-diagonal PSD rational matrix of pairwise inner products.
 
-    Built from rows of rationals (ints, Fractions or 'p/q' strings) or from a
-    Scaled(den, matrix) integer pair.  Validation codes the entries, parsing
+    Built from rows of rationals (ints, Fractions or 'p/q' strings), from a
+    Scaled(den, matrix) integer pair or from a Coded(tokens, codes) pair.
+    Validation codes the entries, parsing
     and scaling each distinct entry once, and keeps (den, scaled): the common
     denominator and the read-only integer array den * m.  One Bareiss
     elimination of `scaled` certifies PSD and gives the rank, the LDL^T

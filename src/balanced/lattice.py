@@ -251,11 +251,18 @@ def kissing_configuration(g: LatticeGram) -> Configuration:
 _BUNDLED = ("z2", "z3", "d4", "e8", "k12", "leech")
 
 
+def bundled_dimension(name: str) -> Optional[int]:
+    """N for a name z<N>, read off the name before any matrix is built; None
+    for every other name."""
+    key = name.lower()
+    return int(key[1:]) if key.startswith("z") and key[1:].isdigit() else None
+
+
 def bundled_lattice(name: str) -> LatticeGram:
     """Load a bundled Gram matrix: z<N>, d4, e8, k12 or leech."""
     key = name.lower()
-    if key.startswith("z") and key[1:].isdigit():
-        n = int(key[1:])
+    n = bundled_dimension(key)
+    if n is not None:
         if n < 1:
             raise StructuralError(f"bad lattice dimension in {name!r}")
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

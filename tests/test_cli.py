@@ -282,6 +282,24 @@ class TestExitCodes:
         res = invoke(runner, ["construct", "kissing", "leech"])
         assert res.exit_code == 3
 
+    def test_a_bundled_name_is_gated_before_any_matrix_is_built(self, runner, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(balanced.exact, "_bareiss", refuse)
+        monkeypatch.setattr(balanced.files, "bundled_lattice", refuse)
+        res = invoke(runner, ["construct", "kissing", "z1500"])
+        assert res.exit_code == 3
+        assert res.stderr == ("error: lattice dimension 1500 >= 16: enumeration is slow; "
+                              "pass --allow-slow\n")
+
+    def test_a_path_that_exists_wins_over_a_bundled_name(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json({"label": "A1", "gram": [[2]]}, tmp_path / "z1500")
+        res = invoke(runner, ["construct", "kissing", "z1500"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["labels"] == ["-1", "1"]
+
     def test_group_balanced_codes(self, runner, tmp_path):
         cube_f = tmp_path / "cube.json"
         invoke(runner, ["construct", "polytope", "cube", "-o", str(cube_f)])

@@ -8,10 +8,14 @@ same (z, value) sequence, order included, and match a box brute force.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,7 @@ from balanced.exact import (
     Scaled,
     StructuralError,
     _bareiss,
+    _distinct,
     _eliminate,
     _tabulate,
     gram_rank,
@@ -210,6 +215,33 @@ def test_int64_switches_to_python_ints_partway():
     check_elimination(m)
 
 
+# a 32-point Gram matrix of full rank over 10^6, eliminated in one panel: its
+# leading minors pass int64 after three pivots
+FULL_RANK = """
+import numpy as np
+from balanced.exact import GramMatrix, Scaled
+m = 10**6 * np.eye(32, dtype=np.int64)
+m[0, 1] = m[1, 0] = -5 * 10**5
+m[1, 2] = m[2, 1] = -24
+print(GramMatrix(Scaled(10**6, m)).rank)
+"""
+
+
+def test_full_rank_past_int64_stays_fast():
+    """Once a panel holds Python ints, no step squares its entry bound: the
+    squared bound doubled in bit length at every step, so this elimination
+    did not end within minutes, and over 250 in place of 10^6 took 2-4 s."""
+    src = str(Path(exact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", FULL_RANK], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.stdout == "32\n", res.stderr
+    m = [[Fraction(int(i == j)) for j in range(32)] for i in range(32)]
+    m[0][1] = m[1][0] = Fraction(-1, 2)
+    m[1][2] = m[2][1] = Fraction(-24, 10**6)
+    check_elimination(m)
+
+
 @pytest.mark.parametrize("den", [2**63 - 25, 2**63, 2**64 + 3, 3**50])
 def test_denominator_past_int64(den):
     m = [[1, Fraction(1, den), 0], [Fraction(1, den), 1, Fraction(-2, den)],
@@ -217,6 +249,21 @@ def test_denominator_past_int64(den):
     scaled = _tabulate(m)[3]
     assert scaled.dtype == (np.int64 if den < 2**63 else object)
     check_elimination(m)
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 32, 33, 300])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, object])
+def test_distinct_codes_match_unique(distinct, dtype):
+    """The coder gives np.unique's table and inverse, past int64 too."""
+    rng = np.random.default_rng(distinct)
+    table = rng.choice(2**40, distinct, replace=False)
+    if dtype is object:
+        table = np.array([int(v) * 2**70 - 2**90 for v in table], dtype=object)
+    m = table.astype(dtype)[rng.integers(0, distinct, (40, 40))]
+    values, codes = _distinct(m)
+    want_values, want_codes = np.unique(m, return_inverse=True)
+    assert values.tolist() == want_values.tolist()
+    assert codes.dtype == np.intp and codes.tolist() == want_codes.reshape(m.shape).tolist()
 
 
 # --- enumeration --------------------------------------------------------------

@@ -10,6 +10,7 @@ from balanced.lattice import (
     LatticeGram,
     QuadraticForm,
     ShortVectorSet,
+    bundled_dimension,
     bundled_lattice,
     enumerate_quadratic,
     kissing_configuration,
@@ -46,13 +47,16 @@ class TestLatticeGram:
         assert all(type(x) is int for row in lat.entries for x in row)
 
     def test_bundled_names(self):
-        assert bundled_lattice("z5").dim == 5
-        assert bundled_lattice("d4").dim == 4
-        assert bundled_lattice("e8").dim == 8
-        assert bundled_lattice("k12").dim == 12
-        assert bundled_lattice("leech").dim == 24
-        with pytest.raises(StructuralError):
+        """`bundled_dimension` reads N off a name z<N>, before any matrix is
+        built; the other names are read from their files."""
+        for name, dim in (("z5", 5), ("Z1", 1), ("d4", 4), ("e8", 8), ("k12", 12), ("leech", 24)):
+            assert bundled_lattice(name).dim == dim
+            assert bundled_dimension(name) == (dim if name[0] in "zZ" else None)
+        assert bundled_dimension("niemeier") is None
+        with pytest.raises(StructuralError, match="unknown bundled lattice"):
             bundled_lattice("niemeier")
+        with pytest.raises(StructuralError, match="bad lattice dimension"):
+            bundled_lattice("z0")
 
 
 class TestMinimalNorm:

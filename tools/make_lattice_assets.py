@@ -77,22 +77,25 @@ def lll_reduce(basis, form=None, delta=None):
     b = [list(v) for v in basis]
     n = len(b)
 
-    def ip(u, v):
-        if form is None:
-            return Fraction(sum(a * c for a, c in zip(u, v)))
-        return Fraction(
-            sum(u[i] * form[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
-        )
+    # the nonzero entries of each row of the form, so that F v costs one
+    # product per nonzero entry
+    sparse = None if form is None else [[(j, f) for j, f in enumerate(row) if f] for row in form]
+
+    def dot(u, v):
+        return Fraction(sum(a * c for a, c in zip(u, v)))
 
     def gso():
         mu = [[Fraction(0)] * n for _ in range(n)]
         norms = [Fraction(0)] * n
         star = [[Fraction(x) for x in v] for v in b]
+        image = []  # F star[j]: <u, star[j]> = u . image[j]
         for i in range(n):
             for j in range(i):
-                mu[i][j] = ip(b[i], star[j]) / norms[j] if norms[j] else Fraction(0)
+                mu[i][j] = dot(b[i], image[j]) / norms[j] if norms[j] else Fraction(0)
                 star[i] = [x - mu[i][j] * y for x, y in zip(star[i], star[j])]
-            norms[i] = ip(star[i], star[i])
+            image.append(star[i] if sparse is None else
+                         [sum(f * star[i][j] for j, f in row) for row in sparse])
+            norms[i] = dot(star[i], image[i])
         return mu, norms
 
     def size_reduce(mu, k):
@@ -158,7 +161,8 @@ def find_hexacode():
     # the hermitian inner product of every pair of candidate rows of A
     dot = {(u, v): reduce(xor, (_MUL[x][_CONJ[y]] for x, y in zip(u, v)))
            for u in rows for v in rows}
-    for a in product(rows, repeat=3):
+    ones = [u for u in rows if dot[u, u] == 1]  # the rows of A have norm 1
+    for a in product(ones, repeat=3):
         if any(dot[a[i], a[j]] != (i == j) for i in range(3) for j in range(3)):
             continue
         gens = [[1 if c == i else 0 for c in range(3)] + list(a[i]) for i in range(3)]
