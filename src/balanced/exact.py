@@ -84,6 +84,12 @@ def rational(value) -> Fraction:
     raise StructuralError(f"not a rational: {value!r}")
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool: a float or string would be
+    truncated or parsed into a value it was never given."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))
+
+
 def check_labels(label, point_labels=None) -> None:
     """A label is a string or None, and point labels are strings."""
     if label is not None and not isinstance(label, str):

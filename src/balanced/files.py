@@ -14,11 +14,16 @@ with no backslash, whose 'gram' value is an n x n array (n >= 32) of strings
 of at most 7 bytes, with every gap inside a row byte-identical to the first
 and every gap between rows byte-identical to the first: what
 `write_configuration`, json.dump(indent=k) and compact JSON write.  One
-numpy pass finds the quotes, each token becomes one uint64 key, and `exact`
-parses each distinct token once; `json` parses the rest of the text with
-the array replaced by [].  Every other document, and every document the rest
-of whose text does not parse, goes to `json` whole, so results and error
-text are the same either way."""
+numpy pass finds the quotes, each token becomes one uint64 key, and `json`
+parses the rest of the text with the array replaced by [].  The document
+comes back with the scan's Coded pair standing in its 'gram', and `exact`
+parses each distinct token once.  Every other document, and every document
+the rest of whose text does not parse, goes to `json` whole, so results and
+error text are the same either way.
+
+Every input file is opened by `_read` and decoded by `_load`, as open(path)
+decodes text; `_load` is the one place where a failure to read or decode a
+file becomes an InputError."""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import io
 import json
 import os
 import re
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
@@ -41,26 +47,41 @@ class InputError(ValueError):
 
 
 def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _text(data: bytes) -> str:
+    """data decoded as open(path) in text mode decodes a file."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
+
+
+def _load(path, decode):
+    """decode(the bytes of path): the one place where a failure to read or
+    decode an input file becomes an InputError naming it."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        return decode(_read(path))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _parse(data: bytes, path) -> dict:
-    """The JSON object in data, decoded as open(path) in text mode would."""
-    try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(data)))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
+                         f"is not {exc.encoding} text") from exc
+    except json.JSONDecodeError as exc:  # before ValueError, its base class
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # int() past sys.get_int_max_str_digits()
+        raise InputError(f"{path}: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def _load_json(path, scan: bool = False) -> dict:
+    """The JSON object in path.  With scan, a document the byte scan takes
+    comes with the scan's Coded pair standing in its 'gram'."""
+    doc = _load(path, lambda data: (_scan(data) if scan else None) or json.loads(_text(data)))
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     return doc
-
-
-def _load_json(path) -> dict:
-    return _parse(_read(path), path)
 
 
 _WS = rb"[ \t\n\r]*"  # JSON whitespace
@@ -88,8 +109,8 @@ def _gaps_are(following: np.ndarray, ends: np.ndarray, in_row: bytes, row: bytes
     return True
 
 
-def _scan(data: bytes) -> Optional[tuple[dict, Coded]]:
-    """(doc, Coded gram) of a document the byte scan takes, else None.
+def _scan(data: bytes) -> Optional[dict]:
+    """The document the byte scan takes, its 'gram' the Coded pair, else None.
 
     The first row fixes n, the gap inside a row and the gap between rows;
     the first 2 n^2 quotes from the first entry on must then bound n^2
@@ -144,14 +165,8 @@ def _scan(data: bytes) -> Optional[tuple[dict, Coded]]:
     tokens = [key.to_bytes(8, "little")[:key >> 56] for key in distinct.tolist()]
     if _CONTROL.search(b"".join(tokens)):
         return None
-    return doc, Coded(tuple(t.decode("ascii") for t in tokens), codes.reshape(n, n))
-
-
-def _load_gram(path) -> tuple[dict, Optional[Coded]]:
-    """The document, and its coded 'gram' when the byte scan takes it."""
-    data = _read(path)
-    scanned = _scan(data)
-    return scanned if scanned is not None else (_parse(data, path), None)
+    doc["gram"] = Coded(tuple(t.decode("ascii") for t in tokens), codes.reshape(n, n))
+    return doc
 
 
 def _rows(doc: dict, key: str, where: str) -> list:
@@ -164,11 +179,9 @@ def _rows(doc: dict, key: str, where: str) -> list:
     return rows
 
 
-def configuration_from_dict(doc: dict, where: str = "configuration",
-                            gram: Optional[Coded] = None) -> Configuration:
-    """The configuration of doc, or of doc's labels and the gram the scan coded."""
-    if gram is None:
-        gram = _rows(doc, "gram", where)
+def configuration_from_dict(doc: dict, where: str = "configuration") -> Configuration:
+    """The configuration of doc, whose 'gram' is rows or the scan's Coded pair."""
+    gram = doc["gram"] if isinstance(doc.get("gram"), Coded) else _rows(doc, "gram", where)
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise InputError(f"{where}: 'labels' must be a list")
@@ -183,8 +196,7 @@ def configuration_from_dict(doc: dict, where: str = "configuration",
 
 
 def read_configuration(path) -> Configuration:
-    doc, gram = _load_gram(path)
-    return configuration_from_dict(doc, str(path), gram)
+    return configuration_from_dict(_load_json(path, scan=True), str(path))
 
 
 def _save(text: str, path) -> str:
@@ -229,9 +241,9 @@ _NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a boolean is not one
 
 def load_point_input(path) -> Union[Configuration, CoordinateSet]:
     """Dispatch on file content: 'gram' (exact) or 'coords' (float)."""
-    doc, gram = _load_gram(path)
-    if gram is not None or "gram" in doc:
-        return configuration_from_dict(doc, str(path), gram)
+    doc = _load_json(path, scan=True)
+    if "gram" in doc:
+        return configuration_from_dict(doc, str(path))
     if "coords" in doc:
         rows = doc["coords"]
         for i, row in enumerate(rows if isinstance(rows, list) else ()):
@@ -276,11 +288,7 @@ def read_lattice(spec: str, gate=None) -> LatticeGram:
 def read_graph(path) -> tuple[tuple[int, ...], ...]:
     """The integer rows of a whitespace-separated adjacency matrix, one row
     per line; `symmetry.adjacency_matrix` owns every rule about them."""
-    try:
-        with open(path) as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    lines = [line for line in _load(path, _text).splitlines() if line.strip()]
     rows = []
     for lineno, line in enumerate(lines, start=1):
         try:

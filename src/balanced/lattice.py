@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import InitVar, dataclass, field
 from importlib import resources
 from operator import mul
@@ -25,6 +24,7 @@ from .exact import (
     InvariantError,
     Scaled,
     StructuralError,
+    _is_integer,
     _psd_elimination,
     _tabulate,
     check_labels,
@@ -77,7 +77,7 @@ class LatticeGram:
         check_labels(self.label)
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                if not _is_integer(x):
                     raise StructuralError(f"gram[{i}][{j}] = {x!r} is not an integer")
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
         if not rows:

@@ -58,16 +58,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import (Configuration, StructuralError, _encode_scaled, _first_pair, int_dtype,
-                    integer_rank, require)
+from .exact import (Configuration, StructuralError, _encode_scaled, _first_pair, _is_integer,
+                    int_dtype, integer_rank, require)
 
 Perm = tuple[int, ...]
-
-
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, not a bool: a float or string would be
-    truncated or parsed into an id it was never given."""
-    return type(x) is not bool and isinstance(x, (int, np.integer))
 
 
 @dataclass(frozen=True, eq=False)

@@ -849,3 +849,45 @@ def test_library_input_checks_the_cli_cannot_reach():
 def test_the_empty_graph_has_the_trivial_group():
     group = automorphism_group(ColoredGraph(0, np.zeros((0, 0), dtype=np.int64)))
     assert (group.degree, group.generators, group.order()) == (0, (), 1)
+
+
+# bytes that no reader can decode into a value: not UTF-8, JSON nested past the
+# recursion limit, an integer literal past Python's integer-string digit limit
+UNDECODABLE = {
+    "not-utf8": b'{"gram": [["\xff"]]}',
+    "deep": b"[" * 200_000,
+    "long-integer": b'{"gram": [[' + b"1" * 5000 + b"]]}",
+}
+JSON_READERS = {"load_point_input": ["report"], "read_configuration": ["check", "group-balanced"],
+                "read_euclidean": ["check", "euclidean"], "read_lattice": ["construct", "kissing"]}
+
+
+def exits_2_naming(runner, args, path):
+    res = invoke(runner, [*args, str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in res.stderr
+    return res.stderr
+
+
+@pytest.mark.parametrize("args", JSON_READERS.values(), ids=JSON_READERS)
+@pytest.mark.parametrize("kind", UNDECODABLE)
+def test_undecodable_json_exits_2(runner, tmp_path, args, kind):
+    f = tmp_path / "input.json"
+    f.write_bytes(UNDECODABLE[kind])
+    message = exits_2_naming(runner, args, f)
+    if kind == "not-utf8":
+        assert message.startswith(f"error: {f}: byte 0xff at offset 12 is not ")
+    else:
+        assert message == f"error: {f}: " + {
+            "deep": "JSON nested too deeply",
+            "long-integer": f"an integer has more than {sys.get_int_max_str_digits()} digits",
+        }[kind] + "\n"
+
+
+def test_undecodable_graph_exits_2(runner, tmp_path):
+    f = tmp_path / "graph.txt"
+    f.write_bytes(b"0 1\n1 \xff\n")
+    assert exits_2_naming(runner, ["construct", "srg-embedding"], f).startswith(
+        f"error: {f}: byte 0xff at offset 6 is not ")

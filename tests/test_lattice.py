@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import box_short_vectors, gram_entries
-from balanced.exact import StructuralError, inner_product_spectrum
+from balanced.exact import StructuralError, _is_integer, inner_product_spectrum
 from balanced.lattice import (
     LatticeGram,
     QuadraticForm,
@@ -45,6 +45,18 @@ class TestLatticeGram:
         lat = LatticeGram(entries=tuple(tuple(np.int64(x) for x in row) for row in ((2, 1), (1, 2))))
         assert lat.entries == ((2, 1), (1, 2))
         assert all(type(x) is int for row in lat.entries for x in row)
+
+    @pytest.mark.parametrize("x, integer", [
+        (1, True), (True, False), (np.int64(1), True), (np.bool_(True), False),
+        (np.uint8(3), True), (1.0, False), (Fraction(1), False), ("1", False)])
+    def test_the_integer_rule_is_the_symmetry_types_rule(self, x, integer):
+        assert _is_integer(x) is integer
+        if integer:
+            assert LatticeGram(entries=((x, 0), (0, 1))).entries == ((int(x), 0), (0, 1))
+        else:
+            with pytest.raises(StructuralError) as exc:
+                LatticeGram(entries=((x, 0), (0, 1)))
+            assert str(exc.value) == f"gram[0][0] = {x!r} is not an integer"
 
     def test_bundled_names(self):
         """`bundled_dimension` reads N off a name z<N>, before any matrix is
