@@ -17,7 +17,7 @@ import sys
 import click
 
 from . import balance, constructors, designs, files, numerics, report, symmetry
-from .exact import Configuration, InvariantError, StructuralError
+from .exact import Configuration, DigitLimitError, InvariantError, StructuralError, _all_digits
 from .lattice import kissing_configuration
 from .numerics import AmbiguousShellError, CoordinateSet
 
@@ -150,9 +150,10 @@ def check():
 
 def _balance_report_dict(rep) -> dict:
     if isinstance(rep, balance.BalanceReport):
-        return {"mode": "exact", "balanced": rep.balanced, "violations": [
-            {"point": v.point, "shell_value": str(v.shell_value),
-             "deviation": [str(x) for x in v.deviation]} for v in rep.violations]}
+        with _all_digits():
+            return {"mode": "exact", "balanced": rep.balanced, "violations": [
+                {"point": v.point, "shell_value": str(v.shell_value),
+                 "deviation": [str(x) for x in v.deviation]} for v in rep.violations]}
     return {"mode": "float", "balanced": rep.balanced, "tol": rep.tol, "violations": [
         {"point": v.point, "shell_value": v.shell_value, "deviation_norm": v.deviation_norm}
         for v in rep.violations]}
@@ -189,8 +190,9 @@ def check_design_cmd(file, cap, tol):
         mode, verdict, show = "exact", designs.design_strength(loaded, cap), str
     else:
         mode, verdict, show = "float", numerics.design_strength_float(loaded, cap, tol), float
-    _echo({"mode": mode, "cap": cap, "strength": verdict.strength,
-           "moments": {str(k): show(v) for k, v in verdict.per_k_moment.items()}})
+    with _all_digits():
+        moments = {str(k): show(v) for k, v in verdict.per_k_moment.items()}
+    _echo({"mode": mode, "cap": cap, "strength": verdict.strength, "moments": moments})
 
 
 @check.command("theorem1")
@@ -221,7 +223,10 @@ def check_group_balanced_cmd(file):
 @click.argument("file", type=click.Path(exists=False))
 def check_euclidean_cmd(file):
     points, period, cutoff = files.read_euclidean(file)
-    rep = balance.check_balanced_euclidean(points, period=period, cutoff=cutoff)
+    try:
+        rep = balance.check_balanced_euclidean(points, period=period, cutoff=cutoff)
+    except DigitLimitError as exc:  # a file whose text cannot be read, as `files._load` names it
+        raise files.InputError(f"{file}: {exc}") from exc
     _echo(_balance_report_dict(rep))
     sys.exit(0 if rep.balanced else 1)
 
@@ -236,20 +241,21 @@ def check_euclidean_cmd(file):
 def symmetry_cmd(file, show_orbits, stabilizer):
     c = files.read_configuration(file)
     group = symmetry.automorphism_group(symmetry.colored_graph_from_config(c))
-    doc = {
-        "order": str(group.order()),
-        "generators": [list(g) for g in group.generators],
-    }
-    if show_orbits:
-        doc["orbits"] = [list(o) for o in group.orbits()]
-    if stabilizer is not None:
-        stab = group.point_stabilizer(stabilizer)
-        doc["stabilizer"] = {
-            "point": stabilizer,
-            "order": str(stab.order()),
-            "generators": [list(g) for g in stab.generators],
-            "fixed_subspace_dim": symmetry._orbit_rank(c, stab.orbits()),  # a subgroup: trusted
+    with _all_digits():  # a group order may have more digits than the limit
+        doc = {
+            "order": str(group.order()),
+            "generators": [list(g) for g in group.generators],
         }
+        if show_orbits:
+            doc["orbits"] = [list(o) for o in group.orbits()]
+        if stabilizer is not None:
+            stab = group.point_stabilizer(stabilizer)
+            doc["stabilizer"] = {
+                "point": stabilizer,
+                "order": str(stab.order()),
+                "generators": [list(g) for g in stab.generators],
+                "fixed_subspace_dim": symmetry._orbit_rank(c, stab.orbits()),  # a subgroup: trusted
+            }
     _echo(doc)
 
 

@@ -78,10 +78,8 @@ def _design_verdict(moments, cap: int, threshold=0) -> DesignVerdict:
 def _exact_moments(c: Configuration, cap: int) -> Iterator[Fraction]:
     """The moment sums of c for k = 1..cap, each computed when drawn."""
     check_cap(cap)
-    den = c.gram.den
-    counts = gram_value_counts(c)
-    scaled = [u.numerator * (den // u.denominator) for u in counts]
-    return _moments(c.ambient_dim, cap, den, scaled, list(counts.values()))
+    mults = list(gram_value_counts(c).values())
+    return _moments(c.ambient_dim, cap, c.gram.den, c.gram.scaled_values.tolist(), mults)
 
 
 def _moments(n: int, cap: int, den: int, scaled: list, mults: list) -> Iterator[Fraction]:

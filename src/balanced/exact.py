@@ -1,9 +1,18 @@
 """Exact rational core: scalars, symmetric matrix elimination, configurations.
 
-Everything here is exact.  A matrix is stored as (den, M): a positive common
-denominator and the symmetric integer numpy array M = den * m.  Eliminations
-run on M, so no floating point and no Fraction arithmetic enters their inner
-loops; Fractions appear in the value table and at the interface only.
+Everything here is exact.  A symmetric rational matrix m is stored once, as
+its value table: a positive common denominator den, the read-only ascending
+integer array of its distinct entries times den, and the read-only n x n
+array of each entry's colour, its index in that table.  `_tabulate` builds
+the integer matrix M = den * m from the table afresh for one elimination,
+which overwrites it, so no floating point and no Fraction arithmetic enters
+the inner loops; Fractions appear in the value table and at the interface
+only.  `_distinct` is the one integer coder: it codes the table, the keys of
+a scanned Gram file and the colours of an edge-coloured graph.
+
+A rational string is refused before it is parsed when its digits pass
+Python's integer-string limit (`rational`); numbers a verdict computes may
+be longer, and `_all_digits` lifts the limit while they are printed.
 
 One rule, in this module alone, picks the arithmetic of every integer array
 from a bound its site proves on every |entry|: `int_dtype` gives int64 below
@@ -24,9 +33,13 @@ every partial sum an exact integer, else in `int_dtype`.  The other sites:
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,6 +53,10 @@ _FLOAT_EXACT = 2**53  # float64 holds every integer of absolute value up to this
 # equal int and so slip past rational()
 _RATIONAL_TYPES = frozenset((str, int, Fraction))
 _PANEL = 16  # the pivot columns one block of the elimination carries
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")  # a decimal exponent, as Fraction reads it
+# Python's integer-string digit limit, 0 for none: releases before 3.10.7 have none
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 class StructuralError(ValueError):
@@ -48,6 +65,10 @@ class StructuralError(ValueError):
 
 class IndefinitePivotError(StructuralError):
     """No diagonal pivot exists; the matrix is certified not PSD."""
+
+
+class DigitLimitError(StructuralError):
+    """A rational string whose digits pass Python's integer-string limit."""
 
 
 class InvariantError(RuntimeError):
@@ -68,20 +89,45 @@ def rational(value) -> Fraction:
     """Coerce an int, Fraction or 'p/q'/'k' string to an exact rational.
 
     Floats and booleans are rejected: the exact pipeline never launders
-    binary approximations into rationals, and a JSON true is not 1.
+    binary approximations into rationals, and a JSON true is not 1.  A
+    string is refused before it is parsed, with DigitLimitError, when its
+    length plus its decimal exponent passes Python's integer-string limit
+    (sys.get_int_max_str_digits()): that sum bounds the digits of the
+    numerator and the denominator Fraction would build, so the limit bounds
+    the work of parsing, and every rational parsed prints.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        text, limit = value.strip(), _digit_limit()
+        exponent = _EXPONENT.search(text)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if limit and (len(digits) > len(str(limit)) or len(text) + int(digits or 0) > limit):
+            shown = repr(value) if len(value) <= 24 else repr(value[:24]) + "..."
+            raise DigitLimitError(f"{shown} passes the integer-string limit of {limit} digits")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
         raise StructuralError(f"{value!r} is a float; exact input carries rationals as strings")
     raise StructuralError(f"not a rational: {value!r}")
+
+
+@contextmanager
+def _all_digits():
+    """Lift Python's integer-string limit while computed numbers are printed.
+    The limit bounds the work of int() on untrusted text, and `rational`
+    applies it to every string before parsing it; str() parses nothing, so
+    an exact verdict may print every digit of its numbers."""
+    limit = _digit_limit()
+    _set_digit_limit(0)
+    try:
+        yield
+    finally:
+        _set_digit_limit(limit)
 
 
 def _is_integer(x) -> bool:
@@ -128,6 +174,12 @@ def int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     dtype = int_dtype(bound)
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, with writes through it refused, so a stored array stays what it was."""
+    a.setflags(write=False)
+    return a
 
 
 def _first_pair(mask: np.ndarray) -> Optional[tuple[int, int]]:
@@ -252,12 +304,13 @@ def _encode_scaled(den: int, m) -> _Encoded:
 
 
 def _tabulate(rows) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(den, distinct, colours, M) of a symmetric matrix given as rational rows
+    """(den, table, colours, M) of a symmetric matrix given as rational rows
     or a Scaled or Coded pair, the one way a square matrix comes in: its common
-    denominator, its distinct scaled entries ascending, the read-only colour of
-    every entry and the read-only integer matrix M = distinct[colours], in
-    `int_dtype`: left to itself numpy stores integers in [2^63, 2^64) as
-    uint64, larger as float64."""
+    denominator, the read-only table of its distinct scaled entries ascending,
+    the read-only colour of every entry, and a fresh integer matrix
+    M = table[colours] for the caller to eliminate in place.  Both arrays of
+    integers are in `int_dtype`: left to itself numpy stores integers in
+    [2^63, 2^64) as uint64, larger as float64."""
     if isinstance(rows, Scaled):
         den, table, codes = _encode_scaled(*rows)
     elif isinstance(rows, Coded):
@@ -265,14 +318,11 @@ def _tabulate(rows) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     else:
         den, table, codes = _encode(rows)
     dtype = int_dtype(max(max(map(abs, table), default=0), den))
-    distinct, inverse = np.unique(np.array(table, dtype=dtype), return_inverse=True)
-    colours = inverse.reshape(-1)[codes]
+    table, inverse = _distinct(np.array(table, dtype=dtype))
+    colours = _read_only(inverse[codes])
     if not (colours == colours.T).all():
         raise StructuralError("not symmetric at entry [%d][%d]" % _first_pair(colours != colours.T))
-    m = distinct[colours]
-    colours.setflags(write=False)
-    m.setflags(write=False)
-    return den, distinct, colours, m
+    return den, _read_only(table), colours, table[colours]
 
 
 def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
@@ -399,11 +449,12 @@ class _Elimination:
 
     @classmethod
     def of(cls, den: int, scaled: np.ndarray) -> "_Elimination":
-        perm, pivots, a = _bareiss(scaled.copy())
+        """The elimination of den * m, given as the integer array scaled =
+        den * m, which it overwrites."""
+        perm, pivots, a = _bareiss(scaled)
         x = np.empty_like(a[:, :len(pivots)])
         x[perm] = np.tril(a[:, :len(pivots)])
-        x.setflags(write=False)
-        return cls(den, tuple(perm), tuple(pivots), x)
+        return cls(den, tuple(perm), tuple(pivots), _read_only(x))
 
     @property
     def rank(self) -> int:
@@ -431,7 +482,8 @@ def _eliminate(m) -> _Elimination:
 
 
 def _psd_elimination(den: int, scaled: np.ndarray) -> Optional[_Elimination]:
-    """The elimination of den * m, or None when m is not PSD."""
+    """The elimination of den * m, which overwrites scaled = den * m, or None
+    when m is not PSD."""
     try:
         elim = _Elimination.of(den, scaled)
     except IndefinitePivotError:
@@ -474,39 +526,45 @@ class GramMatrix:
 
     Built from rows of rationals (ints, Fractions or 'p/q' strings), from a
     Scaled(den, matrix) integer pair or from a Coded(tokens, codes) pair.
-    Validation codes the entries, parsing
-    and scaling each distinct entry once, and keeps (den, scaled): the common
-    denominator and the read-only integer array den * m.  One Bareiss
-    elimination of `scaled` certifies PSD and gives the rank, the LDL^T
+    Validation codes the entries, parsing and scaling each distinct entry
+    once, and stores the matrix once, as its value table: `den`, the common
+    denominator; `scaled_values`, the read-only ascending integer array
+    den * values of the distinct entries; `values`, the same entries as
+    Fractions; and the read-only intp array `colours`, with
+    values[colours[i][j]] == G[i][j].  Every shell, spectrum, histogram and
+    colouring reads the table.  One Bareiss elimination of den * G, built for
+    it and overwritten by it, certifies PSD and gives the rank, the LDL^T
     factors and the integer coordinates `elimination.x` that the balance,
-    fixed-subspace and coordinate read-outs use.  The same pass builds the
-    value table that every shell, spectrum, histogram and colouring reads:
-    `values` holds the distinct entries in ascending order, and the read-only
-    integer array `colours` satisfies values[colours[i][j]] == G[i][j].
+    fixed-subspace and coordinate read-outs use.  `scaled`, the read-only
+    integer matrix den * G, is scaled_values[colours], built on first read.
     """
 
     rows: InitVar[object]
     den: int = field(init=False, repr=False)
-    scaled: np.ndarray = field(init=False, repr=False)
+    scaled_values: np.ndarray = field(init=False, repr=False)
     values: tuple[Fraction, ...] = field(init=False)
     colours: np.ndarray = field(init=False, repr=False)
     elimination: _Elimination = field(init=False, repr=False)
 
     def __post_init__(self, rows):
-        den, distinct, colours, scaled = _tabulate(rows)
-        wrong = np.flatnonzero(scaled.diagonal() != den)
+        den, table, colours, m = _tabulate(rows)
+        wrong = np.flatnonzero(m.diagonal() != den)
         if wrong.size:
             i = int(wrong[0])
-            value = Fraction(int(scaled[i, i]), den)
+            value = Fraction(int(m[i, i]), den)
             raise StructuralError(f"diagonal entry [{i}][{i}] = {value}, expected 1")
-        elim = _psd_elimination(den, scaled)
+        elim = _psd_elimination(den, m)
         if elim is None:
             raise StructuralError("matrix is not positive semidefinite")
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "values", tuple(Fraction(v, den) for v in distinct.tolist()))
+        object.__setattr__(self, "scaled_values", table)
+        object.__setattr__(self, "values", tuple(Fraction(v, den) for v in table.tolist()))
         object.__setattr__(self, "colours", colours)
         object.__setattr__(self, "elimination", elim)
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        return _read_only(self.scaled_values[self.colours])
 
     def __eq__(self, other):
         if not isinstance(other, GramMatrix):

@@ -49,11 +49,11 @@ class QuadraticForm:
     below: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self, rows):
-        den, _, _, scaled = _tabulate(rows)
+        den, _, _, m = _tabulate(rows)
         if den != 1:
             raise StructuralError("quadratic form is not integral")
-        elim = _psd_elimination(1, scaled)
-        if elim is None or elim.rank < len(scaled):
+        elim = _psd_elimination(1, m)
+        if elim is None or elim.rank < len(m):
             raise StructuralError("quadratic form is not positive definite")
         columns = elim.x.T.tolist()
         object.__setattr__(self, "pivots", elim.pivots)

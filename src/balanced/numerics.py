@@ -46,7 +46,7 @@ import numpy as np
 
 from .designs import (DesignVerdict, TheoremOneVerdict, _design_verdict, _theorem1_verdict,
                       _zonal_series, check_cap)
-from .exact import Configuration, StructuralError, _first_pair, check_labels
+from .exact import Configuration, StructuralError, _first_pair, _read_only, check_labels
 
 DEFAULT_TOL = 1e-9
 _TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float64
@@ -54,12 +54,6 @@ _TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float64
 
 class AmbiguousShellError(ValueError):
     """Shell clustering is ambiguous at the given tolerance; pick another."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, with writes through it refused, so a cached array stays what it was."""
-    a.setflags(write=False)
-    return a
 
 
 def _lengths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import balance, designs, numerics, symmetry
 from .designs import TheoremOneVerdict
-from .exact import Configuration, inner_product_spectrum, require
+from .exact import Configuration, _all_digits, inner_product_spectrum, require
 from .numerics import CoordinateSet
 
 DEFAULT_CAP = 12
@@ -59,14 +59,15 @@ def _assemble(points: Configuration | CoordinateSet, dim: int, spectrum: tuple[s
 def build_report(c: Configuration, cap: int = DEFAULT_CAP) -> AnalysisReport:
     """Exact-mode report; balance and design strength come without their
     witnesses, for which see `check_balanced` and `design_strength`."""
-    spectrum = tuple(str(u) for u in inner_product_spectrum(c))
     balanced = not balance._bad_shells(c)
     t1 = designs.theorem1_check(c, cap)
     group = symmetry.automorphism_group(symmetry.colored_graph_from_config(c))
     gb = symmetry._group_balanced(c, group)
     require(not gb.group_balanced or balanced, "group-balanced but not balanced")
-    return _assemble(c, c.ambient_dim, spectrum, balanced, cap, t1,
-                     symmetry_order=str(group.order()),
+    with _all_digits():
+        spectrum = tuple(str(u) for u in inner_product_spectrum(c))
+        order = str(group.order())
+    return _assemble(c, c.ambient_dim, spectrum, balanced, cap, t1, symmetry_order=order,
                      orbit_sizes=tuple(len(o) for o in group.orbits()),
                      group_balanced=gb.group_balanced, witnesses=gb.witnesses)
 

@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import (Configuration, StructuralError, _encode_scaled, _first_pair, _is_integer,
-                    int_dtype, integer_rank, require)
+                    _read_only, int_dtype, integer_rank, require)
 
 Perm = tuple[int, ...]
 
@@ -95,8 +95,7 @@ class ColoredGraph:
         ids.flat[::n + 1] = 0
         colours = _encode_scaled(1, ids)[2]
         colours.flat[::n + 1] = -1
-        colours.setflags(write=False)
-        object.__setattr__(self, "edge_colors", colours)
+        object.__setattr__(self, "edge_colors", _read_only(colours))
         object.__setattr__(self, "n_edge_colors", int(colours.max(initial=-1)) + 1)
 
 

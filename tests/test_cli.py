@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 from balanced.cli import check, main
 from balanced.constructors import SrgParams
-from balanced.designs import TheoremOneVerdict
+from balanced.designs import TheoremOneVerdict, design_strength
 from balanced.exact import GramMatrix, InvariantError, Scaled, StructuralError
 from balanced.files import (
     InputError,
@@ -891,3 +892,99 @@ def test_undecodable_graph_exits_2(runner, tmp_path):
     f.write_bytes(b"0 1\n1 \xff\n")
     assert exits_2_naming(runner, ["construct", "srg-embedding"], f).startswith(
         f"error: {f}: byte 0xff at offset 6 is not ")
+
+
+# strings whose numerator, denominator or decimal exponent passes Python's
+# integer-string digit limit: each is refused before Fraction builds it
+PAST_THE_LIMIT = {
+    "exponent-10000000": ({"gram": [["1e10000000"]]}, ["report"], "'1e10000000'"),
+    "tiny-entry": ({"gram": [["1", "-1e-5000"], ["-1e-5000", "1"]]}, ["report"], "'-1e-5000'"),
+    "diagonal": ({"gram": [["1e5000"]]}, ["report"], "'1e5000'"),
+    "cutoff": ({"points": [["0", "0"]], "period": [["1", "0"], ["0", "1"]], "cutoff": "1e5000"},
+               ["check", "euclidean"], "'1e5000'"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("kind", PAST_THE_LIMIT)
+def test_strings_past_the_digit_limit_exit_2(tmp_path, kind, flags):
+    """Each exits 2 at once, as a process, naming the file and the limit: the
+    exponent 10^7 took 7.7 s before its traceback, and the cutoff ran on."""
+    doc, args, shown = PAST_THE_LIMIT[kind]
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(doc))
+    src = str(Path(balanced.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, *flags, "-m", "balanced.cli", *args, str(f)],
+                         capture_output=True, text=True, env=env, timeout=10)
+    entry = "" if kind == "cutoff" else "gram[0][1]: " if kind == "tiny-entry" else "gram[0][0]: "
+    limit = sys.get_int_max_str_digits()
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {f}: {entry}{shown} passes the integer-string limit of " \
+                         f"{limit} digits\n"
+
+
+@contextlib.contextmanager
+def all_digits():
+    """Python's integer-string limit lifted, for the expected values of a test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def near_identity(eps: str) -> dict:
+    return {"gram": [["1", eps, "0"], [eps, "1", "0"], ["0", "0", "1"]]}
+
+
+def test_a_deviation_past_the_digit_limit_prints(runner, tmp_path):
+    """With eps = 10^-2500 the shell {1} of point 0 deviates by 1 - eps^2,
+    whose denominator has 5001 digits."""
+    f = tmp_path / "gram.json"
+    eps = "1/1" + "0" * 2500
+    f.write_text(json.dumps(near_identity(eps)))
+    res = invoke(runner, ["check", "balanced", str(f)])
+    assert res.exit_code == 1
+    deviation = "9" * 5000 + "/1" + "0" * 5000  # 1 - eps^2
+    one_and_eps = "1" + "0" * 2499 + "1/1" + "0" * 2500
+    assert json.loads(res.stdout)["violations"] == [
+        {"point": 0, "shell_value": "0", "deviation": ["0", "0", "1"]},
+        {"point": 0, "shell_value": eps, "deviation": ["0", deviation, "0"]},
+        {"point": 1, "shell_value": "0", "deviation": ["0", "0", "1"]},
+        {"point": 1, "shell_value": eps, "deviation": [deviation, "0", "0"]},
+        {"point": 2, "shell_value": "0", "deviation": [one_and_eps, one_and_eps, "0"]},
+    ]
+    assert invoke(runner, ["report", str(f)]).exit_code == 0
+
+
+def test_moments_past_the_digit_limit_print(runner, tmp_path):
+    """With eps = 10^-400 the moment of degree 12 has a denominator of about
+    12 x 400 digits."""
+    f = tmp_path / "gram.json"
+    f.write_text(json.dumps(near_identity("1/1" + "0" * 400)))
+    res = invoke(runner, ["check", "design", "--cap", "12", str(f)])
+    assert res.exit_code == 0
+    doc = json.loads(res.stdout)
+    c = read_configuration(f)
+    with all_digits():
+        expected = {str(k): str(m) for k, m in design_strength(c, 12).per_k_moment.items()}
+    assert doc == {"mode": "exact", "cap": 12, "strength": 0, "moments": expected}
+    assert len(doc["moments"]["12"]) > sys.get_int_max_str_digits()
+
+
+def test_euclidean_shells_past_the_digit_limit_print(runner, tmp_path):
+    """Two points 1/s apart, s = 77...7 of 3000 digits: the shell value 1/s^2
+    has a denominator of about 6000 digits."""
+    f = tmp_path / "points.json"
+    s = "7" * 3000
+    f.write_text(json.dumps({"points": [[f"1/{s}", "0"], ["0", "0"]]}))
+    res = invoke(runner, ["check", "euclidean", str(f)])
+    assert res.exit_code == 1
+    with all_digits():
+        shell = f"1/{int(s) ** 2}"
+    assert json.loads(res.stdout)["violations"] == [
+        {"point": 0, "shell_value": shell, "deviation": [f"-1/{s}", "0"]},
+        {"point": 1, "shell_value": shell, "deviation": [f"1/{s}", "0"]},
+    ]

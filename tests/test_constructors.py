@@ -160,6 +160,19 @@ class TestSrgParams:
         k22 = ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
         assert srg_params(k22).degenerate
 
+    def test_infeasible_parameters(self):
+        # k (k - lambda - 1) = 0, but (n - k - 1) mu = 2
+        with pytest.raises(ConstructionError, match=r"^infeasible SRG parameters \(5,2,1,1\)$"):
+            SrgParams(5, 2, 1, 1)
+
+    def test_non_integral_multiplicity(self):
+        # feasible with eigenvalues 1 and -3, but the multiplicity of 1 is 35/4,
+        # so no graph has these parameters
+        p = SrgParams(15, 7, 2, 4)
+        assert p.eigenvalues() == (1, -3)
+        with pytest.raises(ConstructionError, match="^non-integral eigenvalue multiplicity$"):
+            p.multiplicity(1)
+
 
 class TestSpectralEmbedding:
     def test_figure1_r(self, paulus_r):
@@ -209,6 +222,32 @@ class TestSpectralEmbedding:
         multiplicity = SrgParams.multiplicity
         monkeypatch.setattr(SrgParams, "multiplicity", lambda p, eig: multiplicity(p, eig) + 1)
         with pytest.raises(InvariantError, match=r"^embedding rank 12 != multiplicity 13$"):
+            srg_spectral_embedding(figure1, "r")
+
+    def test_bad_eigen_choice(self, figure1):
+        with pytest.raises(ConstructionError, match=r"^eigen_choice must be 'r' or 's', got 't'$"):
+            srg_spectral_embedding(figure1, "t")
+
+    def test_multiplicity_below_two_is_refused(self, figure1, monkeypatch):
+        """No graph reaches this check: a nondegenerate strongly regular graph
+        has both multiplicities at least 2 (the absolute bound n <= f(f+3)/2,
+        checked below on every parameter set with n < 60).  So the check is
+        driven by a multiplicity patched to 1."""
+        for n in range(3, 60):
+            for k in range(1, n - 1):
+                for lam in range(k):
+                    mu, rest = divmod(k * (k - lam - 1), n - k - 1)
+                    if rest or not 0 < mu < k:
+                        continue
+                    p = SrgParams(n, k, lam, mu)
+                    try:
+                        eigenvalues = p.eigenvalues()
+                        multiplicities = [p.multiplicity(e) for e in eigenvalues]
+                    except ConstructionError:
+                        continue
+                    assert min(multiplicities) >= 2, (n, k, lam, mu)
+        monkeypatch.setattr(SrgParams, "multiplicity", lambda p, eig: 1)
+        with pytest.raises(ConstructionError, match="^eigenvalue 2 has multiplicity 1 < 2$"):
             srg_spectral_embedding(figure1, "r")
 
     def test_adjacency_is_checked_once(self, figure1, monkeypatch):

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,9 @@ from hypothesis import given, strategies as st
 from conftest import gram_entries, midpoint_vectors
 from balanced.exact import (
     Configuration,
+    DigitLimitError,
     GramMatrix,
+    Scaled,
     StructuralError,
     _first_pair,
     gram_rank,
@@ -48,6 +53,30 @@ class TestRational:
             rational("1/0")
         with pytest.raises(StructuralError):
             rational("abc")
+
+    def test_digit_limit_is_checked_before_parsing(self):
+        """A string whose length plus decimal exponent passes the
+        integer-string limit is refused at once, whatever Fraction would
+        make of it: building 10^10000000 alone took 7 s."""
+        limit = sys.get_int_max_str_digits()
+        for text in ["1e10000000", "-1e-5000", "1e5000", "1" * (limit + 1),
+                     "1e" + "9" * (limit + 1), "1e1_0000_000", f"1e{limit - 5}", f".5e-{limit - 7}",
+                     f" 1e{limit - 5} ", "abc" * limit]:
+            shown = repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
+            with pytest.raises(DigitLimitError,
+                               match=f"^{re.escape(shown)} passes the integer-string limit "
+                                     f"of {limit} digits$"):
+                rational(text)
+
+    def test_every_rational_parsed_prints(self):
+        """At the limit itself the string is parsed, and its value prints
+        under the limit: no numerator or denominator passes it."""
+        limit = sys.get_int_max_str_digits()
+        for text in [f"1e{limit - 6}", f"-9.9e{limit - 9}", f".5e-{limit - 8}", "7" * limit,
+                     "-1/" + "3" * (limit - 3), "1" + "0" * (limit - 5) + "e2", "1_0e1"]:
+            value = rational(text)
+            assert max(len(str(value.numerator)), len(str(value.denominator))) <= limit
+            assert rational(str(value)) == value
 
     @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
     def test_round_trip_idempotent(self, p, q):
@@ -169,6 +198,11 @@ class TestConfiguration:
         with pytest.raises(StructuralError):
             Configuration.from_gram([])
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        g = GramMatrix([[1, 0], [0, 1]])
+        assert g.__eq__([[1, 0], [0, 1]]) is NotImplemented
+        assert g != [[1, 0], [0, 1]] and g != "gram" and g == GramMatrix([["1", "0"], [0, 1]])
+
     @pytest.mark.parametrize("label", [7, True, ["C7"], b"C7"])
     def test_a_label_is_a_string(self, label):
         """Configuration, CoordinateSet and LatticeGram hold one label rule;
@@ -239,3 +273,32 @@ class TestEntryTypes:
     def test_mixed_rational_types_accepted(self):
         c = Configuration.from_gram([["1", Fraction(1, 2)], [Fraction(1, 2), 1]])
         assert gram_entries(c.gram) == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
+
+
+# (rows, dtype of the integer table): a table in int64, and one past it
+SCALED_CASES = [
+    ([[1, "-1/3", "1/2"], ["-1/3", 1, 0], ["1/2", 0, 1]], np.int64),
+    ([[1, Fraction(1, 2**64 + 3), 0], [Fraction(1, 2**64 + 3), 1, Fraction(-2, 2**64 + 3)],
+      [0, Fraction(-2, 2**64 + 3), 1]], object),
+]
+
+
+@pytest.mark.parametrize("rows, dtype", SCALED_CASES, ids=["int64", "object"])
+def test_the_value_table_is_the_one_stored_form(rows, dtype):
+    """A GramMatrix stores its matrix once, as the value table, and no n x n
+    integer array: `scaled` is built on first read, read-only, in the table's
+    dtype, with the entries den * G, and the same array on every read."""
+    g = GramMatrix(rows)
+    stored = [f.name for f in dataclasses.fields(g) if isinstance(getattr(g, f.name), np.ndarray)]
+    assert stored == ["scaled_values", "colours"]
+    assert "scaled" not in vars(g)
+    expected = [[int(g.den * rational(x)) for x in row] for row in rows]
+    assert g.scaled.dtype == g.scaled_values.dtype == dtype
+    assert g.scaled.tolist() == expected
+    assert g.scaled_values.tolist() == sorted(set(sum(expected, [])))
+    assert [Fraction(v, g.den) for v in g.scaled_values.tolist()] == list(g.values)
+    assert not g.scaled.flags.writeable and not g.scaled_values.flags.writeable
+    assert g.scaled.flags.c_contiguous and g.scaled.flags.owndata
+    assert g.scaled is g.scaled
+    again = GramMatrix(Scaled(g.den, g.scaled))
+    assert again == g and again.scaled.tolist() == expected and again.scaled.dtype == dtype

@@ -569,15 +569,15 @@ def test_rational_front_end_rule_sees_every_form():
     assert rational_front_end(tree) == [1, 2, 3, 4, 5]
 
 
-def norm_calls(tree):
-    """Lines, ascending, that call a `norm` by any path or import one under
-    any alias."""
+def calls_named(tree, name):
+    """Lines, ascending, that call a function `name` by any path or import
+    one under any alias."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and called_name(node) == "norm":
+        if isinstance(node, ast.Call) and called_name(node) == name:
             lines.add(node.lineno)
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                alias.name.split(".")[-1] == "norm" for alias in node.names):
+                alias.name.split(".")[-1] == name for alias in node.names):
             lines.add(node.lineno)
     return sorted(lines)
 
@@ -587,7 +587,7 @@ def test_float_lengths_have_one_routine():
     rescues the sums of squares that leave float64's normal range, which
     np.linalg.norm does not."""
     path = next(p for p in SOURCES if p.name == "numerics.py")
-    assert norm_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert calls_named(ast.parse(path.read_text(encoding="utf-8")), "norm") == []
 
 
 def test_norm_rule_sees_every_form():
@@ -599,4 +599,28 @@ def test_norm_rule_sees_every_form():
         "c = np.sqrt((x**2).sum(axis=1))\n"
         "d = normalize(x)\n"
     )
-    assert norm_calls(tree) == [1, 2, 3, 4]
+    assert calls_named(tree, "norm") == [1, 2, 3, 4]
+
+
+def test_integers_have_one_coder():
+    """`exact._distinct` codes every integer array by its distinct entries:
+    the Gram value table, the scanned Gram keys and the edge colours.  No
+    module codes one with np.unique, a second coder with its own rules on
+    inverse shapes and on Python ints."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in calls_named(tree, "unique")]
+    assert found == []
+
+
+def test_unique_rule_sees_every_form():
+    tree = ast.parse(
+        "a = np.unique(m, return_inverse=True)\n"
+        "from numpy import unique as distinct\n"
+        "b = unique(m)\n"
+        "c = numpy.unique(m.ravel())[0]\n"
+        "d = uniques(m)\n"
+        "e = np.unique\n"
+    )
+    assert calls_named(tree, "unique") == [1, 2, 3, 4]

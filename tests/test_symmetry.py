@@ -47,12 +47,14 @@ class TestColoredGraph:
         assert (c7.gram.colours.diagonal() == len(c7.gram.values) - 1).all()
 
     @pytest.mark.parametrize("rows", [
-        ((-1, 0), (0,)),  # ragged
+        ((-1, 0), (0,)),  # ragged, which numpy stacks as a 1-d array of rows
         ((-1, 0, 1), (0, -1, 1)),  # 2 x 3
         ((-1, 0), (0, -1), (1, 1)),  # 3 x 2
+        (np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)),  # numpy refuses
     ])
     def test_ragged_or_non_square_colours_rejected(self, rows):
-        with pytest.raises(StructuralError, match="edge colours"):
+        with pytest.raises(StructuralError, match=f"^edge colours must form a {len(rows)} x "
+                                                  f"{len(rows)} array$"):
             ColoredGraph(len(rows), rows)
 
     def test_non_integer_colours_rejected(self):

@@ -200,6 +200,25 @@ def test_known_order_chain_matches_full_chain(name, seed, request):
             assert stab.order() == math.prod(len(t) for t in full.trans[1:])
 
 
+def test_a_chain_told_its_order_adds_no_generator_past_it(monkeypatch):
+    """A 3-cycle fills the chain of the cyclic group of order 3, so a chain
+    told that order never adds the generators after it, while the full chain
+    sifts them all; both chains are the same."""
+    added = []
+    add = _StabilizerChain._add_element
+    monkeypatch.setattr(_StabilizerChain, "_add_element",
+                        lambda chain, g: added.append(g.tolist()) or add(chain, g))
+    gens = [(1, 2, 0), (2, 0, 1), (1, 2, 0)]
+    full = _StabilizerChain(3, gens)
+    assert added == [list(g) for g in gens]
+    added.clear()
+    known = _StabilizerChain(3, gens, order=3)
+    assert added == [[1, 2, 0]]
+    assert full.order() == known.order() == 3
+    assert chain_levels(known) == chain_levels(full)
+    assert transversal_points(known) == transversal_points(full)
+
+
 @pytest.mark.parametrize("relabelled", [False, True], ids=["as-built", "relabelled"])
 @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
 def test_group_balanced_matches_least_point_representatives(name, relabelled, request):
